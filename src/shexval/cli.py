@@ -19,7 +19,7 @@ from collections import Counter
 from pathlib import Path
 
 from .genbench import GenConfig, bench, bench_csv, generate_graph
-from .graph import format_graph, parse_graph
+from .graph import format_graph, parse_graph, relabel_wildcards
 from .membership import member
 from .rbe import bag, is_sorbe, is_symbol_product, parse_rbe
 from .sat import SolverCapped, inter1, is_unambiguous, rbe_satisfiable
@@ -98,9 +98,17 @@ def _emit_report(report: ValidationReport, args) -> int:
     return 0 if report.valid else 1
 
 
-def _cmd_validate(args) -> int:
+def _schema_and_graph(args):
+    """The schema and the graph, relabeled onto the schema's wildcards."""
     schema = parse_schema(_read(args.schema))
     graph = parse_graph(_read(args.graph))
+    if schema.wildcards:
+        graph = relabel_wildcards(graph, schema.wildcard_family())
+    return schema, graph
+
+
+def _cmd_validate(args) -> int:
+    schema, graph = _schema_and_graph(args)
     pre = parse_pretyping(_read(args.pretyping)) if args.pretyping else None
     if args.mode == "single":
         if args.algo == "brute":
@@ -167,8 +175,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_find_types(args) -> int:
-    schema = parse_schema(_read(args.schema))
-    graph = parse_graph(_read(args.graph))
+    schema, graph = _schema_and_graph(args)
     typing = infer_types(graph, schema)
     empty = False
     for node in sorted(typing):

@@ -21,6 +21,19 @@ intersection-nonemptiness test that works for every schema, a circulation
 test for schemas whose rules are symbol products, and two shortcuts for
 deterministic single-occurrence schemas.  All of them compute the same
 fixpoint on schemas where their preconditions hold.
+
+The refinement driver is frontier-driven, in the manner of maximal
+simulation (Henzinger, Henzinger and Kopke, FOCS 1995) and arc
+consistency (AC-3, Mackworth 1977).  Its first round tests every
+(node, type) pair; later rounds re-test only the pairs (n, t) where n has
+an a-edge into a node m that lost a type u in the round before and the
+rule of t mentions ``a::u``.  The local verdict of (n, t) depends on each
+successor m only through the types of m that t's rule mentions under the
+edge's label: a flattening that picks an unmentioned symbol lies outside
+the rule's language.  Rules given as opaque predicates count as
+mentioning every symbol.  So a pair off the frontier keeps the verdict it
+had a round earlier, and every round removes exactly the pairs the
+synchronous round of :func:`refine_step` removes.
 """
 
 from __future__ import annotations
@@ -103,9 +116,15 @@ class ValidationReport:
     ``typing`` maps nodes either to a single type (single-type modes) or
     to a frozenset of types; nodes never reached by flooding are absent.
     ``failures`` holds (node, type, reason) triples and is empty exactly
-    when ``valid`` is true.  ``iterations`` counts refinement rounds or
-    processed flooding obligations.  ``edges_examined`` counts outbound
-    neighborhood scans during flooding, including repeats on backtracking.
+    when ``valid`` is true.  ``iterations`` counts refinement rounds,
+    including the last one, which removes nothing, or processed flooding
+    obligations.  Refinement rounds are those of the synchronous
+    definition (:func:`refine_step` until nothing changes), even though
+    the driver re-tests only a frontier of pairs in each round.
+    ``local_tests`` counts the (node, type) local tests the refinement
+    driver ran over all rounds; it is 0 for flooding and brute force.
+    ``edges_examined`` counts outbound neighborhood scans during flooding,
+    including repeats on backtracking.
     """
 
     valid: bool
@@ -115,6 +134,7 @@ class ValidationReport:
     iterations: int = 0
     algorithm: str = ""
     edges_examined: int = 0
+    local_tests: int = 0
 
 
 def out_lab_type_s(g: Graph, typing: Mapping[str, str], n: str) -> Bag:
@@ -233,12 +253,36 @@ def _enumerate_flattenings(
 
 
 class _RefineEngine:
-    """One refinement round against a fixed graph and schema.
+    """Refinement rounds against a fixed graph and schema.
 
-    Schema analyses (successor maps, label projections, interval products)
-    happen once at construction; per-node verdicts for the general strategy
-    are memoized by neighborhood shape, which collapses the many
-    identically-shaped nodes of large graphs into a handful of tests.
+    The strategy picks the local test once, at construction:
+
+    * ``general`` asks whether some flattening of the neighborhood
+      satisfies the rule, memoized by neighborhood shape, which collapses
+      the many identically-shaped nodes of large graphs into a handful of
+      tests;
+    * ``rbe0-flow`` runs the circulation test against the interval
+      product of a symbol-product rule;
+    * ``structure-filtered`` checks that every successor still carries
+      the one type the rule requires under the edge's label (the filtered
+      initial typing has already checked the label bag);
+    * ``det-membership`` also checks the node's label bag against the
+      label projection of the rule, memoized by the bag.
+
+    Types with a universal rule always survive and are never tested.
+    Schema analyses (successor maps, projections, interval products, the
+    mention index) and the verdict memos are cached on the schema, so
+    engines over the same schema share them and repeat validations start
+    warm.
+
+    :meth:`step` is one synchronous round over every pair.  :meth:`run` is
+    the frontier driver: its first round is :meth:`step`; each later round
+    re-tests only the pairs (n, t) with an a-edge from n into a node m that
+    lost a type u in the round before, where t's rule mentions ``a::u``.
+    A pair off that frontier keeps its previous verdict, because the test
+    sees a successor only through the types the rule mentions under the
+    edge's label, so :meth:`run` yields the typing of repeated :meth:`step`
+    after every round.  ``local_tests`` counts the pairs tested.
     """
 
     def __init__(self, g: Graph, s: Schema, strategy: str):
@@ -246,9 +290,10 @@ class _RefineEngine:
             raise ValueError(f"unknown strategy {strategy!r}")
         self.g = g
         self.s = s
-        self.strategy = strategy
         flags = s.class_flags
-        if strategy == "rbe0-flow":
+        if strategy == "general":
+            self._lost = self._lost_general
+        elif strategy == "rbe0-flow":
             if not flags.rbe0:
                 raise ValueError(
                     "the rbe0-flow strategy needs a schema of symbol products"
@@ -260,72 +305,142 @@ class _RefineEngine:
                     for t, rule in _expression_rules(s).items()
                 }
                 s._derived["refine:products"] = self.products
-        if strategy in ("det-membership", "structure-filtered"):
+            self._lost = self._lost_flow
+        else:
             if not (flags.deterministic and flags.sorbe):
                 raise ValueError(
                     f"the {strategy} strategy needs a deterministic "
                     "single-occurrence schema"
                 )
-            _, succ = check_deterministic(s)
-            self.succ = succ
-            self.projected = _projected_rules(s)
+            _, self.succ = check_deterministic(s)
+            self.projected = (
+                _projected_rules(s) if strategy == "det-membership" else None
+            )
+            self._lost = self._lost_successors
+        self.testable = frozenset(
+            t for t, rule in s.delta.items() if not _is_universal(rule)
+        )
         # Verdict memos depend only on the schema, so engines over the same
         # schema share them; repeat validations start warm.
         self._memo: dict[tuple, bool] = s._derived.setdefault(
             f"refine:memo:{strategy}", {}
         )
+        self.local_tests = 0
 
     def step(self, typing: Mapping[str, frozenset[str]]) -> dict[str, frozenset[str]]:
-        """All nodes re-tested against the previous round's typing."""
-        out: dict[str, frozenset[str]] = {}
-        for n in self.g.nodes:
-            out[n] = frozenset(
-                t for t in typing[n] if t == TOP or self._survives(n, t, typing)
-            )
-        return out
+        """All pairs re-tested against the previous round's typing."""
+        lost = self._test(typing, typing)
+        return {
+            n: _without(typing[n], lost[n]) if n in lost else typing[n]
+            for n in self.g.nodes
+        }
 
-    def _survives(
-        self, n: str, t: str, typing: Mapping[str, frozenset[str]]
-    ) -> bool:
-        if self.strategy == "general":
-            neighborhood = out_lab_type_m(self.g, typing, n)
-            key = (t, _neighborhood_key(neighborhood))
-            if key not in self._memo:
-                self._memo[key] = _some_flattening_member(self.s, neighborhood, t)
-            return self._memo[key]
-        if self.strategy == "rbe0-flow":
-            rule = self.s.delta[t]
-            if isinstance(rule, SemanticLanguage):
-                return rule.member is universal_language_member
+    def run(self, current: dict[str, frozenset[str]]) -> int:
+        """Refine ``current`` in place to the fixpoint below it; returns the
+        number of rounds, counting the last one, which removes nothing."""
+        work: Mapping[str, Iterable[str]] = current
+        preds: dict[str, list[tuple[str, str]]] | None = None
+        rounds = 0
+        while True:
+            rounds += 1
+            lost = self._test(work, current)
+            if not lost:
+                return rounds
+            for n, types in lost.items():
+                current[n] = _without(current[n], types)
+            if preds is None:
+                preds = _predecessors(self.g)
+                mentions, everywhere = _mention_index(self.s)
+            work = {}
+            for m, types in lost.items():
+                for n, a in preds.get(m, ()):
+                    for u in types:
+                        affected = mentions.get((a, u), everywhere) & current[n]
+                        if affected:
+                            work.setdefault(n, set()).update(affected)
+
+    def _test(
+        self,
+        work: Mapping[str, Iterable[str]],
+        typing: Mapping[str, frozenset[str]],
+    ) -> dict[str, list[str]]:
+        """The types of ``work`` (node to types) that fail under ``typing``."""
+        lost = {}
+        for n, types in work.items():
+            types = self.testable.intersection(types)
+            if types:
+                self.local_tests += len(types)
+                failed = self._lost(n, types, typing)
+                if failed:
+                    lost[n] = failed
+        return lost
+
+    def _lost_general(self, n, types, typing) -> list[str]:
+        neighborhood = out_lab_type_m(self.g, typing, n)
+        shape = _neighborhood_key(neighborhood)
+        lost = []
+        for t in types:
+            key = (t, shape)
+            verdict = self._memo.get(key)
+            if verdict is None:
+                verdict = _some_flattening_member(self.s, neighborhood, t)
+                self._memo[key] = verdict
+            if not verdict:
+                lost.append(t)
+        return lost
+
+    def _lost_flow(self, n, types, typing) -> list[str]:
+        groups = [
+            frozenset(typed_symbol(a, u) for u in typing[m])
+            for a, m in self.g.out_lab_node(n)
+        ]
+        lost = []
+        for t in types:
             intervals = self.products[t]
-            if intervals is None:
-                return False
-            groups = []
-            for a, m in self.g.out_lab_node(n):
-                groups.append(
-                    frozenset(typed_symbol(a, u) for u in typing[m])
-                )
-            return inter1_groups(groups, intervals)
-        # det-membership and structure-filtered: the rule uses each label
-        # with one target type, so a flattening exists exactly when every
-        # successor still carries the required type and (checked here only
-        # by det-membership, once by the filtered init otherwise) the label
-        # bag fits the projected rule.
-        rule = self.s.delta[t]
-        if isinstance(rule, SemanticLanguage):
-            return rule.member is universal_language_member
-        for a, m in self.g.out_lab_node(n):
-            u = self.succ.get((t, a))
-            if u is None or u not in typing[m]:
-                return False
-        if self.strategy == "det-membership":
-            # The projected test depends only on the label bag, which the
-            # typing cannot change; cache it across rounds and nodes.
-            key = (t, tuple(sorted(self.g.out_lab(n).items())))
-            if key not in self._memo:
-                self._memo[key] = member(self.g.out_lab(n), self.projected[t]).verdict
-            return self._memo[key]
-        return True
+            if intervals is None or not inter1_groups(groups, intervals):
+                lost.append(t)
+        return lost
+
+    def _lost_successors(self, n, types, typing) -> list[str]:
+        # The rule uses each label with one target type, so a flattening
+        # exists exactly when every successor still carries the required
+        # type and the label bag fits the projected rule.
+        edges = self.g.out_lab_node(n)
+        succ = self.succ
+        bag = None
+        lost = []
+        for t in types:
+            for a, m in edges:
+                if succ.get((t, a)) not in typing[m]:
+                    lost.append(t)
+                    break
+            else:
+                if self.projected is None:
+                    continue
+                # The label bag is fixed by the graph, so its verdict holds
+                # across rounds and for every node with the same bag.
+                if bag is None:
+                    bag = tuple(sorted(self.g.out_lab(n).items()))
+                verdict = self._memo.get((t, bag))
+                if verdict is None:
+                    verdict = member(self.g.out_lab(n), self.projected[t]).verdict
+                    self._memo[(t, bag)] = verdict
+                if not verdict:
+                    lost.append(t)
+        return lost
+
+
+def _without(types: frozenset[str], lost: list[str]) -> frozenset[str]:
+    # Built afresh rather than by difference(), which copies the hash table
+    # of the full type set into every result.
+    return frozenset(t for t in types if t not in lost)
+
+
+def _is_universal(rule) -> bool:
+    return (
+        isinstance(rule, SemanticLanguage)
+        and rule.member is universal_language_member
+    )
 
 
 def _expression_rules(s: Schema) -> dict[str, Rbe]:
@@ -344,6 +459,42 @@ def _projected_rules(s: Schema) -> dict[str, Rbe]:
         }
         s._derived["refine:projected"] = projected
     return projected
+
+
+def _mention_index(
+    s: Schema,
+) -> tuple[dict[tuple[str, str], frozenset[str]], frozenset[str]]:
+    """Which types' local verdicts a successor's type can affect.
+
+    Maps (label, type) to the types whose rule mentions ``label::type``;
+    the second value holds the types with an opaque, non-universal rule,
+    which count as mentioning every symbol and belong to every entry.
+    """
+    cached = s._derived.get("refine:mentions")
+    if cached is None:
+        everywhere = frozenset(
+            t
+            for t, rule in s.delta.items()
+            if isinstance(rule, SemanticLanguage) and not _is_universal(rule)
+        )
+        index: dict[tuple[str, str], set[str]] = {}
+        for t, rule in _expression_rules(s).items():
+            for symbol in alphabet(rule):
+                index.setdefault(split_symbol(symbol), set()).add(t)
+        cached = (
+            {key: frozenset(types) | everywhere for key, types in index.items()},
+            everywhere,
+        )
+        s._derived["refine:mentions"] = cached
+    return cached
+
+
+def _predecessors(g: Graph) -> dict[str, list[tuple[str, str]]]:
+    """Per node, the (source, label) pairs of its inbound edges."""
+    preds: dict[str, list[tuple[str, str]]] = {}
+    for n, a, m in g.edges:
+        preds.setdefault(m, []).append((n, a))
+    return preds
 
 
 def _as_m_typing(g: Graph, typing: Mapping[str, Iterable[str]]) -> dict[str, frozenset[str]]:
@@ -396,32 +547,33 @@ def structure_filtered_init(g: Graph, s: Schema) -> dict[str, frozenset[str]]:
 
 def _run_refinement(
     g: Graph, s: Schema, init: str, strategy: str
-) -> tuple[dict[str, frozenset[str]], int]:
+) -> tuple[dict[str, frozenset[str]], int, int]:
+    """The fixpoint, its round count and the number of local tests run."""
     engine = _RefineEngine(g, s, strategy)
     if init == "full-gamma":
-        current = {n: frozenset(s.gamma) for n in g.nodes}
+        full = frozenset(s.gamma)
+        typing = {n: full for n in g.nodes}
     elif init == "structure-filtered":
-        current = structure_filtered_init(g, s)
+        typing = structure_filtered_init(g, s)
     else:
         raise ValueError(f"unknown initial typing {init!r}")
-    # Every round before the last removes at least one (node, type) pair.
-    limit = len(g.nodes) * max(len(s.gamma), 1) + 1
-    rounds = 0
-    while True:
-        rounds += 1
-        if rounds > limit:
-            raise AssertionError("refinement failed to reach a fixpoint")
-        following = engine.step(current)
-        if following == current:
-            return current, rounds
-        current = following
+    rounds = engine.run(typing)
+    return typing, rounds, engine.local_tests
 
 
 def refine_fixpoint(
     g: Graph, s: Schema, init: str = "full-gamma", strategy: str = "general"
 ) -> dict[str, frozenset[str]]:
-    """Refine until nothing changes; at most |nodes|·|types| + 1 rounds."""
-    typing, _ = _run_refinement(g, s, init, strategy)
+    """Refine until nothing changes: the greatest fixpoint of
+    :func:`refine_step` below the initial typing.
+
+    The frontier driver re-tests, after the first round, only the pairs
+    whose successors lost a type their rule mentions (see the module
+    docstring), so it takes the same rounds, at most |nodes|·|types| + 1,
+    as iterating :func:`refine_step`, but each round costs only the pairs
+    it can change.
+    """
+    typing, _, _ = _run_refinement(g, s, init, strategy)
     return typing
 
 
@@ -482,7 +634,7 @@ def validate_multi(
             init, strategy = "structure-filtered", "structure-filtered"
         else:
             init, strategy = "full-gamma", "rbe0-flow"
-        typing, rounds = _run_refinement(g, s, init, strategy)
+        typing, rounds, local_tests = _run_refinement(g, s, init, strategy)
         failures = tuple(
             (n, "-", "no type survives refinement")
             for n in sorted(typing)
@@ -495,6 +647,7 @@ def validate_multi(
             remaining_edges=_remaining(g, typing),
             iterations=rounds,
             algorithm=algo,
+            local_tests=local_tests,
         )
     if algo == "flood":
         if pre is None:
@@ -671,57 +824,83 @@ def _flood_single(
             first_failure.append((n, t, reason))
             failure_typing.update(lam)
 
-    def settle(i: int, lam: dict[str, str]) -> dict[str, str] | None:
-        nonlocal examined, processed
-        if i == len(agenda):
-            return dict(lam)
-        n, t = agenda[i]
-        processed += 1
-        if n in lam:
-            if lam[n] == t:
-                return settle(i + 1, lam)
-            fail(n, t, f"node already typed {lam[n]}", lam)
-            return None
-        if t == TOP:
-            lam[n] = t
-            result = settle(i + 1, lam)
-            if result is None:
-                del lam[n]
-            return result
-        neighborhood = sorted(g.out_lab_node(n))
-        examined += len(neighborhood)
-        per_edge: list[tuple[str, ...]] = []
-        for a, _ in neighborhood:
-            options = choices.get((t, a))
-            if options is None:
-                fail(n, t, f"the rule uses no symbol with label {a}", lam)
-                return None
-            per_edge.append(options)
-        lam[n] = t
-        matched = False
-        for picks in itertools.product(*per_edge):
-            w = Counter(
-                typed_symbol(a, u) for (a, _), u in zip(neighborhood, picks)
-            )
-            if not rule_member(s, w, t):
+    # A depth-first search over the agenda with an explicit stack, so long
+    # chains of obligations cannot exhaust the interpreter's.  trail[i]
+    # says how agenda item i was settled: None when its node already had
+    # the type, the node when it took the universal type, or the choice
+    # point [node, type, neighborhood, remaining picks, agenda length
+    # before the pick's obligations, whether some pick matched the rule].
+    lam: dict[str, str] | None = {}
+    trail: list = []
+    point: list | None = None  # the choice point whose next pick is due
+    while True:
+        if point is None:
+            i = len(trail)
+            if i == len(agenda):
+                break
+            n, t = agenda[i]
+            processed += 1
+            if n in lam:
+                if lam[n] == t:
+                    trail.append(None)
+                    continue
+                fail(n, t, f"node already typed {lam[n]}", lam)
+            elif t == TOP:
+                lam[n] = t
+                trail.append(n)
                 continue
-            matched = True
-            base = len(agenda)
-            agenda.extend(
-                (m, u) for (_, m), u in zip(neighborhood, picks) if u != TOP
-            )
-            result = settle(i + 1, lam)
-            if result is not None:
-                return result
+            else:
+                neighborhood = sorted(g.out_lab_node(n))
+                examined += len(neighborhood)
+                per_edge = [choices.get((t, a)) for a, _ in neighborhood]
+                unused = [
+                    a
+                    for (a, _), options in zip(neighborhood, per_edge)
+                    if options is None
+                ]
+                if unused:
+                    fail(n, t, f"the rule uses no symbol with label {unused[0]}", lam)
+                else:
+                    lam[n] = t
+                    point = [
+                        n, t, neighborhood, itertools.product(*per_edge),
+                        len(agenda), False,
+                    ]
+        if point is not None:
+            n, t, neighborhood, picks, base, _ = point
             del agenda[base:]
-        del lam[n]
-        if matched:
-            fail(n, t, "no consistent typing of the successors", lam)
-        else:
-            fail(n, t, "outbound neighborhood does not match the rule", lam)
-        return None
+            for pick in picks:
+                w = Counter(
+                    typed_symbol(a, u) for (a, _), u in zip(neighborhood, pick)
+                )
+                if rule_member(s, w, t):
+                    point[5] = True
+                    agenda.extend(
+                        (m, u) for (_, m), u in zip(neighborhood, pick) if u != TOP
+                    )
+                    trail.append(point)
+                    point = None
+                    break
+            else:
+                del lam[n]
+                if point[5]:
+                    fail(n, t, "no consistent typing of the successors", lam)
+                else:
+                    fail(n, t, "outbound neighborhood does not match the rule", lam)
+            if point is None:
+                continue
+        # Settling failed: undo back to the innermost choice point.
+        point = None
+        while trail and point is None:
+            entry = trail.pop()
+            if isinstance(entry, list):
+                point = entry
+            elif entry is not None:
+                del lam[entry]
+        if point is None:
+            lam = None
+            break
 
-    lam = settle(0, {})
     if lam is None:
         return ValidationReport(
             valid=False,

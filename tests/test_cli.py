@@ -5,7 +5,15 @@ import pytest
 
 from conftest import FIG2_TEXT, S0_TEXT, S1_TEXT
 from shexval.cli import main
-from shexval.graph import format_graph
+from shexval.graph import format_graph, parse_graph, relabel_wildcards
+from shexval.schema import parse_schema
+from shexval.validate import infer_types, validate_multi
+
+WILDCARD_TEXT = """\
+wildcard P = prefix "x"
+t -> <P>::u*
+"""
+WILDCARD_GRAPH_TEXT = "n\txfoo\tm\n"
 
 NONDET_LABEL_TEXT = """\
 T -> reportedBy::User , reportedBy::Employee
@@ -244,6 +252,24 @@ class TestValidate:
             main([])
         assert err.value.code == 2
 
+    def test_graph_labels_are_relabeled_onto_wildcards(self, capsys, tmp_path):
+        schema = parse_schema(WILDCARD_TEXT)
+        graph = relabel_wildcards(
+            parse_graph(WILDCARD_GRAPH_TEXT), schema.wildcard_family()
+        )
+        assert validate_multi(graph, schema).valid
+        code = main(
+            [
+                "validate",
+                "--schema",
+                write(tmp_path, "wild.shex", WILDCARD_TEXT),
+                "--graph",
+                write(tmp_path, "wild.tsv", WILDCARD_GRAPH_TEXT),
+            ]
+        )
+        assert code == 0
+        assert capsys.readouterr().out.splitlines() == ["valid"]
+
 
 class TestCheck:
     def test_clean_schema_reports_flags(self, capsys, s1_file):
@@ -299,6 +325,27 @@ class TestFindTypes:
         code = main(["find-types", "--schema", s1_file, "--graph", empty])
         assert code == 0
         assert capsys.readouterr().out == ""
+
+    def test_graph_labels_are_relabeled_onto_wildcards(self, capsys, tmp_path):
+        schema = parse_schema(WILDCARD_TEXT)
+        graph = relabel_wildcards(
+            parse_graph(WILDCARD_GRAPH_TEXT), schema.wildcard_family()
+        )
+        expected = [
+            f"TYPED\t{node}\t{','.join(sorted(types))}"
+            for node, types in sorted(infer_types(graph, schema).items())
+        ]
+        code = main(
+            [
+                "find-types",
+                "--schema",
+                write(tmp_path, "wild.shex", WILDCARD_TEXT),
+                "--graph",
+                write(tmp_path, "wild.tsv", WILDCARD_GRAPH_TEXT),
+            ]
+        )
+        assert code == 0
+        assert capsys.readouterr().out.splitlines() == expected
 
 
 class TestGen:

@@ -4,6 +4,7 @@ import random
 import pytest
 from conftest import (
     EXACT_COVER_TEXT,
+    FIG2_TEXT,
     LAM0,
     LAM1,
     LAM2,
@@ -17,8 +18,17 @@ from hypothesis import strategies as st
 from shexval.graph import Graph
 from shexval.membership import member
 from shexval.rbe import EPSILON, bag, bag_key, choice_groups, enumerate_language
-from shexval.schema import TOP, homomorphism_schema, parse_schema
+from shexval.schema import (
+    TOP,
+    homomorphism_schema,
+    intersect_schemas,
+    parse_schema,
+    powerset_schema,
+)
 from shexval.validate import (
+    INITS,
+    STRATEGIES,
+    _run_refinement,
     brute_force_multi,
     brute_force_single,
     check_m_typing,
@@ -723,3 +733,98 @@ def test_flood_single_examines_each_edge_at_most_once(g, schema_index):
 def test_fixpoint_round_budget(g):
     report = validate_multi(g, NONDET)
     assert report.iterations <= len(g.nodes) * len(NONDET.gamma) + 1
+
+
+# Schemas for the driver equivalence test.  The two products have opaque
+# predicate rules, which the driver re-tests on every successor change.
+DRIVER_SCHEMAS = (
+    S0,
+    S1,
+    S_CYCLE,
+    EXACT_COVER,
+    parse_schema(FIG2_TEXT),
+    CHAIN,
+    NONDET,
+    LOOP,
+    TOP_SCHEMA,
+    intersect_schemas(CHAIN, NONDET),
+    powerset_schema(NONDET),
+)
+
+
+def admissible_strategies(schema):
+    flags = schema.class_flags
+    for strategy in STRATEGIES:
+        if strategy == "rbe0-flow" and not flags.rbe0:
+            continue
+        if strategy in ("det-membership", "structure-filtered") and not (
+            flags.deterministic and flags.sorbe
+        ):
+            continue
+        yield strategy
+
+
+def naive_refinement(g, schema, init, strategy):
+    """refine_step from the initial typing until nothing changes."""
+    if init == "full-gamma":
+        typing = {n: frozenset(schema.gamma) for n in g.nodes}
+    else:
+        typing = structure_filtered_init(g, schema)
+    rounds = 0
+    while True:
+        rounds += 1
+        following = refine_step(g, schema, typing, strategy)
+        if following == typing:
+            return typing, rounds
+        typing = following
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_frontier_driver_matches_synchronous_rounds(data):
+    schema = data.draw(st.sampled_from(DRIVER_SCHEMAS))
+    labels = sorted(schema.sigma) or ["a", "b"]
+    nodes = [f"y{i}" for i in range(data.draw(st.integers(1, 4)))]
+    edges = data.draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(nodes), st.sampled_from(labels), st.sampled_from(nodes)
+            ),
+            max_size=10,
+        )
+    )
+    g = Graph(edges, nodes)
+    for init in INITS:
+        for strategy in admissible_strategies(schema):
+            typing, rounds, _ = _run_refinement(g, schema, init, strategy)
+            assert (typing, rounds) == naive_refinement(g, schema, init, strategy)
+
+
+@pytest.mark.parametrize(
+    "algo, extra_rounds",
+    [("refine", 2), ("s-refine", 1), ("rbe0-refine", 2)],
+)
+def test_tail_failing_chain_retests_only_the_frontier(algo, extra_rounds):
+    # Each round removes the type of one more node from the tail; the full
+    # sweep re-tested every node every round, quadratic in the length.
+    length = 2000
+    g = Graph([(f"v{i}", "a", f"v{i + 1}") for i in range(length)])
+    report = validate_multi(g, LOOP, algo)
+    assert not report.valid
+    assert all(not types for types in report.typing.values())
+    assert report.iterations == length + extra_rounds
+    assert report.local_tests <= 3 * length
+
+
+def test_flood_single_settles_a_long_chain_without_recursion():
+    length = 3000
+    g = Graph([(f"v{i}", "a", f"v{i + 1}") for i in range(length)])
+    report = flood_extension(g, LOOP, {"v0": {"t"}}, mode="single")
+    assert not report.valid
+    assert report.failures == (
+        (f"v{length}", "t", "outbound neighborhood does not match the rule"),
+    )
+    assert report.iterations == length + 1
+    assert report.edges_examined == length
+    assert report.local_tests == 0
+    assert len(report.typing) == length
