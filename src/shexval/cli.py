@@ -16,19 +16,15 @@ import argparse
 import secrets
 import sys
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 from .genbench import GenConfig, bench, bench_csv, generate_graph
-from .graph import format_graph, parse_graph, relabel_wildcards
+from .graph import WildcardDecl, format_graph, parse_graph, relabel_wildcards
 from .membership import member
-from .rbe import bag, is_sorbe, is_symbol_product, parse_rbe
+from .rbe import bag, parse_rbe
 from .sat import SolverCapped, inter1, is_unambiguous, rbe_satisfiable
-from .schema import (
-    SemanticLanguage,
-    TOP,
-    nondeterministic_labels,
-    parse_schema,
-)
+from .schema import TOP, nondeterministic_labels, parse_schema
 from .validate import (
     BruteCapExceeded,
     ValidationReport,
@@ -99,11 +95,24 @@ def _emit_report(report: ValidationReport, args) -> int:
 
 
 def _schema_and_graph(args):
-    """The schema and the graph, relabeled onto the schema's wildcards."""
+    """The schema and the graph, relabeled onto the schema's wildcards.
+
+    A graph label that no declared wildcard and no schema label claims
+    keeps its own name, as it would under a wildcard-free schema: closed
+    rules reject it and the universal type accepts it.
+    """
     schema = parse_schema(_read(args.schema))
     graph = parse_graph(_read(args.graph))
     if schema.wildcards:
-        graph = relabel_wildcards(graph, schema.wildcard_family())
+        family = schema.wildcard_family()
+        unclaimed = {
+            a for _, a, _ in graph.edges
+            if not any(d.rest or d.matches(a) for d in family)
+        }
+        family += tuple(
+            WildcardDecl(a, labels=frozenset((a,))) for a in sorted(unclaimed)
+        )
+        graph = relabel_wildcards(graph, family)
     return schema, graph
 
 
@@ -124,18 +133,11 @@ def _cmd_validate(args) -> int:
             report = flood_extension(graph, schema, pre, mode="single")
             unreached = graph.nodes - report.typing.keys()
             if report.valid and unreached:
-                report = ValidationReport(
-                    valid=False,
-                    typing=report.typing,
-                    failures=tuple(
-                        (n, "-", "not reached from the pre-typing")
-                        for n in sorted(unreached)
-                    ),
-                    remaining_edges=report.remaining_edges,
-                    iterations=report.iterations,
-                    algorithm=report.algorithm,
-                    edges_examined=report.edges_examined,
+                failures = tuple(
+                    (n, "-", "not reached from the pre-typing")
+                    for n in sorted(unreached)
                 )
+                report = replace(report, valid=False, failures=failures)
         else:
             raise ValueError(f"algorithm {args.algo} supports only --mode multi")
     else:
@@ -145,26 +147,24 @@ def _cmd_validate(args) -> int:
 
 def _cmd_check(args) -> int:
     schema = parse_schema(_read(args.schema))
-    offending = nondeterministic_labels(schema)
-    nondet_types = {t for t, _ in offending}
     for t in sorted(schema.gamma):
         if t == TOP:
             continue
-        rule = schema.delta[t]
-        if isinstance(rule, SemanticLanguage):
+        rule = schema.compiled[t]
+        if rule.predicate is not None:
             print(f"type\t{t}\tpredicate")
             continue
         parts = [
-            f"deterministic={_yesno(t not in nondet_types)}",
-            f"sorbe={_yesno(is_sorbe(rule))}",
-            f"rbe0={_yesno(is_symbol_product(rule))}",
+            f"deterministic={_yesno(rule.deterministic)}",
+            f"sorbe={_yesno(rule.sorbe)}",
+            f"rbe0={_yesno(rule.product)}",
         ]
         if args.sat:
-            parts.append(f"satisfiable={rbe_satisfiable(rule).status}")
+            parts.append(f"satisfiable={rbe_satisfiable(rule.expr).status}")
         if args.unambiguity:
-            parts.append(f"unambiguous={is_unambiguous(rule).status}")
+            parts.append(f"unambiguous={is_unambiguous(rule.expr).status}")
         print(f"type\t{t}\t" + "\t".join(parts))
-    for t, label in offending:
+    for t, label in nondeterministic_labels(schema):
         print(f"nondeterministic\t{t}\t{label}")
     flags = schema.class_flags
     print(
@@ -363,6 +363,9 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: an expression is nested too deeply", file=sys.stderr)
         return 2
 
 

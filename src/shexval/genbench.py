@@ -36,7 +36,7 @@ from .rbe import (
     Symbol,
     split_symbol,
 )
-from .schema import TOP, Schema, SemanticLanguage, check_deterministic
+from .schema import TOP, Schema, SemanticLanguage
 from .validate import ValidationReport, flood_extension, validate_multi
 
 __all__ = [
@@ -157,8 +157,8 @@ def _sample_count(rng: SplitMix64, cfg: GenConfig, bounds: Interval) -> int:
 
 class _Generator:
     def __init__(self, cfg: GenConfig):
-        ok, _ = check_deterministic(cfg.schema)
-        if not ok or not cfg.schema.class_flags.sorbe:
+        flags = cfg.schema.class_flags
+        if not (flags.deterministic and flags.sorbe):
             raise ValueError(
                 "generation needs a deterministic single-occurrence schema"
             )

@@ -6,12 +6,16 @@ pass computes, for each subexpression, the interval of repetition counts
 under which the relevant slice of the bag could have been produced.  The
 bag belongs to the language exactly when that interval admits one
 repetition and no stray symbols remain.
+
+A rule is analysed once into a :class:`CompiledRule`, which holds every
+static fact the membership test and the validation algorithms read.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Callable, Mapping
+from dataclasses import dataclass, field
 
 from .rbe import (
     ANY,
@@ -30,17 +34,78 @@ from .rbe import (
     interval_add,
     interval_intersect,
     is_sorbe,
+    is_symbol_product,
+    normalize_product,
     nullable,
+    project_sigma,
+    split_symbol,
 )
 from .sat import LinearSystem, SolverCapped, encode_phi, ilp_feasible
 
 __all__ = [
+    "CompiledRule",
+    "compile_rule",
     "MembershipWitness",
     "sorbe_interval",
     "sorbe_member",
     "member_general",
     "member",
 ]
+
+
+@dataclass(frozen=True, eq=False)
+class CompiledRule:
+    """The static facts about one rule, analysed once.
+
+    ``targets`` maps each label to the sorted types the rule uses it with;
+    the rule is deterministic when every label has one type.  ``intervals``
+    is the interval product of a symbol-product rule, or None when the rule
+    is no symbol product or its language is empty.  ``projected`` is the
+    compiled label projection.  A rule given as a membership predicate has
+    ``predicate`` instead of ``expr`` and fails every syntactic test;
+    ``universal`` marks the universal type's rule.
+    """
+
+    expr: Rbe | None = None
+    predicate: Callable[[Bag], bool] | None = None
+    universal: bool = False
+    alphabet: frozenset[str] = frozenset()
+    targets: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
+    sorbe: bool = False
+    product: bool = False
+    intervals: dict[str, Interval] | None = None
+    projected: CompiledRule | None = None
+
+    @property
+    def deterministic(self) -> bool:
+        return self.predicate is None and all(
+            len(types) == 1 for types in self.targets.values()
+        )
+
+
+def compile_rule(e: Rbe, *, typed: bool = True) -> CompiledRule:
+    """Analyse an expression; ``typed`` rules have ``label::type`` symbols,
+    whose label map and label projection are computed too."""
+    names = alphabet(e)
+    targets: dict[str, list[str]] = {}
+    if typed:
+        for symbol in sorted(names):
+            label, target = split_symbol(symbol)
+            targets.setdefault(label, []).append(target)
+    product = is_symbol_product(e)
+    return CompiledRule(
+        expr=e,
+        alphabet=names,
+        targets={label: tuple(types) for label, types in targets.items()},
+        sorbe=is_sorbe(e),
+        product=product,
+        intervals=normalize_product(e) if product else None,
+        projected=compile_rule(project_sigma(e), typed=False) if typed else None,
+    )
+
+
+def _compiled(e: Rbe | CompiledRule) -> CompiledRule:
+    return e if isinstance(e, CompiledRule) else compile_rule(e, typed=False)
 
 
 @dataclass
@@ -50,12 +115,17 @@ class MembershipWitness:
     algorithm: str  # "sorbe-interval" | "ilp"
 
 
-def sorbe_interval(w: Bag, e: Rbe) -> Interval:
+def sorbe_interval(w: Bag, e: Rbe | CompiledRule) -> Interval:
     """Repetition counts i such that the bag, restricted to the alphabet of
     ``e``, splits into i member bags of ``e``."""
-    if not is_sorbe(e):
+    return _tile(Counter(w), _sorbe(e).expr)
+
+
+def _sorbe(e: Rbe | CompiledRule) -> CompiledRule:
+    rule = _compiled(e)
+    if not rule.sorbe:
         raise ValueError("expression is not single-occurrence")
-    return _tile(Counter(w), e)
+    return rule
 
 
 def _tile(w: Counter[str], e: Rbe) -> Interval:
@@ -105,13 +175,19 @@ def _touches(w: Counter[str], e: Rbe) -> bool:
     return any(w[a] for a in alphabet(e))
 
 
-def sorbe_member(w: Bag, e: Rbe) -> bool:
+def sorbe_member(w: Bag, e: Rbe | CompiledRule) -> bool:
     """Membership for single-occurrence expressions, in polynomial time."""
+    return _interval_member(w, _sorbe(e)).verdict
+
+
+def _interval_member(w: Bag, rule: CompiledRule) -> MembershipWitness:
     bag = Counter(w)
-    names = alphabet(e)
-    if any(count and s not in names for s, count in bag.items()):
-        return False
-    return 1 in sorbe_interval(bag, e)
+    interval = _tile(bag, rule.expr)
+    names = rule.alphabet
+    verdict = 1 in interval and not any(
+        count and s not in names for s, count in bag.items()
+    )
+    return MembershipWitness(verdict, interval, "sorbe-interval")
 
 
 def member_general(w: Bag, e: Rbe) -> bool:
@@ -133,14 +209,13 @@ def member_general(w: Bag, e: Rbe) -> bool:
     return result.status == "sat"
 
 
-def member(w: Bag, e: Rbe) -> MembershipWitness:
-    """Decide membership, preferring the interval algorithm when it applies."""
-    if is_sorbe(e):
-        bag = Counter(w)
-        interval = sorbe_interval(bag, e)
-        names = alphabet(e)
-        verdict = 1 in interval and not any(
-            count and s not in names for s, count in bag.items()
-        )
-        return MembershipWitness(verdict, interval, "sorbe-interval")
-    return MembershipWitness(member_general(w, e), None, "ilp")
+def member(w: Bag, e: Rbe | CompiledRule) -> MembershipWitness:
+    """Decide membership, preferring the interval algorithm when it applies.
+
+    A compiled rule is read as analysed; a bare expression is analysed on
+    every call.
+    """
+    rule = _compiled(e)
+    if rule.sorbe:
+        return _interval_member(w, rule)
+    return MembershipWitness(member_general(w, rule.expr), None, "ilp")

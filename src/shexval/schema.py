@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass
 
 from .graph import Graph, WildcardDecl, check_wildcards_disjoint
-from .membership import member
+from .membership import CompiledRule, compile_rule, member
 from .rbe import (
     ANY,
     EPSILON,
@@ -39,10 +39,7 @@ from .rbe import (
     Rbe,
     Star,
     Symbol,
-    alphabet,
     format_rbe,
-    is_sorbe,
-    is_symbol_product,
     parse_rbe,
     split_symbol,
     typed_symbol,
@@ -60,6 +57,7 @@ __all__ = [
     "check_deterministic",
     "nondeterministic_labels",
     "classify",
+    "flattenings",
     "parse_schema",
     "format_schema",
     "intersect_schemas",
@@ -106,18 +104,22 @@ class Schema:
     the empty content model, except ``TOP`` which gets the universal one.
     Declaring a rule for ``TOP`` itself is an error.
 
-    ``_derived`` caches analyses that depend only on the rules
-    (classification, successor maps, projections, membership memos) so
-    that workloads validating many graphs against one schema pay for them
-    once.  Entries are namespaced by the module that owns them.
+    ``compiled`` holds each type's rule analysed once, at construction
+    (see :class:`~shexval.membership.CompiledRule`), and ``class_flags``
+    the schema's syntactic class.  ``_derived`` holds only verdict memos,
+    so that workloads validating many graphs against one schema fill them
+    once; entries are namespaced by the module that owns them.
     """
 
-    __slots__ = ("delta", "gamma", "sigma", "wildcards", "_derived")
+    __slots__ = (
+        "delta", "compiled", "class_flags", "gamma", "sigma", "wildcards", "_derived"
+    )
 
     def __init__(self, rules, wildcards=()):
         if TOP in rules:
             raise ValueError(f"the type name {TOP!r} is reserved for the universal type")
         delta: dict[str, Rbe | SemanticLanguage] = {}
+        compiled: dict[str, CompiledRule] = {}
         labels: set[str] = set()
         referenced: set[str] = set()
         for name, rule in rules.items():
@@ -128,9 +130,8 @@ class Schema:
                     f"rule for {name!r} must be an expression or a SemanticLanguage"
                 )
             delta[name] = rule
-            if isinstance(rule, SemanticLanguage):
-                continue
-            for symbol in alphabet(rule):
+            compiled[name] = _compile(rule)
+            for symbol in compiled[name].alphabet:
                 label, target = split_symbol(symbol)
                 if target is None or not label or not target:
                     raise ValueError(
@@ -140,10 +141,13 @@ class Schema:
                 referenced.add(target)
         for target in sorted(referenced - set(delta)):
             delta[target] = UNIVERSAL if target == TOP else EPSILON
+            compiled[target] = _compile(delta[target])
         self.delta = delta
+        self.compiled = compiled
         self.gamma: frozenset[str] = frozenset(delta)
         self.sigma: frozenset[str] = frozenset(labels)
         self.wildcards: tuple[WildcardDecl, ...] = tuple(wildcards)
+        self.class_flags = classify(self)
         self._derived: dict[str, object] = {}
         if self.wildcards:
             check_wildcards_disjoint(self.wildcard_family())
@@ -161,14 +165,6 @@ class Schema:
         )
         return singles + self.wildcards
 
-    @property
-    def class_flags(self) -> ClassFlags:
-        flags = self._derived.get("schema:flags")
-        if flags is None:
-            flags = classify(self)
-            self._derived["schema:flags"] = flags
-        return flags
-
     def __eq__(self, other):
         if not isinstance(other, Schema):
             return NotImplemented
@@ -178,66 +174,61 @@ class Schema:
         return f"Schema({len(self.gamma)} types, {len(self.wildcards)} wildcards)"
 
 
+def _compile(rule: Rbe | SemanticLanguage) -> CompiledRule:
+    if isinstance(rule, SemanticLanguage):
+        return CompiledRule(
+            predicate=rule.member,
+            universal=rule.member is universal_language_member,
+        )
+    return compile_rule(rule)
+
+
 def rule_member(schema: Schema, w: Bag, t: str) -> bool:
     """Whether bag w satisfies type t's content model."""
-    rule = schema.delta[t]
-    if isinstance(rule, SemanticLanguage):
-        return rule.member(w)
+    rule = schema.compiled[t]
+    if rule.predicate is not None:
+        return rule.predicate(w)
     return member(w, rule).verdict
 
 
-def _successor_entries(schema: Schema):
-    for t, rule in schema.delta.items():
-        if t == TOP or isinstance(rule, SemanticLanguage):
-            continue
-        for symbol in sorted(alphabet(rule)):
-            label, target = split_symbol(symbol)
-            yield t, label, target
+def _checked_rules(schema: Schema) -> list[tuple[str, CompiledRule]]:
+    # The universal type is exempt from every syntactic test.
+    return [(t, rule) for t, rule in schema.compiled.items() if t != TOP]
 
 
 def check_deterministic(schema: Schema) -> tuple[bool, dict[tuple[str, str], str] | None]:
     """Whether every rule uses each label with at most one type.
 
     On success also returns the successor map from (type, label) to the
-    unique target type; treat it as read-only, it is cached on the schema.
-    Predicate rules cannot be certified and fail the check, except the
-    universal type, which is exempt.
+    unique target type.  Predicate rules cannot be certified and fail the
+    check, except the universal type, which is exempt.
     """
-    cached = schema._derived.get("schema:deterministic")
-    if cached is not None:
-        return cached
-    result: tuple[bool, dict[tuple[str, str], str] | None] = (True, {})
-    for t, rule in schema.delta.items():
-        if t != TOP and isinstance(rule, SemanticLanguage):
-            result = (False, None)
-            break
-    if result[0]:
-        succ = result[1]
-        for t, label, target in _successor_entries(schema):
-            if succ.setdefault((t, label), target) != target:
-                result = (False, None)
-                break
-    schema._derived["schema:deterministic"] = result
-    return result
+    if not schema.class_flags.deterministic:
+        return False, None
+    return True, {
+        (t, label): types[0]
+        for t, rule in _checked_rules(schema)
+        for label, types in rule.targets.items()
+    }
 
 
 def nondeterministic_labels(schema: Schema) -> list[tuple[str, str]]:
     """(type, label) pairs whose label is used with several types."""
-    targets: dict[tuple[str, str], set[str]] = {}
-    for t, label, target in _successor_entries(schema):
-        targets.setdefault((t, label), set()).add(target)
-    return sorted(key for key, types in targets.items() if len(types) > 1)
+    return sorted(
+        (t, label)
+        for t, rule in _checked_rules(schema)
+        for label, types in rule.targets.items()
+        if len(types) > 1
+    )
 
 
 def classify(schema: Schema) -> ClassFlags:
     """Syntactic class flags; the universal type is exempt, predicate rules fail all three."""
-    rules = [rule for t, rule in schema.delta.items() if t != TOP]
-    expressions = all(isinstance(rule, Rbe) for rule in rules)
-    deterministic, _ = check_deterministic(schema)
+    rules = [rule for _, rule in _checked_rules(schema)]
     return ClassFlags(
-        deterministic=deterministic,
-        sorbe=expressions and all(is_sorbe(rule) for rule in rules),
-        rbe0=expressions and all(is_symbol_product(rule) for rule in rules),
+        deterministic=all(rule.deterministic for rule in rules),
+        sorbe=all(rule.sorbe for rule in rules),
+        rbe0=all(rule.product for rule in rules),
     )
 
 
@@ -498,26 +489,32 @@ def _coordinate_member(
     schema: Schema, w: Bag, subsets: Mapping[str, frozenset[str]], t: str
 ) -> bool:
     """Can each element pick a type from its subset so the picks satisfy t?"""
-    per_symbol: list[list[Counter[str]]] = []
+    items = []
     for symbol, count in sorted(w.items()):
         label, target = split_symbol(symbol)
         if target is None or target not in subsets:
             return False
-        per_symbol.append(
-            [
-                Counter(typed_symbol(label, pick) for pick in picks)
-                for picks in itertools.combinations_with_replacement(
-                    sorted(subsets[target]), count
-                )
-            ]
-        )
-    for assignment in itertools.product(*per_symbol):
+        items.append((label, subsets[target], count))
+    return any(rule_member(schema, picked, t) for picked in flattenings(items))
+
+
+def flattenings(items: Iterable[tuple[str, Iterable[str], int]]) -> Iterator[Bag]:
+    """Every bag that picks one type per occurrence of (label, types, count).
+
+    Occurrences of one item are interchangeable, so unordered picks suffice.
+    """
+    per_item = [
+        [
+            Counter(typed_symbol(label, pick) for pick in picks)
+            for picks in itertools.combinations_with_replacement(sorted(types), count)
+        ]
+        for label, types, count in items
+    ]
+    for assignment in itertools.product(*per_item):
         total: Counter[str] = Counter()
         for part in assignment:
             total.update(part)
-        if rule_member(schema, total, t):
-            return True
-    return False
+        yield total
 
 
 def homomorphism_schema(h: Graph) -> Schema:

@@ -54,21 +54,10 @@ from .rbe import (
     ParseError,
     Rbe,
     Symbol,
-    alphabet,
-    normalize_product,
-    project_sigma,
-    split_symbol,
     typed_symbol,
 )
 from .sat import inter1, inter1_groups
-from .schema import (
-    TOP,
-    Schema,
-    SemanticLanguage,
-    check_deterministic,
-    rule_member,
-    universal_language_member,
-)
+from .schema import TOP, Schema, flattenings, rule_member
 
 __all__ = [
     "ALGORITHMS",
@@ -215,41 +204,20 @@ def _some_flattening_member(
     s: Schema, neighborhood: Counter[tuple[str, frozenset[str]]], t: str
 ) -> bool:
     """Whether some flattening of the neighborhood satisfies ``t``'s rule."""
-    rule = s.delta[t]
-    if isinstance(rule, SemanticLanguage):
-        if rule.member is universal_language_member:
-            return True
-        return _enumerate_flattenings(neighborhood, rule)
+    rule = s.compiled[t]
+    if rule.universal:
+        return True
+    if rule.predicate is not None:
+        # Opaque languages admit no intersection test; try the flattenings
+        # one by one.
+        items = sorted(neighborhood.items(), key=_flatten_key)
+        return any(
+            rule.predicate(w)
+            for w in flattenings((a, types, count) for (a, types), count in items)
+        )
     if any(not types for (_, types) in neighborhood):
         return False
-    return inter1(flatten(neighborhood), rule)
-
-
-def _enumerate_flattenings(
-    neighborhood: Counter[tuple[str, frozenset[str]]], rule: SemanticLanguage
-) -> bool:
-    # Opaque languages admit no intersection test; try the flattenings
-    # one by one.  Occurrences of the same (label, set) pair are
-    # interchangeable, so unordered picks suffice.
-    per_item: list[list[Counter[str]]] = []
-    for (a, types), count in sorted(neighborhood.items(), key=_flatten_key):
-        if not types:
-            return False
-        per_item.append(
-            [
-                Counter(typed_symbol(a, pick) for pick in picks)
-                for picks in itertools.combinations_with_replacement(
-                    sorted(types), count
-                )
-            ]
-        )
-    for assignment in itertools.product(*per_item):
-        w: Counter[str] = Counter()
-        for part in assignment:
-            w.update(part)
-        if rule.member(w):
-            return True
-    return False
+    return inter1(flatten(neighborhood), rule.expr)
 
 
 class _RefineEngine:
@@ -270,10 +238,10 @@ class _RefineEngine:
       label projection of the rule, memoized by the bag.
 
     Types with a universal rule always survive and are never tested.
-    Schema analyses (successor maps, projections, interval products, the
-    mention index) and the verdict memos are cached on the schema, so
-    engines over the same schema share them and repeat validations start
-    warm.
+    Every test reads the rules as the schema compiled them (label maps,
+    label projections, interval products).  The verdict memos live on the
+    schema, so engines over the same schema share them and repeat
+    validations start warm.
 
     :meth:`step` is one synchronous round over every pair.  :meth:`run` is
     the frontier driver: its first round is :meth:`step`; each later round
@@ -290,6 +258,7 @@ class _RefineEngine:
             raise ValueError(f"unknown strategy {strategy!r}")
         self.g = g
         self.s = s
+        self.rules = s.compiled
         flags = s.class_flags
         if strategy == "general":
             self._lost = self._lost_general
@@ -298,13 +267,6 @@ class _RefineEngine:
                 raise ValueError(
                     "the rbe0-flow strategy needs a schema of symbol products"
                 )
-            self.products = s._derived.get("refine:products")
-            if self.products is None:
-                self.products = {
-                    t: normalize_product(rule)
-                    for t, rule in _expression_rules(s).items()
-                }
-                s._derived["refine:products"] = self.products
             self._lost = self._lost_flow
         else:
             if not (flags.deterministic and flags.sorbe):
@@ -312,13 +274,10 @@ class _RefineEngine:
                     f"the {strategy} strategy needs a deterministic "
                     "single-occurrence schema"
                 )
-            _, self.succ = check_deterministic(s)
-            self.projected = (
-                _projected_rules(s) if strategy == "det-membership" else None
-            )
             self._lost = self._lost_successors
+        self.check_labels = strategy == "det-membership"
         self.testable = frozenset(
-            t for t, rule in s.delta.items() if not _is_universal(rule)
+            t for t, rule in self.rules.items() if not rule.universal
         )
         # Verdict memos depend only on the schema, so engines over the same
         # schema share them; repeat validations start warm.
@@ -350,7 +309,7 @@ class _RefineEngine:
                 current[n] = _without(current[n], types)
             if preds is None:
                 preds = _predecessors(self.g)
-                mentions, everywhere = _mention_index(self.s)
+                mentions, everywhere = self._mention_index()
             work = {}
             for m, types in lost.items():
                 for n, a in preds.get(m, ()):
@@ -396,7 +355,7 @@ class _RefineEngine:
         ]
         lost = []
         for t in types:
-            intervals = self.products[t]
+            intervals = self.rules[t].intervals
             if intervals is None or not inter1_groups(groups, intervals):
                 lost.append(t)
         return lost
@@ -406,16 +365,18 @@ class _RefineEngine:
         # exists exactly when every successor still carries the required
         # type and the label bag fits the projected rule.
         edges = self.g.out_lab_node(n)
-        succ = self.succ
         bag = None
         lost = []
         for t in types:
+            rule = self.rules[t]
+            targets = rule.targets
             for a, m in edges:
-                if succ.get((t, a)) not in typing[m]:
+                required = targets.get(a)
+                if required is None or required[0] not in typing[m]:
                     lost.append(t)
                     break
             else:
-                if self.projected is None:
+                if not self.check_labels:
                     continue
                 # The label bag is fixed by the graph, so its verdict holds
                 # across rounds and for every node with the same bag.
@@ -423,70 +384,39 @@ class _RefineEngine:
                     bag = tuple(sorted(self.g.out_lab(n).items()))
                 verdict = self._memo.get((t, bag))
                 if verdict is None:
-                    verdict = member(self.g.out_lab(n), self.projected[t]).verdict
+                    verdict = member(self.g.out_lab(n), rule.projected).verdict
                     self._memo[(t, bag)] = verdict
                 if not verdict:
                     lost.append(t)
         return lost
+
+    def _mention_index(
+        self,
+    ) -> tuple[dict[tuple[str, str], frozenset[str]], frozenset[str]]:
+        """Which types' local verdicts a successor's type can affect.
+
+        Maps (label, type) to the types whose rule mentions ``label::type``;
+        the second value holds the types with an opaque, non-universal rule,
+        which count as mentioning every symbol and belong to every entry.
+        """
+        everywhere = frozenset(
+            t
+            for t, rule in self.rules.items()
+            if rule.predicate is not None and not rule.universal
+        )
+        index: dict[tuple[str, str], set[str]] = {}
+        for t, rule in self.rules.items():
+            for a, targets in rule.targets.items():
+                for u in targets:
+                    index.setdefault((a, u), set()).add(t)
+        mentions = {key: frozenset(types) | everywhere for key, types in index.items()}
+        return mentions, everywhere
 
 
 def _without(types: frozenset[str], lost: list[str]) -> frozenset[str]:
     # Built afresh rather than by difference(), which copies the hash table
     # of the full type set into every result.
     return frozenset(t for t in types if t not in lost)
-
-
-def _is_universal(rule) -> bool:
-    return (
-        isinstance(rule, SemanticLanguage)
-        and rule.member is universal_language_member
-    )
-
-
-def _expression_rules(s: Schema) -> dict[str, Rbe]:
-    return {
-        t: rule
-        for t, rule in s.delta.items()
-        if t != TOP and not isinstance(rule, SemanticLanguage)
-    }
-
-
-def _projected_rules(s: Schema) -> dict[str, Rbe]:
-    projected = s._derived.get("refine:projected")
-    if projected is None:
-        projected = {
-            t: project_sigma(rule) for t, rule in _expression_rules(s).items()
-        }
-        s._derived["refine:projected"] = projected
-    return projected
-
-
-def _mention_index(
-    s: Schema,
-) -> tuple[dict[tuple[str, str], frozenset[str]], frozenset[str]]:
-    """Which types' local verdicts a successor's type can affect.
-
-    Maps (label, type) to the types whose rule mentions ``label::type``;
-    the second value holds the types with an opaque, non-universal rule,
-    which count as mentioning every symbol and belong to every entry.
-    """
-    cached = s._derived.get("refine:mentions")
-    if cached is None:
-        everywhere = frozenset(
-            t
-            for t, rule in s.delta.items()
-            if isinstance(rule, SemanticLanguage) and not _is_universal(rule)
-        )
-        index: dict[tuple[str, str], set[str]] = {}
-        for t, rule in _expression_rules(s).items():
-            for symbol in alphabet(rule):
-                index.setdefault(split_symbol(symbol), set()).add(t)
-        cached = (
-            {key: frozenset(types) | everywhere for key, types in index.items()},
-            everywhere,
-        )
-        s._derived["refine:mentions"] = cached
-    return cached
 
 
 def _predecessors(g: Graph) -> dict[str, list[tuple[str, str]]]:
@@ -529,7 +459,7 @@ def structure_filtered_init(g: Graph, s: Schema) -> dict[str, frozenset[str]]:
     one.  Verdicts are cached per label bag; graphs with many
     identically-shaped nodes test each shape once.
     """
-    projected = _projected_rules(s)
+    rules = s.compiled
     cache: dict[tuple, frozenset[str]] = s._derived.setdefault("refine:init", {})
     out: dict[str, frozenset[str]] = {}
     for n in g.nodes:
@@ -539,7 +469,8 @@ def structure_filtered_init(g: Graph, s: Schema) -> dict[str, frozenset[str]]:
             cache[key] = frozenset(
                 t
                 for t in s.gamma
-                if t not in projected or member(w, projected[t]).verdict
+                if rules[t].projected is None
+                or member(w, rules[t].projected).verdict
             )
         out[n] = cache[key]
     return out
@@ -717,10 +648,9 @@ def flood_extension(
     """
     pre_map = _check_pre_typing(g, s, pre)
     if mode == "multi":
-        ok, succ = check_deterministic(s)
-        if not ok:
+        if not s.class_flags.deterministic:
             raise ValueError("multi-mode flooding needs a deterministic schema")
-        return _flood_multi(g, s, pre_map, succ)
+        return _flood_multi(g, s, pre_map)
     if mode == "single":
         if not s.class_flags.sorbe:
             raise ValueError(
@@ -735,10 +665,7 @@ def _freeze(typing: Mapping[str, set[str]]) -> dict[str, frozenset[str]]:
 
 
 def _flood_multi(
-    g: Graph,
-    s: Schema,
-    pre: Mapping[str, frozenset[str]],
-    succ: Mapping[tuple[str, str], str],
+    g: Graph, s: Schema, pre: Mapping[str, frozenset[str]]
 ) -> ValidationReport:
     typing: dict[str, set[str]] = {}
     queue: deque[tuple[str, str]] = deque()
@@ -757,14 +684,15 @@ def _flood_multi(
             continue
         neighborhood = sorted(g.out_lab_node(n))
         examined += len(neighborhood)
+        targets = s.compiled[t].targets
         w: Counter[str] = Counter()
         obligations: list[tuple[str, str]] = []
         failure = None
         for a, m in neighborhood:
-            u = succ.get((t, a))
-            if u is None:
+            if a not in targets:
                 failure = (n, t, f"the rule uses no symbol with label {a}")
                 break
+            u = targets[a][0]
             w[typed_symbol(a, u)] += 1
             obligations.append((m, u))
         if failure is None and not rule_member(s, w, t):
@@ -798,19 +726,6 @@ def _flood_multi(
 def _flood_single(
     g: Graph, s: Schema, pre: Mapping[str, frozenset[str]]
 ) -> ValidationReport:
-    # Per-rule successor choices; deterministic rules make these singletons
-    # and the search straight-line.
-    choices: dict[tuple[str, str], tuple[str, ...]] = {}
-    for t, rule in s.delta.items():
-        if t == TOP or isinstance(rule, SemanticLanguage):
-            continue
-        per_label: dict[str, set[str]] = {}
-        for symbol in alphabet(rule):
-            a, u = split_symbol(symbol)
-            per_label.setdefault(a, set()).add(u)
-        for a, targets in per_label.items():
-            choices[(t, a)] = tuple(sorted(targets))
-
     agenda: list[tuple[str, str]] = [
         (n, t) for n in sorted(pre) for t in sorted(pre[n])
     ]
@@ -852,7 +767,10 @@ def _flood_single(
             else:
                 neighborhood = sorted(g.out_lab_node(n))
                 examined += len(neighborhood)
-                per_edge = [choices.get((t, a)) for a, _ in neighborhood]
+                # Each edge picks among the types the rule uses its label
+                # with; deterministic rules make the search straight-line.
+                targets = s.compiled[t].targets
+                per_edge = [targets.get(a) for a, _ in neighborhood]
                 unused = [
                     a
                     for (a, _), options in zip(neighborhood, per_edge)

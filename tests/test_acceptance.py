@@ -16,6 +16,7 @@ from collections import Counter
 from time import perf_counter
 
 import numpy as np
+import pytest
 
 from conftest import LAM0, LAM1, LAM2
 from shexval.genbench import GenConfig, bench, generate_graph
@@ -850,6 +851,7 @@ def test_a11_generated_graph_density_and_self_validation(fig2_schema):
 _REDUCED_FIG2 = _RBE0_DET_POOL[0]
 
 
+@pytest.mark.slow
 def test_a12_scaling_shape(fig2_schema):
     start = perf_counter()
     sizes = (25_000, 50_000, 100_000, 200_000)

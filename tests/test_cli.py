@@ -270,6 +270,61 @@ class TestValidate:
         assert code == 0
         assert capsys.readouterr().out.splitlines() == ["valid"]
 
+    def _validate_wildcard(self, tmp_path, schema_text, graph_text):
+        return main(
+            [
+                "validate",
+                "--schema",
+                write(tmp_path, "wild.shex", schema_text),
+                "--graph",
+                write(tmp_path, "wild.tsv", graph_text),
+                "--emit-typing",
+            ]
+        )
+
+    def test_unclaimed_label_fails_a_closed_rule(self, capsys, tmp_path):
+        code = self._validate_wildcard(
+            tmp_path, WILDCARD_TEXT, WILDCARD_GRAPH_TEXT + "n\tzz\tm\n"
+        )
+        assert code == 1
+        assert capsys.readouterr().out.splitlines()[0] == "invalid"
+
+    def test_unclaimed_label_passes_the_universal_type(self, capsys, tmp_path):
+        schema_text = 'wildcard P = prefix "x"\nt -> <P>::TOP*\n'
+        code = self._validate_wildcard(
+            tmp_path, schema_text, WILDCARD_GRAPH_TEXT + "n\tzz\tm\n"
+        )
+        out = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert out[0] == "valid"
+        assert "TYPED\tn\tTOP" in out
+
+    def test_label_named_like_an_unclaiming_wildcard(self, capsys, tmp_path):
+        code = self._validate_wildcard(
+            tmp_path, WILDCARD_TEXT, WILDCARD_GRAPH_TEXT + "n\tP\tm\n"
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+LONG_RULE_TEXT = "t -> " + ", ".join(f"a{i}::t?" for i in range(1500)) + "\n"
+
+
+@pytest.mark.parametrize("command", ["check", "validate"])
+def test_deeply_nested_rule_is_a_usage_error(tmp_path, command):
+    schema = write(tmp_path, "long.shex", LONG_RULE_TEXT)
+    args = ["--schema", schema]
+    if command == "validate":
+        args += ["--graph", write(tmp_path, "g.tsv", "n\ta0\tm\n")]
+    proc = subprocess.run(
+        [sys.executable, "-m", "shexval.cli", command, *args],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
+
 
 class TestCheck:
     def test_clean_schema_reports_flags(self, capsys, s1_file):

@@ -1,5 +1,7 @@
 import itertools
 import random
+import sys
+from collections import Counter
 
 import pytest
 from conftest import (
@@ -15,8 +17,10 @@ from conftest import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shexval.genbench import GenConfig, generate_graph
 from shexval.graph import Graph
 from shexval.membership import member
+from shexval.rbe import ops as rbe_ops
 from shexval.rbe import EPSILON, bag, bag_key, choice_groups, enumerate_language
 from shexval.schema import (
     TOP,
@@ -828,3 +832,60 @@ def test_flood_single_settles_a_long_chain_without_recursion():
     assert report.edges_examined == length
     assert report.local_tests == 0
     assert len(report.typing) == length
+
+
+RULE_ANALYSES = ("is_sorbe", "is_symbol_product", "normalize_product", "project_sigma")
+
+
+def analysis_calls(monkeypatch, run) -> Counter:
+    """Calls of the rule analyses, from any shexval module, during ``run``."""
+    calls: Counter = Counter()
+    with monkeypatch.context() as patch:
+        for name in RULE_ANALYSES:
+            original = getattr(rbe_ops, name)
+
+            def counted(*args, name=name, original=original):
+                calls[name] += 1
+                return original(*args)
+
+            for module in list(sys.modules.values()):
+                if module.__name__.startswith("shexval") and (
+                    getattr(module, name, None) is original
+                ):
+                    patch.setattr(module, name, counted)
+        run()
+    return calls
+
+
+@pytest.mark.parametrize(
+    "schema_text, algo",
+    [
+        (FIG2_TEXT, "refine"),
+        (FIG2_TEXT, "s-refine"),
+        (FIG2_TEXT, "flood"),
+        (FIG2_TEXT, "flood-single"),
+        (S1_TEXT, "rbe0-refine"),
+    ],
+    ids=["fig2-refine", "fig2-s-refine", "fig2-flood", "fig2-flood-single", "s1-rbe0"],
+)
+def test_rules_are_analysed_once_per_schema(monkeypatch, schema_text, algo):
+    # Parsing compiles every rule; validation only reads the compiled
+    # rules, so a graph ten times larger costs no further analyses.
+    def calls(n_nodes):
+        g, pre = generate_graph(
+            GenConfig(parse_schema(schema_text), n_nodes, seed=7)
+        )
+
+        def run():
+            s = parse_schema(schema_text)
+            if algo == "flood-single":
+                report = flood_extension(g, s, pre, mode="single")
+            else:
+                report = validate_multi(g, s, algo, pre)
+            assert report.valid
+
+        return analysis_calls(monkeypatch, run)
+
+    small = calls(40)
+    assert calls(400) == small
+    assert small["is_sorbe"] > 0
