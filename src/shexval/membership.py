@@ -181,7 +181,9 @@ def sorbe_member(w: Bag, e: Rbe | CompiledRule) -> bool:
 
 
 def _interval_member(w: Bag, rule: CompiledRule) -> MembershipWitness:
-    bag = Counter(w)
+    # The interval pass only reads the bag, so a caller's Counter is used
+    # as it is.
+    bag = w if isinstance(w, Counter) else Counter(w)
     interval = _tile(bag, rule.expr)
     names = rule.alphabet
     verdict = 1 in interval and not any(

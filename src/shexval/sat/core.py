@@ -58,11 +58,34 @@ def encode_phi(e: Rbe, system: LinearSystem) -> dict[str, str]:
     count above one the two operands could split the bag differently, so the
     conjunction of their constraints would overapproximate the language.
     """
-    xvars = {a: system.fresh_var("x") for a in sorted(alphabet(e))}
+    alphabets = _alphabets(e)
+    xvars = {a: system.fresh_var("x") for a in sorted(alphabets[id(e)])}
     root = system.fresh_var("n")
     system.eq({root: 1}, 1)
-    _phi(e, xvars, root, system, under_repeat=False)
+    _phi(e, xvars, root, system, alphabets, under_repeat=False)
     return xvars
+
+
+def _alphabets(e: Rbe) -> dict[int, frozenset[str]]:
+    """The alphabet of every subexpression, keyed by node identity, from
+    one walk; the encoding splits counts by them at every binary node."""
+    table: dict[int, frozenset[str]] = {}
+
+    def walk(node: Rbe) -> frozenset[str]:
+        match node:
+            case Symbol(name, _):
+                names = frozenset((name,))
+            case Disj(left, right) | Concat(left, right) | Isect(left, right):
+                names = walk(left) | walk(right)
+            case Star(body) | Plus(body):
+                names = walk(body)
+            case _:
+                names = frozenset()
+        table[id(node)] = names
+        return names
+
+    walk(e)
+    return table
 
 
 def _phi(
@@ -70,6 +93,7 @@ def _phi(
     xvars: dict[str, str],
     n: str,
     system: LinearSystem,
+    alphabets: dict[int, frozenset[str]],
     under_repeat: bool,
 ) -> None:
     match e:
@@ -98,36 +122,41 @@ def _phi(
             nl = system.fresh_var("n")
             nr = system.fresh_var("n")
             system.eq({nl: 1, nr: 1, n: -1}, 0)
-            lx, rx = _split(xvars, alphabet(left), alphabet(right), system)
-            _phi(left, lx, nl, system, under_repeat)
-            _phi(right, rx, nr, system, under_repeat)
+            lx, rx = _split(xvars, alphabets[id(left)], alphabets[id(right)], system)
+            _phi(left, lx, nl, system, alphabets, under_repeat)
+            _phi(right, rx, nr, system, alphabets, under_repeat)
             return
         case Concat(left, right):
-            lx, rx = _split(xvars, alphabet(left), alphabet(right), system)
-            _phi(left, lx, n, system, under_repeat)
-            _phi(right, rx, n, system, under_repeat)
+            lx, rx = _split(xvars, alphabets[id(left)], alphabets[id(right)], system)
+            _phi(left, lx, n, system, alphabets, under_repeat)
+            _phi(right, rx, n, system, alphabets, under_repeat)
             return
         case Star(body):
             zero = [system.make_eq({n: 1}, 0)]
             zero.extend(system.make_eq({x: 1}, 0) for x in xvars.values())
             system.case(zero, [system.make_ge({n: 1}, 1)])
             inner = system.fresh_var("n")
-            _phi(body, xvars, inner, system, under_repeat=True)
+            _phi(body, xvars, inner, system, alphabets, under_repeat=True)
             return
         case Plus(body):
-            _phi(Concat(body, Star(body)), xvars, n, system, under_repeat)
+            # Encoded as Concat(body, Star(body)), whose operands share the
+            # body's alphabet.
+            names = alphabets[id(body)]
+            lx, rx = _split(xvars, names, names, system)
+            _phi(body, lx, n, system, alphabets, under_repeat)
+            _phi(Star(body), rx, n, system, alphabets, under_repeat)
             return
         case Isect(left, right):
             if under_repeat:
                 raise ValueError(
                     "intersection under a repetition operator is not supported"
                 )
-            la, ra = alphabet(left), alphabet(right)
+            la, ra = alphabets[id(left)], alphabets[id(right)]
             for a, x in xvars.items():
                 if a not in la or a not in ra:
                     system.eq({x: 1}, 0)
-            _phi(left, {a: xvars[a] for a in la}, n, system, under_repeat)
-            _phi(right, {a: xvars[a] for a in ra}, n, system, under_repeat)
+            _phi(left, {a: xvars[a] for a in la}, n, system, alphabets, under_repeat)
+            _phi(right, {a: xvars[a] for a in ra}, n, system, alphabets, under_repeat)
             return
     raise TypeError(f"not an expression node: {e!r}")
 

@@ -5,21 +5,36 @@ equations plus optional case splits (pick one alternative block per split).
 Inequalities are expressed through internal slack unknowns, one per
 inequality, named with a ``_`` prefix.
 
-The solver interleaves bounds propagation with value branching.  Propagation
-uses exact arithmetic with an explicit "unbounded" marker, so any
-infeasibility it derives holds unconditionally.  Branching on an unknown
-whose domain is still unbounded requires clamping it; when the caller has
-supplied a completeness bound (a value B such that a solution exists only if
-one exists with every non-slack unknown at most B) and B fits under the cap,
-the clamp loses nothing.  Otherwise the clamp is artificial and an exhausted
-search yields "unknown" rather than "unsat".
+One branch-and-propagate search decides a system.  Each search node first
+propagates bounds, then settles the case splits against the propagated
+domains: a block holding an equation the domains rule out is dropped, a
+split with no block left fails the node, and a split with one block left
+commits that block without branching.  The search branches on a split only
+while two or more of its blocks are live, and branches on values once every
+split is committed.
+
+Propagation uses exact arithmetic with an explicit "unbounded" marker, so
+any infeasibility it derives holds unconditionally.  It works from a
+worklist: each equation's terms and gcd test are prepared once, watch lists
+map every unknown to its equations, and only equations whose unknowns
+changed are visited again.  Bounds can creep upward without end (x - y = 0
+and x - y = 1 raise each other's lower bound forever), so one propagation
+makes at most ``_VISITS_PER_EQUATION`` visits per equation of the system;
+stopping there keeps every bound sound and only loses pruning.
+
+Branching on an unknown whose domain is still unbounded requires clamping
+it; when the caller has supplied a completeness bound (a value B such that a
+solution exists only if one exists with every non-slack unknown at most B)
+and B fits under the cap, the clamp loses nothing.  Otherwise the clamp is
+artificial and an exhausted search yields "unknown" rather than "unsat".
 """
 
 from __future__ import annotations
 
 import os
+from collections import deque
 from dataclasses import dataclass
-from itertools import count, product
+from itertools import count
 from math import gcd
 
 __all__ = [
@@ -36,7 +51,7 @@ __all__ = [
 Eq = tuple[dict[str, int], int]
 
 DEFAULT_CAP = 1_000_000
-_PROPAGATION_ROUNDS = 100
+_VISITS_PER_EQUATION = 100
 
 
 class SolverCapped(Exception):
@@ -100,151 +115,303 @@ class IlpResult:
     capped: bool
 
 
-def _ceil_div(a: int, b: int) -> int:
-    return -((-a) // b)
-
-
 class _Budget(Exception):
     pass
 
 
+def _row_range(terms, lo, hi) -> tuple[int, int, int, int]:
+    """The range of a row's left-hand side under the domains: the sum of the
+    bounded low ends, how many low ends are unbounded, and the same for the
+    high ends."""
+    lo_sum = hi_sum = 0
+    lo_open = hi_open = 0
+    for v, c in terms:
+        h = hi[v]
+        if c > 0:
+            lo_sum += c * lo[v]
+            if h is None:
+                hi_open += 1
+            else:
+                hi_sum += c * h
+        else:
+            hi_sum += c * lo[v]
+            if h is None:
+                lo_open += 1
+            else:
+                lo_sum += c * h
+    return lo_sum, lo_open, hi_sum, hi_open
+
+
 class _Search:
+    """One search over a whole system.
+
+    Unknowns are numbered; a node's domains are two lists, ``lo`` and ``hi``,
+    with None in ``hi`` for an unbounded end.  Every equation of the system,
+    in a block or not, is a row of ``(unknown, coefficient)`` terms.  A row
+    is active at a node when it is a base equation or its block is the one
+    committed for its split; ``chosen`` holds the committed block of each
+    split, -1 while the split is open.
+    """
+
     def __init__(
         self,
-        equations: list[Eq],
+        system: LinearSystem,
         clamp: int,
         slack_clamp: int,
         artificial: bool,
         budget: int,
     ):
-        self.equations = equations
         self.clamp = clamp
         self.slack_clamp = slack_clamp
         self.artificial = artificial
         self.budget = budget
         self.capped = False
-        order: dict[str, None] = {}
-        for coeffs, _ in equations:
-            for v in coeffs:
-                order.setdefault(v)
-        self.variables = list(order)
+        self.refuted = False  # some base equation holds for no assignment
+        self.names: list[str] = []
+        self.index: dict[str, int] = {}
+        self.terms: list[tuple[tuple[int, int], ...]] = []
+        self.rhs: list[int] = []
+        self.owner: list[int] = []  # split of each row, -1 for a base row
+        self.block: list[int] = []  # block of each row within its split
+        self.watch: list[list[int]] = []  # rows of each unknown
+        for coeffs, rhs in system.equations:
+            if self._row(coeffs, rhs, -1, -1) is None:
+                self.refuted = True
+        # Per split, the rows of each block; None for a block holding an
+        # equation that no assignment satisfies.
+        self.cases: list[list[tuple[int, ...] | None]] = []
+        for case, alternatives in enumerate(system.cases):
+            blocks: list[tuple[int, ...] | None] = []
+            for b, block in enumerate(alternatives):
+                rows = [self._row(coeffs, rhs, case, b) for coeffs, rhs in block]
+                if None in rows:
+                    blocks.append(None)
+                else:
+                    blocks.append(tuple(r for r in rows if r >= 0))
+            self.cases.append(blocks)
+        self.slack = [name.startswith("_") for name in self.names]
+        self.visit_cap = _VISITS_PER_EQUATION * max(1, len(self.terms))
+
+    def _row(self, coeffs: dict[str, int], rhs: int, case: int, block: int):
+        """Add a row; None when no assignment satisfies it, -1 when every
+        assignment does (no terms, zero right-hand side)."""
+        index, names, watch = self.index, self.names, self.watch
+        r = len(self.terms)
+        terms = []
+        g = 0
+        for name, c in coeffs.items():
+            if not c:
+                continue
+            v = index.get(name)
+            if v is None:
+                v = index[name] = len(names)
+                names.append(name)
+                watch.append([])
+            terms.append((v, c))
+            if g != 1:
+                g = gcd(g, c)
+        if not terms:
+            return -1 if rhs == 0 else None
+        if rhs % g:
+            return None
+        for v, _ in terms:
+            watch[v].append(r)
+        self.terms.append(tuple(terms))
+        self.rhs.append(rhs)
+        self.owner.append(case)
+        self.block.append(block)
+        return r
 
     def run(self) -> dict[str, int] | None:
-        domains = {v: (0, None) for v in self.variables}
-        return self._solve(domains)
+        if self.refuted:
+            return None
+        n = len(self.names)
+        base = [r for r, case in enumerate(self.owner) if case < 0]
+        lo: list[int] = [0] * n
+        hi: list[int | None] = [None] * n
+        model = self._node(lo, hi, [-1] * len(self.cases), base)
+        if model is None:
+            return None
+        return {self.names[v]: x for v, x in model.items()}
 
-    def _solve(self, domains: dict[str, tuple[int, int | None]]):
+    def _active(self, r: int, chosen: list[int]) -> bool:
+        case = self.owner[r]
+        return case < 0 or chosen[case] == self.block[r]
+
+    def _node(self, lo, hi, chosen, seeds) -> dict[int, int] | None:
+        """Propagate from ``seeds`` (the rows whose unknowns just changed or
+        that were just committed), settle the splits, then branch."""
         self.budget -= 1
         if self.budget <= 0:
             raise _Budget
-        domains = self._propagate(domains)
-        if domains is None:
+        if not self._propagate(lo, hi, chosen, seeds):
             return None
-        open_vars = [v for v in self.variables if not self._fixed(domains[v])]
-        if not open_vars:
-            model = {v: domains[v][0] for v in self.variables}
-            if all(
-                sum(c * model[v] for v, c in coeffs.items()) == rhs
-                for coeffs, rhs in self.equations
-            ):
-                return model
+        split = self._settle(lo, hi, chosen)
+        if split is False:
             return None
-        var = self._pick(open_vars, domains)
-        lo, hi = domains[var]
-        if hi is None:
-            if var.startswith("_"):
+        if split is not None:
+            case, live = split
+            for b in live:
+                branch = list(chosen)
+                branch[case] = b
+                rows = self.cases[case][b]
+                model = self._node(list(lo), list(hi), branch, rows)
+                if model is not None:
+                    return model
+            return None
+        unknowns = self._unknowns(chosen)
+        var = self._pick(lo, hi, unknowns)
+        if var is None:
+            model = {v: lo[v] for v in unknowns}
+            for r, terms in enumerate(self.terms):
+                if self._active(r, chosen) and sum(
+                    c * model[v] for v, c in terms
+                ) != self.rhs[r]:
+                    return None
+            return model
+        low, high = lo[var], hi[var]
+        if high is None:
+            if self.slack[var]:
                 # Slack unknowns sit outside the caller's completeness promise.
                 self.capped = True
-                hi = self.slack_clamp
+                high = self.slack_clamp
             else:
                 if self.artificial:
                     self.capped = True
-                hi = self.clamp
-        for value in range(lo, hi + 1):
-            child = dict(domains)
-            child[var] = (value, value)
-            model = self._solve(child)
+                high = self.clamp
+        for value in range(low, high + 1):
+            child_lo, child_hi = list(lo), list(hi)
+            child_lo[var] = child_hi[var] = value
+            model = self._node(child_lo, child_hi, chosen, self.watch[var])
             if model is not None:
                 return model
         return None
 
-    @staticmethod
-    def _fixed(dom: tuple[int, int | None]) -> bool:
-        return dom[1] is not None and dom[0] == dom[1]
-
-    def _pick(self, open_vars, domains) -> str:
-        # Non-slack unknowns first: slack domains resolve by propagation once
-        # the unknowns they track are fixed.
-        def width(v: str):
-            lo, hi = domains[v]
-            slack = v.startswith("_")
-            return (slack, float("inf") if hi is None else hi - lo)
-
-        return min(open_vars, key=width)
-
-    def _propagate(self, domains):
-        for _ in range(_PROPAGATION_ROUNDS):
-            changed = False
-            for coeffs, rhs in self.equations:
-                if not coeffs:
-                    if rhs != 0:
-                        return None
+    def _settle(self, lo, hi, chosen):
+        """Drop the blocks the domains rule out and commit every split left
+        with one block.  Returns False when a split has no block left or a
+        commitment fails, else the first split with two or more live blocks
+        and those blocks, or None when every split is committed."""
+        while True:
+            split = None
+            committed = False
+            for case, blocks in enumerate(self.cases):
+                if chosen[case] >= 0:
                     continue
-                g = 0
-                for c in coeffs.values():
-                    g = gcd(g, c)
-                if rhs % g:
-                    return None
-                # Per-term bounds; None marks an unbounded end.
-                terms = []
-                lo_sum = hi_sum = 0
-                lo_open = hi_open = 0
-                for v, c in coeffs.items():
-                    dlo, dhi = domains[v]
-                    if c > 0:
-                        tlo = c * dlo
-                        thi = None if dhi is None else c * dhi
+                live = [
+                    b
+                    for b, rows in enumerate(blocks)
+                    if rows is not None and self._admits(lo, hi, rows)
+                ]
+                if not live:
+                    return False
+                if len(live) == 1:
+                    chosen[case] = live[0]
+                    if not self._propagate(lo, hi, chosen, blocks[live[0]]):
+                        return False
+                    committed = True
+                elif split is None:
+                    split = (case, live)
+            if not committed:
+                return split
+
+    def _admits(self, lo, hi, rows) -> bool:
+        """Whether every row's range under the domains contains its rhs."""
+        for r in rows:
+            lo_sum, lo_open, hi_sum, hi_open = _row_range(self.terms[r], lo, hi)
+            rhs = self.rhs[r]
+            if (not lo_open and lo_sum > rhs) or (not hi_open and hi_sum < rhs):
+                return False
+        return True
+
+    def _unknowns(self, chosen: list[int]) -> list[int]:
+        """The unknowns of the active rows, in order of first appearance:
+        base rows first, then the committed blocks in split order."""
+        seen: dict[int, None] = {}
+        for r, terms in enumerate(self.terms):
+            if self._active(r, chosen):
+                for v, _ in terms:
+                    seen.setdefault(v)
+        return list(seen)
+
+    def _pick(self, lo, hi, unknowns) -> int | None:
+        # Non-slack unknowns first: slack domains resolve by propagation once
+        # the unknowns they track are fixed.  Ties go to the first unknown.
+        best = None
+        best_key = None
+        for v in unknowns:
+            h = hi[v]
+            if h is not None and lo[v] == h:
+                continue
+            key = (self.slack[v], float("inf") if h is None else h - lo[v])
+            if best_key is None or key < best_key:
+                best, best_key = v, key
+        return best
+
+    def _propagate(self, lo, hi, chosen, seeds) -> bool:
+        """Narrow the domains in place; False when one becomes empty."""
+        terms_of, rhs_of, watch = self.terms, self.rhs, self.watch
+        owner, block = self.owner, self.block
+        queue = deque(r for r in seeds if self._active(r, chosen))
+        queued = set(queue)
+        visits = self.visit_cap
+        while queue:
+            visits -= 1
+            if visits < 0:
+                return True
+            r = queue.popleft()
+            queued.discard(r)
+            terms, rhs = terms_of[r], rhs_of[r]
+            lo_sum, lo_open, hi_sum, hi_open = _row_range(terms, lo, hi)
+            if (not lo_open and lo_sum > rhs) or (not hi_open and hi_sum < rhs):
+                return False
+            if lo_open > 1 and hi_open > 1:
+                continue
+            for v, c in terms:
+                dlo, dhi = lo[v], hi[v]
+                # The other terms' range, None where an end is unbounded;
+                # c*v must land in [rhs - rest_hi, rhs - rest_lo].
+                nlo, nhi = dlo, dhi
+                if c > 0:
+                    if dhi is None:
+                        rest_hi = hi_sum if hi_open == 1 else None
                     else:
-                        tlo = None if dhi is None else c * dhi
-                        thi = c * dlo
-                    terms.append((v, c, tlo, thi))
-                    if tlo is None:
-                        lo_open += 1
+                        rest_hi = None if hi_open else hi_sum - c * dhi
+                    rest_lo = None if lo_open else lo_sum - c * dlo
+                    if rest_hi is not None:
+                        bound = -((rest_hi - rhs) // c)
+                        if bound > nlo:
+                            nlo = bound
+                    if rest_lo is not None:
+                        bound = (rhs - rest_lo) // c
+                        if nhi is None or bound < nhi:
+                            nhi = bound
+                else:
+                    if dhi is None:
+                        rest_lo = lo_sum if lo_open == 1 else None
                     else:
-                        lo_sum += tlo
-                    if thi is None:
-                        hi_open += 1
-                    else:
-                        hi_sum += thi
-                for v, c, tlo, thi in terms:
-                    rest_lo_open = lo_open - (tlo is None)
-                    rest_hi_open = hi_open - (thi is None)
-                    rest_lo = None if rest_lo_open else lo_sum - (tlo or 0)
-                    rest_hi = None if rest_hi_open else hi_sum - (thi or 0)
-                    # c*v must land in [rhs - rest_hi, rhs - rest_lo]
-                    rlo = None if rest_hi is None else rhs - rest_hi
-                    rhi = None if rest_lo is None else rhs - rest_lo
-                    dlo, dhi = domains[v]
-                    if c > 0:
-                        if rlo is not None:
-                            dlo = max(dlo, _ceil_div(rlo, c))
-                        if rhi is not None:
-                            bound = rhi // c
-                            dhi = bound if dhi is None else min(dhi, bound)
-                    else:
-                        if rhi is not None:
-                            dlo = max(dlo, _ceil_div(-rhi, -c))
-                        if rlo is not None:
-                            bound = (-rlo) // (-c)
-                            dhi = bound if dhi is None else min(dhi, bound)
-                    if dhi is not None and dlo > dhi:
-                        return None
-                    if (dlo, dhi) != domains[v]:
-                        domains[v] = (dlo, dhi)
-                        changed = True
-            if not changed:
-                break
-        return domains
+                        rest_lo = None if lo_open else lo_sum - c * dhi
+                    rest_hi = None if hi_open else hi_sum - c * dlo
+                    if rest_lo is not None:
+                        bound = -((rhs - rest_lo) // -c)
+                        if bound > nlo:
+                            nlo = bound
+                    if rest_hi is not None:
+                        bound = (rest_hi - rhs) // -c
+                        if nhi is None or bound < nhi:
+                            nhi = bound
+                if nlo == dlo and nhi == dhi:
+                    continue
+                if nhi is not None and nlo > nhi:
+                    return False
+                lo[v], hi[v] = nlo, nhi
+                for other in watch[v]:
+                    if other not in queued:
+                        case = owner[other]
+                        if case < 0 or chosen[case] == block[other]:
+                            queue.append(other)
+                            queued.add(other)
+        return True
 
 
 def ilp_feasible(
@@ -260,23 +427,22 @@ def ilp_feasible(
     implies a solution with every non-slack unknown at most ``bound``.  With
     it (and bound <= cap) every verdict is exact; without it an exhausted
     capped search reports "unknown".
+
+    Case splits are branched inside the one search, and only on a split
+    that propagation leaves with two or more live blocks.  ``budget`` bounds
+    the search nodes of the whole call, case and value branches together;
+    running out reports "unknown".  Every propagation makes at most 100
+    equation visits per equation of the system (``_VISITS_PER_EQUATION``).
     """
     effective_cap = solver_cap() if cap is None else cap
     complete = bound is not None and bound <= effective_cap
     clamp = bound if complete else effective_cap
-    any_capped = False
-    selections = product(*system.cases) if system.cases else [()]
-    for selection in selections:
-        equations = list(system.equations)
-        for block in selection:
-            equations.extend(block)
-        search = _Search(equations, clamp, effective_cap, not complete, budget)
-        try:
-            model = search.run()
-        except _Budget:
-            return IlpResult("unknown", None, True)
-        if model is not None:
-            public = {v: x for v, x in model.items() if not v.startswith("_")}
-            return IlpResult("sat", public, search.capped)
-        any_capped = any_capped or search.capped
-    return IlpResult("unknown" if any_capped else "unsat", None, any_capped)
+    search = _Search(system, clamp, effective_cap, not complete, budget)
+    try:
+        model = search.run()
+    except _Budget:
+        return IlpResult("unknown", None, True)
+    if model is not None:
+        public = {v: x for v, x in model.items() if not v.startswith("_")}
+        return IlpResult("sat", public, search.capped)
+    return IlpResult("unknown" if search.capped else "unsat", None, search.capped)

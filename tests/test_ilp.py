@@ -1,7 +1,15 @@
+from collections import Counter
+from functools import reduce
+from itertools import product
+from math import gcd
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shexval.membership import member_general
+from shexval.rbe import concat, star, sym
 from shexval.sat import DEFAULT_CAP, LinearSystem, ilp_feasible, solver_cap
+from shexval.sat.ilp import _Search
 
 
 def feasible(*equations, cases=(), bound=None, cap=None):
@@ -164,3 +172,220 @@ def test_perturbed_rhs_never_misreports(case, offset):
     if result.status == "sat":
         for c, r in perturbed:
             assert sum(cv * result.model.get(name, 0) for name, cv in c.items()) == r
+
+
+# The eager solver the search replaced, kept as the reference: one full
+# search per selection of a block from every case split, each re-sweeping
+# every equation until nothing changes (at most 100 sweeps).
+
+
+class _EagerBudget(Exception):
+    pass
+
+
+class _EagerSearch:
+    def __init__(self, equations, clamp, slack_clamp, artificial, budget):
+        self.equations = equations
+        self.clamp = clamp
+        self.slack_clamp = slack_clamp
+        self.artificial = artificial
+        self.budget = budget
+        self.capped = False
+        order = {}
+        for coeffs, _ in equations:
+            for v in coeffs:
+                order.setdefault(v)
+        self.variables = list(order)
+
+    def solve(self, domains):
+        self.budget -= 1
+        if self.budget <= 0:
+            raise _EagerBudget
+        domains = self.propagate(domains)
+        if domains is None:
+            return None
+        open_vars = [v for v in self.variables if not self.fixed(domains[v])]
+        if not open_vars:
+            model = {v: domains[v][0] for v in self.variables}
+            if all(
+                sum(c * model[v] for v, c in coeffs.items()) == rhs
+                for coeffs, rhs in self.equations
+            ):
+                return model
+            return None
+
+        def width(v):
+            lo, hi = domains[v]
+            return (v.startswith("_"), float("inf") if hi is None else hi - lo)
+
+        var = min(open_vars, key=width)
+        lo, hi = domains[var]
+        if hi is None:
+            if var.startswith("_"):
+                self.capped = True
+                hi = self.slack_clamp
+            else:
+                if self.artificial:
+                    self.capped = True
+                hi = self.clamp
+        for value in range(lo, hi + 1):
+            child = dict(domains)
+            child[var] = (value, value)
+            model = self.solve(child)
+            if model is not None:
+                return model
+        return None
+
+    @staticmethod
+    def fixed(dom):
+        return dom[1] is not None and dom[0] == dom[1]
+
+    def propagate(self, domains):
+        for _ in range(100):
+            changed = False
+            for coeffs, rhs in self.equations:
+                if not coeffs:
+                    if rhs != 0:
+                        return None
+                    continue
+                g = 0
+                for c in coeffs.values():
+                    g = gcd(g, c)
+                if rhs % g:
+                    return None
+                terms = []
+                lo_sum = hi_sum = 0
+                lo_open = hi_open = 0
+                for v, c in coeffs.items():
+                    dlo, dhi = domains[v]
+                    if c > 0:
+                        tlo = c * dlo
+                        thi = None if dhi is None else c * dhi
+                    else:
+                        tlo = None if dhi is None else c * dhi
+                        thi = c * dlo
+                    terms.append((v, c, tlo, thi))
+                    if tlo is None:
+                        lo_open += 1
+                    else:
+                        lo_sum += tlo
+                    if thi is None:
+                        hi_open += 1
+                    else:
+                        hi_sum += thi
+                for v, c, tlo, thi in terms:
+                    rest_lo = None if lo_open - (tlo is None) else lo_sum - (tlo or 0)
+                    rest_hi = None if hi_open - (thi is None) else hi_sum - (thi or 0)
+                    rlo = None if rest_hi is None else rhs - rest_hi
+                    rhi = None if rest_lo is None else rhs - rest_lo
+                    dlo, dhi = domains[v]
+                    if c > 0:
+                        if rlo is not None:
+                            dlo = max(dlo, -((-rlo) // c))
+                        if rhi is not None:
+                            bound = rhi // c
+                            dhi = bound if dhi is None else min(dhi, bound)
+                    else:
+                        if rhi is not None:
+                            dlo = max(dlo, -(rhi // -c))
+                        if rlo is not None:
+                            bound = (-rlo) // (-c)
+                            dhi = bound if dhi is None else min(dhi, bound)
+                    if dhi is not None and dlo > dhi:
+                        return None
+                    if (dlo, dhi) != domains[v]:
+                        domains[v] = (dlo, dhi)
+                        changed = True
+            if not changed:
+                break
+        return domains
+
+
+def eager_feasible(system, *, bound=None, cap=None, budget=200_000):
+    effective_cap = solver_cap() if cap is None else cap
+    complete = bound is not None and bound <= effective_cap
+    clamp = bound if complete else effective_cap
+    any_capped = False
+    for selection in product(*system.cases) if system.cases else [()]:
+        equations = list(system.equations)
+        for block in selection:
+            equations.extend(block)
+        search = _EagerSearch(equations, clamp, effective_cap, not complete, budget)
+        try:
+            model = search.solve({v: (0, None) for v in search.variables})
+        except _EagerBudget:
+            return "unknown"
+        if model is not None:
+            return "sat"
+        any_capped = any_capped or search.capped
+    return "unknown" if any_capped else "unsat"
+
+
+def holds(equation, model):
+    """Whether a model of public unknowns satisfies an equation, reading a
+    slack term as the inequality it stands for."""
+    coeffs, rhs = equation
+    total = sum(c * model.get(v, 0) for v, c in coeffs.items() if not v.startswith("_"))
+    slack = [c for v, c in coeffs.items() if v.startswith("_")]
+    if not slack:
+        return total == rhs
+    return total <= rhs if slack[0] > 0 else total >= rhs
+
+
+@st.composite
+def split_systems(draw):
+    """A small system with 0-4 case splits of 1-3 blocks each."""
+    system = LinearSystem()
+    names = "wxyz"
+
+    def equation():
+        unknowns = draw(
+            st.lists(st.sampled_from(names), min_size=1, max_size=3, unique=True)
+        )
+        coeffs = {v: draw(st.integers(-2, 2)) for v in unknowns}
+        rhs = draw(st.integers(-1, 5))
+        kind = draw(st.sampled_from(("eq", "eq", "le", "ge")))
+        return getattr(system, f"make_{kind}")(coeffs, rhs)
+
+    for _ in range(draw(st.integers(0, 3))):
+        system.equations.append(equation())
+    for _ in range(draw(st.integers(0, 4))):
+        system.case(*[
+            [equation() for _ in range(draw(st.integers(1, 2)))]
+            for _ in range(draw(st.integers(1, 3)))
+        ])
+    return system
+
+
+@settings(max_examples=500, deadline=None)
+@given(split_systems(), st.integers(0, 3))
+def test_case_branching_matches_the_eager_solver(system, bound):
+    result = ilp_feasible(system, bound=bound)
+    assert result.status == eager_feasible(system, bound=bound)
+    if result.status == "sat":
+        assert all(holds(e, result.model) for e in system.equations)
+        for alternatives in system.cases:
+            assert any(
+                all(holds(e, result.model) for e in block) for block in alternatives
+            )
+
+
+def test_stars_branch_only_where_propagation_leaves_a_split_open(monkeypatch):
+    # Twelve stars give 4,096 selections of case blocks; the eager solver
+    # searched every one of them.  Pinning the bag settles every split.
+    e = reduce(concat, [star(concat(sym(f"a{i}"), sym(f"b{i}"))) for i in range(12)])
+    nodes = 0
+    node = _Search._node
+
+    def counted(self, *args):
+        nonlocal nodes
+        nodes += 1
+        return node(self, *args)
+
+    monkeypatch.setattr(_Search, "_node", counted)
+    member = Counter({f"{s}{i}": 2 for i in range(12) for s in "ab"})
+    assert member_general(member, e)
+    assert nodes <= 100
+    nodes = 0
+    assert not member_general(member + Counter({"a5": 1}), e)
+    assert nodes <= 100

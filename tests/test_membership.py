@@ -141,6 +141,14 @@ class TestDispatch:
         assert not got.verdict
         assert 1 in got.interval
 
+    def test_callers_counter_is_left_unchanged(self):
+        # The interval route reads the caller's Counter without copying it.
+        for text in ("a, (b | c)*, d?", "a, a"):
+            bag = Counter({"a": 1, "b": 2, "d": 0, "z": 1})
+            member(bag, rbe(text))
+            assert bag == Counter({"a": 1, "b": 2, "d": 0, "z": 1})
+            assert list(bag) == ["a", "b", "d", "z"]
+
 
 def _freshen(e, names):
     """Copy a tree, renaming symbol leaves left to right with fresh names."""
