@@ -1,8 +1,8 @@
 """Edge-labeled directed graphs, wildcard relabeling, and the triple format.
 
-Graphs are immutable: the successor index is built once at construction and
-all queries are pure.  Edges follow set semantics, so the multiplicity of a
-label in an outbound bag equals the number of distinct targets it reaches.
+Graphs are immutable and all queries are pure.  Edges follow set
+semantics, so the multiplicity of a label in an outbound bag equals the
+number of distinct targets it reaches.
 """
 
 from __future__ import annotations
@@ -23,9 +23,16 @@ __all__ = [
 
 
 class Graph:
-    """A finite set of nodes and labeled edges between them."""
+    """A finite set of nodes and labeled edges between them.
 
-    __slots__ = ("nodes", "edges", "_succ")
+    Two indexes answer the queries.  The successor index (node to its
+    (label, target) pairs) is built at construction.  The label-bag index
+    groups the nodes by outbound label bag; it is built on first use, so
+    parsing a graph never pays for it.  Refinement decides the tests that
+    see a node only through its label bag once per class of that index.
+    """
+
+    __slots__ = ("nodes", "edges", "_succ", "_classes", "_class_of")
 
     def __init__(self, edges=(), nodes=()):
         edge_set = frozenset(
@@ -38,6 +45,8 @@ class Graph:
         for s, label, t in edge_set:
             succ[s].add((label, t))
         self._succ = {n: frozenset(pairs) for n, pairs in succ.items()}
+        self._classes: dict[tuple, tuple[str, ...]] | None = None
+        self._class_of: dict[str, tuple] = {}
 
     def out_lab(self, node: str) -> Bag:
         """The bag of outbound edge labels of a node."""
@@ -48,6 +57,43 @@ class Graph:
         if node not in self.nodes:
             raise KeyError(node)
         return self._succ.get(node, frozenset())
+
+    def label_classes(self) -> dict[tuple[tuple[str, int], ...], tuple[str, ...]]:
+        """The nodes grouped by outbound label bag.
+
+        Each class is keyed by its bag's sorted (label, count) pairs; sinks
+        and isolated nodes share the key ``()``.  The classes partition the
+        nodes.  Callers must not modify the result.
+        """
+        if self._classes is None:
+            self._index_label_bags()
+        return self._classes
+
+    def label_key(self, node: str) -> tuple[tuple[str, int], ...]:
+        """The key of the node's label-bag class: its outbound label bag
+        as sorted (label, count) pairs."""
+        if self._classes is None:
+            self._index_label_bags()
+        return self._class_of[node]
+
+    def _index_label_bags(self) -> None:
+        members: dict[tuple, list[str]] = {}
+        class_of: dict[str, tuple] = {}
+        succ = self._succ
+        for n in self.nodes:
+            pairs = succ.get(n)
+            key = tuple(sorted(Counter([a for a, _ in pairs]).items())) if pairs else ()
+            nodes = members.get(key)
+            if nodes is None:
+                members[key] = [n]
+            else:
+                # Every node of a class holds the one key object of its
+                # first node, so the index stores each key once.
+                key = class_of[nodes[0]]
+                nodes.append(n)
+            class_of[n] = key
+        self._classes = {key: tuple(nodes) for key, nodes in members.items()}
+        self._class_of = class_of
 
     def __eq__(self, other):
         if not isinstance(other, Graph):

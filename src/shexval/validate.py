@@ -34,6 +34,14 @@ the rule's language.  Rules given as opaque predicates count as
 mentioning every symbol.  So a pair off the frontier keeps the verdict it
 had a round earlier, and every round removes exactly the pairs the
 synchronous round of :func:`refine_step` removes.
+
+Tests that see a node only through its outbound label bag are decided
+once per label-bag class of the graph (:meth:`Graph.label_classes`), in
+the manner of partition refinement (Paige and Tarjan, SIAM J. Comput.
+1987): the structure-filtered initial typing, and round 1 of refinement
+from the full typing, under which every successor carries every type.
+Multi-mode flooding checks each (type, label bag) once per call, since a
+deterministic rule turns a label bag into one typed bag.
 """
 
 from __future__ import annotations
@@ -42,6 +50,7 @@ import itertools
 from collections import Counter, deque
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, replace
+from operator import itemgetter
 
 from .graph import Graph
 from .membership import member
@@ -111,7 +120,9 @@ class ValidationReport:
     definition (:func:`refine_step` until nothing changes), even though
     the driver re-tests only a frontier of pairs in each round.
     ``local_tests`` counts the (node, type) local tests the refinement
-    driver ran over all rounds; it is 0 for flooding and brute force.
+    driver ran over all rounds; from the full typing, round 1 counts one
+    test per type for one representative node of each label-bag class.
+    It is 0 for flooding and brute force.
     ``edges_examined`` counts outbound neighborhood scans during flooding,
     including repeats on backtracking.
     """
@@ -235,7 +246,10 @@ class _RefineEngine:
       the one type the rule requires under the edge's label (the filtered
       initial typing has already checked the label bag);
     * ``det-membership`` also checks the node's label bag against the
-      label projection of the rule, memoized by the bag.
+      label projection of the rule, memoized by the bag.  :meth:`run`
+      checks labels in round 1 only: a node's label bag never changes, so
+      a pair that survived round 1 has passed the check.  :meth:`step`
+      checks them every time, because it may start from any typing.
 
     Types with a universal rule always survive and are never tested.
     Every test reads the rules as the schema compiled them (label maps,
@@ -244,13 +258,16 @@ class _RefineEngine:
     validations start warm.
 
     :meth:`step` is one synchronous round over every pair.  :meth:`run` is
-    the frontier driver: its first round is :meth:`step`; each later round
-    re-tests only the pairs (n, t) with an a-edge from n into a node m that
-    lost a type u in the round before, where t's rule mentions ``a::u``.
+    the frontier driver.  Its first round is :meth:`step`, decided once per
+    label-bag class when every node starts with the same types.  Each
+    later round re-tests only the pairs (n, t) with an a-edge from n into a
+    node m that lost a type u in the round before, where t's rule mentions
+    ``a::u``.
     A pair off that frontier keeps its previous verdict, because the test
     sees a successor only through the types the rule mentions under the
     edge's label, so :meth:`run` yields the typing of repeated :meth:`step`
-    after every round.  ``local_tests`` counts the pairs tested.
+    after every round.  ``local_tests`` counts the pairs tested; a class
+    decided by one representative counts that representative's pairs.
     """
 
     def __init__(self, g: Graph, s: Schema, strategy: str):
@@ -275,7 +292,10 @@ class _RefineEngine:
                     "single-occurrence schema"
                 )
             self._lost = self._lost_successors
-        self.check_labels = strategy == "det-membership"
+        # Rounds after the first of run() skip the label check.
+        self._retest = self._lost
+        if strategy == "det-membership":
+            self._lost = self._lost_labeled
         self.testable = frozenset(
             t for t, rule in self.rules.items() if not rule.universal
         )
@@ -288,48 +308,89 @@ class _RefineEngine:
 
     def step(self, typing: Mapping[str, frozenset[str]]) -> dict[str, frozenset[str]]:
         """All pairs re-tested against the previous round's typing."""
-        lost = self._test(typing, typing)
+        lost = self._test(typing, typing, self._lost)
         return {
             n: _without(typing[n], lost[n]) if n in lost else typing[n]
             for n in self.g.nodes
         }
 
-    def run(self, current: dict[str, frozenset[str]]) -> int:
+    def run(self, current: dict[str, frozenset[str]], uniform: bool = False) -> int:
         """Refine ``current`` in place to the fixpoint below it; returns the
-        number of rounds, counting the last one, which removes nothing."""
-        work: Mapping[str, Iterable[str]] = current
-        preds: dict[str, list[tuple[str, str]]] | None = None
-        rounds = 0
-        while True:
-            rounds += 1
-            lost = self._test(work, current)
-            if not lost:
-                return rounds
+        number of rounds, counting the last one, which removes nothing.
+
+        ``uniform`` says that every node starts with the same types.  Round
+        1 then tests one node per label-bag class and gives its verdicts to
+        the whole class: under a uniform typing every local test sees a
+        node only through its label bag.
+        """
+        if uniform:
+            lost = self._first_round_by_class(current)
+        else:
+            lost = self._test(current, current, self._lost)
             for n, types in lost.items():
                 current[n] = _without(current[n], types)
+        rounds = 1
+        preds: dict[str, list[tuple[str, str]]] | None = None
+        while lost:
             if preds is None:
                 preds = _predecessors(self.g)
                 mentions, everywhere = self._mention_index()
-            work = {}
+            # The types an a-edge into a node that lost ``types`` can
+            # affect, per (label, lost types); round 1 by class gives many
+            # nodes the same lost types.
+            affecting: dict[tuple, frozenset[str]] = {}
+            work: dict[str, set[str]] = {}
             for m, types in lost.items():
+                types = tuple(types)
                 for n, a in preds.get(m, ()):
-                    for u in types:
-                        affected = mentions.get((a, u), everywhere) & current[n]
+                    mentioned = affecting.get((a, types))
+                    if mentioned is None:
+                        mentioned = affecting[(a, types)] = everywhere.union(
+                            *(mentions.get((a, u), everywhere) for u in types)
+                        )
+                    if mentioned:
+                        affected = mentioned & current[n]
                         if affected:
                             work.setdefault(n, set()).update(affected)
+            rounds += 1
+            lost = self._test(work, current, self._retest)
+            for n, types in lost.items():
+                current[n] = _without(current[n], types)
+        return rounds
+
+    def _first_round_by_class(
+        self, current: dict[str, frozenset[str]]
+    ) -> dict[str, list[str]]:
+        """Round 1 from a uniform typing, one local test per label-bag
+        class; updates ``current`` and returns the types each node lost."""
+        classes = self.g.label_classes().values()
+        failed = self._test(
+            {nodes[0]: current[nodes[0]] for nodes in classes}, current, self._lost
+        )
+        lost = {}
+        for nodes in classes:
+            types = failed.get(nodes[0])
+            if types:
+                survivors = _without(current[nodes[0]], types)
+                for n in nodes:
+                    current[n] = survivors
+                    lost[n] = types
+        return lost
 
     def _test(
         self,
         work: Mapping[str, Iterable[str]],
         typing: Mapping[str, frozenset[str]],
+        local_test,
     ) -> dict[str, list[str]]:
-        """The types of ``work`` (node to types) that fail under ``typing``."""
+        """The types of ``work`` (node to types) that fail ``local_test``
+        under ``typing``."""
         lost = {}
         for n, types in work.items():
             types = self.testable.intersection(types)
             if types:
                 self.local_tests += len(types)
-                failed = self._lost(n, types, typing)
+                failed = local_test(n, types, typing)
                 if failed:
                     lost[n] = failed
         return lost
@@ -363,31 +424,33 @@ class _RefineEngine:
     def _lost_successors(self, n, types, typing) -> list[str]:
         # The rule uses each label with one target type, so a flattening
         # exists exactly when every successor still carries the required
-        # type and the label bag fits the projected rule.
+        # type and the label bag fits the projected rule; this checks the
+        # successors, and _lost_labeled the label bag as well.
         edges = self.g.out_lab_node(n)
-        bag = None
         lost = []
         for t in types:
-            rule = self.rules[t]
-            targets = rule.targets
+            targets = self.rules[t].targets
             for a, m in edges:
                 required = targets.get(a)
                 if required is None or required[0] not in typing[m]:
                     lost.append(t)
                     break
-            else:
-                if not self.check_labels:
-                    continue
-                # The label bag is fixed by the graph, so its verdict holds
-                # across rounds and for every node with the same bag.
-                if bag is None:
-                    bag = tuple(sorted(self.g.out_lab(n).items()))
-                verdict = self._memo.get((t, bag))
-                if verdict is None:
-                    verdict = member(self.g.out_lab(n), rule.projected).verdict
-                    self._memo[(t, bag)] = verdict
-                if not verdict:
-                    lost.append(t)
+        return lost
+
+    def _lost_labeled(self, n, types, typing) -> list[str]:
+        # The successor test plus the check of the label bag against the
+        # label projection of the rule, memoized by the bag.
+        lost = self._lost_successors(n, types, typing)
+        bag = self.g.label_key(n)
+        for t in types:
+            if t in lost:
+                continue
+            verdict = self._memo.get((t, bag))
+            if verdict is None:
+                verdict = member(Counter(dict(bag)), self.rules[t].projected).verdict
+                self._memo[(t, bag)] = verdict
+            if not verdict:
+                lost.append(t)
         return lost
 
     def _mention_index(
@@ -456,23 +519,24 @@ def structure_filtered_init(g: Graph, s: Schema) -> dict[str, frozenset[str]]:
 
     Types dropped here could never survive a refinement round, so starting
     from this typing reaches the same fixpoint as starting from the full
-    one.  Verdicts are cached per label bag; graphs with many
-    identically-shaped nodes test each shape once.
+    one.  The type set is computed once per label-bag class of the graph,
+    and every node of the class gets that one set; the sets are also
+    cached on the schema per label bag.
     """
     rules = s.compiled
     cache: dict[tuple, frozenset[str]] = s._derived.setdefault("refine:init", {})
     out: dict[str, frozenset[str]] = {}
-    for n in g.nodes:
-        w = g.out_lab(n)
-        key = tuple(sorted(w.items()))
-        if key not in cache:
-            cache[key] = frozenset(
+    for key, nodes in g.label_classes().items():
+        types = cache.get(key)
+        if types is None:
+            w = Counter(dict(key))
+            types = cache[key] = frozenset(
                 t
                 for t in s.gamma
                 if rules[t].projected is None
                 or member(w, rules[t].projected).verdict
             )
-        out[n] = cache[key]
+        out.update(dict.fromkeys(nodes, types))
     return out
 
 
@@ -488,7 +552,7 @@ def _run_refinement(
         typing = structure_filtered_init(g, s)
     else:
         raise ValueError(f"unknown initial typing {init!r}")
-    rounds = engine.run(typing)
+    rounds = engine.run(typing, uniform=init == "full-gamma")
     return typing, rounds, engine.local_tests
 
 
@@ -664,6 +728,9 @@ def _freeze(typing: Mapping[str, set[str]]) -> dict[str, frozenset[str]]:
     return {n: frozenset(ts) for n, ts in typing.items()}
 
 
+_label = itemgetter(0)
+
+
 def _flood_multi(
     g: Graph, s: Schema, pre: Mapping[str, frozenset[str]]
 ) -> ValidationReport:
@@ -674,6 +741,12 @@ def _flood_multi(
         for t in sorted(pre[n]):
             queue.append((n, t))
             seen.add((n, t))
+    # A deterministic rule sends each label to one type, so the typed bag
+    # of a node, and with it the verdict, follows from its label bag: each
+    # (type, label bag) is checked once per call.  The labels of the sorted
+    # neighborhood spell the bag, so the graph's label-bag index, which
+    # costs a pass over every node, is not needed here.
+    reasons: dict[tuple, str | None] = {}
     examined = 0
     processed = 0
     while queue:
@@ -685,30 +758,24 @@ def _flood_multi(
         neighborhood = sorted(g.out_lab_node(n))
         examined += len(neighborhood)
         targets = s.compiled[t].targets
-        w: Counter[str] = Counter()
-        obligations: list[tuple[str, str]] = []
-        failure = None
-        for a, m in neighborhood:
-            if a not in targets:
-                failure = (n, t, f"the rule uses no symbol with label {a}")
-                break
-            u = targets[a][0]
-            w[typed_symbol(a, u)] += 1
-            obligations.append((m, u))
-        if failure is None and not rule_member(s, w, t):
-            failure = (n, t, "outbound neighborhood does not match the rule")
-        if failure is not None:
+        key = (t, tuple(map(_label, neighborhood)))
+        if key in reasons:
+            reason = reasons[key]
+        else:
+            reason = reasons[key] = _flood_failure(s, t, targets, neighborhood)
+        if reason is not None:
             return ValidationReport(
                 valid=False,
                 typing=_freeze(typing),
-                failures=(failure,),
+                failures=((n, t, reason),),
                 remaining_edges=_remaining(g, typing),
                 iterations=processed,
                 algorithm="flood-multi",
                 edges_examined=examined,
             )
         typing.setdefault(n, set()).add(t)
-        for m, u in obligations:
+        for a, m in neighborhood:
+            u = targets[a][0]
             if u != TOP and (m, u) not in seen:
                 seen.add((m, u))
                 queue.append((m, u))
@@ -721,6 +788,24 @@ def _flood_multi(
         algorithm="flood-multi",
         edges_examined=examined,
     )
+
+
+def _flood_failure(
+    s: Schema,
+    t: str,
+    targets: Mapping[str, tuple[str, ...]],
+    neighborhood: list[tuple[str, str]],
+) -> str | None:
+    """Why a node with this sorted neighborhood cannot carry the
+    deterministic type ``t``, or None when it can."""
+    w: Counter[str] = Counter()
+    for a, _ in neighborhood:
+        if a not in targets:
+            return f"the rule uses no symbol with label {a}"
+        w[typed_symbol(a, targets[a][0])] += 1
+    if not rule_member(s, w, t):
+        return "outbound neighborhood does not match the rule"
+    return None
 
 
 def _flood_single(

@@ -37,6 +37,31 @@ class TestNeighborhoods:
         assert g.out_lab("s") == Counter({"a": 2})
 
 
+class TestLabelClasses:
+    def test_sinks_and_isolated_nodes_share_the_empty_key(self, g2):
+        g = Graph(g2.edges, nodes=["lonely"])
+        assert g.label_key("n2") == g.label_key("lonely") == ()
+        assert set(g.label_classes()[()]) == {"n2", "lonely"}
+
+    def test_key_counts_parallel_labels(self):
+        g = Graph([("s", "b", "t1"), ("s", "a", "t1"), ("s", "a", "t2")])
+        assert g.label_key("s") == (("a", 2), ("b", 1))
+
+    def test_unknown_node(self, g0):
+        with pytest.raises(KeyError):
+            g0.label_key("missing")
+
+    def test_relabeled_graph_has_its_own_index(self):
+        g = Graph([("s", "ex:x", "t"), ("s", "ex:y", "u"), ("r", "b", "t")])
+        assert g.label_key("s") == (("ex:x", 1), ("ex:y", 1))
+        relabeled = relabel_wildcards(
+            g, [WildcardDecl("EX", prefix="ex:"), WildcardDecl("R", rest=True)]
+        )
+        assert relabeled.label_key("s") == (("EX", 2),)
+        assert relabeled.label_key("r") == (("R", 1),)
+        assert g.label_key("s") == (("ex:x", 1), ("ex:y", 1))
+
+
 class TestGraphValue:
     def test_duplicate_edges_collapse(self):
         g = Graph([("a", "x", "b"), ("a", "x", "b")])
@@ -153,6 +178,18 @@ def test_out_lab_total_matches_neighborhood_size(edges, extra):
     g = Graph(edges, extra)
     for n in g.nodes:
         assert sum(g.out_lab(n).values()) == len(g.out_lab_node(n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(edges_st, st.sets(st.sampled_from("pqrstu"), max_size=3))
+def test_label_classes_partition_nodes_by_label_bag(edges, extra):
+    g = Graph(edges, extra)
+    classes = g.label_classes()
+    members = [n for nodes in classes.values() for n in nodes]
+    assert sorted(members) == sorted(g.nodes)
+    for key, nodes in classes.items():
+        for n in nodes:
+            assert key == g.label_key(n) == tuple(sorted(g.out_lab(n).items()))
 
 
 @settings(max_examples=200, deadline=None)

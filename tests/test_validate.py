@@ -1,7 +1,8 @@
 import itertools
 import random
 import sys
-from collections import Counter
+from collections import Counter, deque
+from dataclasses import replace
 
 import pytest
 from conftest import (
@@ -17,21 +18,32 @@ from conftest import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shexval import schema as schema_module
 from shexval.genbench import GenConfig, generate_graph
 from shexval.graph import Graph
 from shexval.membership import member
 from shexval.rbe import ops as rbe_ops
-from shexval.rbe import EPSILON, bag, bag_key, choice_groups, enumerate_language
+from shexval.rbe import (
+    EPSILON,
+    bag,
+    bag_key,
+    choice_groups,
+    enumerate_language,
+    typed_symbol,
+)
 from shexval.schema import (
     TOP,
     homomorphism_schema,
     intersect_schemas,
     parse_schema,
     powerset_schema,
+    rule_member,
 )
 from shexval.validate import (
     INITS,
     STRATEGIES,
+    ValidationReport,
+    _RefineEngine,
     _run_refinement,
     brute_force_multi,
     brute_force_single,
@@ -768,12 +780,24 @@ def admissible_strategies(schema):
         yield strategy
 
 
+def per_node_structure_filtered_init(g, schema):
+    """The structure-filtered typing, decided node by node."""
+    return {
+        n: frozenset(
+            t
+            for t, rule in schema.compiled.items()
+            if rule.projected is None or member(g.out_lab(n), rule.projected).verdict
+        )
+        for n in g.nodes
+    }
+
+
 def naive_refinement(g, schema, init, strategy):
     """refine_step from the initial typing until nothing changes."""
     if init == "full-gamma":
         typing = {n: frozenset(schema.gamma) for n in g.nodes}
     else:
-        typing = structure_filtered_init(g, schema)
+        typing = per_node_structure_filtered_init(g, schema)
     rounds = 0
     while True:
         rounds += 1
@@ -798,10 +822,152 @@ def test_frontier_driver_matches_synchronous_rounds(data):
         )
     )
     g = Graph(edges, nodes)
+    assert structure_filtered_init(g, schema) == per_node_structure_filtered_init(
+        g, schema
+    )
     for init in INITS:
         for strategy in admissible_strategies(schema):
             typing, rounds, _ = _run_refinement(g, schema, init, strategy)
             assert (typing, rounds) == naive_refinement(g, schema, init, strategy)
+
+
+def reference_flood_multi(g, schema, pre):
+    """Multi-mode flooding as a plain loop over obligations: each one
+    builds the typed bag of its node and asks for membership."""
+    typing = {}
+    queue = deque()
+    seen = set()
+    for n in sorted(pre):
+        for t in sorted(pre[n]):
+            queue.append((n, t))
+            seen.add((n, t))
+    examined = 0
+    processed = 0
+    failures = ()
+    while queue:
+        n, t = queue.popleft()
+        processed += 1
+        if t == TOP:
+            typing.setdefault(n, set()).add(t)
+            continue
+        neighborhood = sorted(g.out_lab_node(n))
+        examined += len(neighborhood)
+        targets = schema.compiled[t].targets
+        w = Counter()
+        obligations = []
+        for a, m in neighborhood:
+            if a not in targets:
+                failures = ((n, t, f"the rule uses no symbol with label {a}"),)
+                break
+            w[typed_symbol(a, targets[a][0])] += 1
+            obligations.append((m, targets[a][0]))
+        if not failures and not rule_member(schema, w, t):
+            failures = ((n, t, "outbound neighborhood does not match the rule"),)
+        if failures:
+            break
+        typing.setdefault(n, set()).add(t)
+        for m, u in obligations:
+            if u != TOP and (m, u) not in seen:
+                seen.add((m, u))
+                queue.append((m, u))
+    report = ValidationReport(
+        valid=not failures,
+        typing={n: frozenset(ts) for n, ts in typing.items()},
+        failures=failures,
+        iterations=processed,
+        algorithm="flood-multi",
+        edges_examined=examined,
+    )
+    return replace(report, remaining_edges=remaining_edges(g, report))
+
+
+FLOOD_SCHEMAS = tuple(s for s in DRIVER_SCHEMAS if s.class_flags.deterministic)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_flood_matches_per_obligation_reference(data):
+    schema = data.draw(st.sampled_from(FLOOD_SCHEMAS))
+    labels = sorted(schema.sigma) or ["a", "b"]
+    nodes = [f"y{i}" for i in range(data.draw(st.integers(1, 5)))]
+    edges = data.draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(nodes), st.sampled_from(labels), st.sampled_from(nodes)
+            ),
+            max_size=12,
+        )
+    )
+    # The twin has the out-edges, and so the label bag, of another node but
+    # no in-edges: it is reached only when the pre-typing names it.
+    original = data.draw(st.sampled_from(nodes))
+    edges += [("twin", a, m) for n, a, m in edges if n == original]
+    g = Graph(edges, nodes + ["twin"])
+    pre = data.draw(
+        st.dictionaries(
+            st.sampled_from(nodes + ["twin"]),
+            st.sets(st.sampled_from(sorted(schema.gamma)), max_size=2),
+            max_size=3,
+        )
+    )
+    expected = reference_flood_multi(
+        g, schema, {n: frozenset(ts) for n, ts in pre.items() if ts}
+    )
+    assert flood_extension(g, schema, pre, mode="multi") == expected
+
+
+def test_flood_decides_a_shared_label_bag_once_when_one_node_is_reached():
+    # x and z have the same label bag; only x is reached, and it fails.
+    g = Graph([("x", "a", "y"), ("x", "a", "w"), ("z", "a", "y"), ("z", "a", "w")])
+    report = flood_extension(g, CHAIN, {"x": {"t"}})
+    assert report == reference_flood_multi(g, CHAIN, {"x": frozenset({"t"})})
+    assert report.failures == (
+        ("x", "t", "outbound neighborhood does not match the rule"),
+    )
+    assert "z" not in report.typing
+
+
+def fig2_graph_and_label_bags():
+    s = parse_schema(FIG2_TEXT)
+    g, pre = generate_graph(GenConfig(s, 300, seed=5))
+    bags = {tuple(sorted(g.out_lab(n).items())) for n in g.nodes}
+    return s, g, pre, len(bags)
+
+
+def test_flooding_checks_each_label_bag_once_per_type(monkeypatch):
+    s, g, pre, n_bags = fig2_graph_and_label_bags()
+    calls = Counter()
+    original = schema_module.member
+
+    def counted(*args):
+        calls["member"] += 1
+        return original(*args)
+
+    monkeypatch.setattr(schema_module, "member", counted)
+    report = flood_extension(g, s, pre)
+    assert report.valid
+    # One membership test per obligation would exceed the bound.
+    assert report.iterations > len(s.gamma) * n_bags
+    assert 0 < calls["member"] <= len(s.gamma) * n_bags
+
+
+def test_cold_refine_tests_each_label_bag_once_per_type_in_round_one(monkeypatch):
+    s, g, _, n_bags = fig2_graph_and_label_bags()
+    per_call = []
+    original = _RefineEngine._test
+
+    def counted(self, *args):
+        before = self.local_tests
+        out = original(self, *args)
+        per_call.append(self.local_tests - before)
+        return out
+
+    monkeypatch.setattr(_RefineEngine, "_test", counted)
+    report = validate_multi(g, s, "refine")
+    assert report.valid
+    assert len(g.nodes) > n_bags
+    assert 0 < per_call[0] <= len(s.gamma) * n_bags
+    assert report.local_tests == sum(per_call)
 
 
 @pytest.mark.parametrize(
