@@ -16,7 +16,6 @@ import argparse
 import secrets
 import sys
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 
 from .genbench import GenConfig, bench, bench_csv, generate_graph
@@ -28,13 +27,12 @@ from .schema import TOP, nondeterministic_labels, parse_schema
 from .validate import (
     BruteCapExceeded,
     ValidationReport,
-    brute_force_single,
-    flood_extension,
     format_pretyping,
     infer_types,
     parse_pretyping,
     report_lines,
     validate_multi,
+    validate_single,
 )
 
 __all__ = ["main"]
@@ -119,30 +117,8 @@ def _schema_and_graph(args):
 def _cmd_validate(args) -> int:
     schema, graph = _schema_and_graph(args)
     pre = parse_pretyping(_read(args.pretyping)) if args.pretyping else None
-    if args.mode == "single":
-        if args.algo == "brute":
-            found = brute_force_single(graph, schema)
-            report = ValidationReport(
-                valid=found is not None,
-                typing=found or {},
-                algorithm="brute-single",
-            )
-        elif args.algo == "flood":
-            if pre is None:
-                raise ValueError("single-mode flooding needs --pretyping")
-            report = flood_extension(graph, schema, pre, mode="single")
-            unreached = graph.nodes - report.typing.keys()
-            if report.valid and unreached:
-                failures = tuple(
-                    (n, "-", "not reached from the pre-typing")
-                    for n in sorted(unreached)
-                )
-                report = replace(report, valid=False, failures=failures)
-        else:
-            raise ValueError(f"algorithm {args.algo} supports only --mode multi")
-    else:
-        report = validate_multi(graph, schema, args.algo, pre)
-    return _emit_report(report, args)
+    validate = validate_single if args.mode == "single" else validate_multi
+    return _emit_report(validate(graph, schema, args.algo, pre), args)
 
 
 def _cmd_check(args) -> int:

@@ -49,7 +49,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter, deque
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import itemgetter
 
 from .graph import Graph
@@ -86,6 +86,7 @@ __all__ = [
     "refine_fixpoint",
     "infer_types",
     "validate_multi",
+    "validate_single",
     "flood_extension",
     "brute_force_single",
     "brute_force_multi",
@@ -111,12 +112,16 @@ class BruteCapExceeded(ValueError):
 class ValidationReport:
     """Outcome of a validation run.
 
+    Every report of this module comes from one builder, ``_report``, which
+    sets ``valid`` and ``remaining_edges`` from the other fields.
     ``typing`` maps nodes either to a single type (single-type modes) or
     to a frozenset of types; nodes never reached by flooding are absent.
-    ``failures`` holds (node, type, reason) triples and is empty exactly
-    when ``valid`` is true.  ``iterations`` counts refinement rounds,
-    including the last one, which removes nothing, or processed flooding
-    obligations.  Refinement rounds are those of the synchronous
+    ``failures`` holds (node, type, reason) triples; ``valid`` holds
+    exactly when it is empty.  ``remaining_edges`` are the out-edges of
+    the nodes the typing leaves uncovered: absent from it, or holding no
+    type other than the universal one.  ``iterations`` counts refinement
+    rounds, including the last one, which removes nothing, or processed
+    flooding obligations.  Refinement rounds are those of the synchronous
     definition (:func:`refine_step` until nothing changes), even though
     the driver re-tests only a frontier of pairs in each round.
     ``local_tests`` counts the (node, type) local tests the refinement
@@ -593,18 +598,44 @@ def _types_of(value) -> frozenset[str]:
 
 
 def _remaining(g: Graph, typing: Mapping[str, object]) -> frozenset:
-    covered = {
+    # The out-edges of the uncovered nodes only, so a typing that covers
+    # every node touches no edge.  A string value is one type name: it
+    # holds TOP exactly when it equals it, since no single character does.
+    uncovered = g.nodes.difference(typing).union(
         n
-        for n, value in typing.items()
-        if any(t != TOP for t in _types_of(value))
-    }
-    return frozenset(e for e in g.edges if e[0] not in covered)
+        for n, types in typing.items()
+        if not types
+        or (TOP in types and (types == TOP or all(t == TOP for t in types)))
+    )
+    # The successor index has no entry for sinks or for typed nodes
+    # outside the graph.
+    succ = g._succ
+    return frozenset([(n, a, m) for n in uncovered if n in succ for a, m in succ[n]])
 
 
 def remaining_edges(g: Graph, report: ValidationReport) -> frozenset:
     """Edges whose source node received no type other than the universal
     one — the part of the graph the typing says nothing about."""
     return _remaining(g, report.typing)
+
+
+def _report(
+    g: Graph,
+    typing: Mapping[str, object],
+    algorithm: str,
+    failures: tuple[tuple[str, str, str], ...] = (),
+    **counts: int,
+) -> ValidationReport:
+    """The one constructor of reports: valid exactly when nothing failed,
+    with the remaining edges of ``typing`` on ``g``."""
+    return ValidationReport(
+        valid=not failures,
+        typing=typing,
+        failures=failures,
+        remaining_edges=_remaining(g, typing),
+        algorithm=algorithm,
+        **counts,
+    )
 
 
 def validate_multi(
@@ -632,17 +663,10 @@ def validate_multi(
         typing, rounds, local_tests = _run_refinement(g, s, init, strategy)
         failures = tuple(
             (n, "-", "no type survives refinement")
-            for n in sorted(typing)
-            if not typing[n]
+            for n in sorted(n for n, types in typing.items() if not types)
         )
-        return ValidationReport(
-            valid=not failures,
-            typing=typing,
-            failures=failures,
-            remaining_edges=_remaining(g, typing),
-            iterations=rounds,
-            algorithm=algo,
-            local_tests=local_tests,
+        return _report(
+            g, typing, algo, failures, iterations=rounds, local_tests=local_tests
         )
     if algo == "flood":
         if pre is None:
@@ -651,31 +675,36 @@ def validate_multi(
                     "flooding needs a pre-typing or a universal type in the schema"
                 )
             pre = {}
-        report = replace(flood_extension(g, s, pre, mode="multi"), algorithm="flood")
-        unreached = sorted(n for n in g.nodes if not report.typing.get(n))
-        if report.valid and unreached:
-            failures = tuple(
-                (n, "-", "not reached from the pre-typing") for n in unreached
-            )
-            report = replace(report, valid=False, failures=failures)
-        return report
+        return _flood(g, s, pre, "multi", "flood", reach_all=True)
     if algo == "brute":
         found = brute_force_multi(g, s, cap=cap)
-        if found is None:
-            return ValidationReport(
-                valid=False,
-                typing={},
-                failures=(("-", "-", "no valid m-typing exists"),),
-                remaining_edges=frozenset(g.edges),
-                algorithm="brute",
-            )
-        return ValidationReport(
-            valid=True,
-            typing=found,
-            remaining_edges=_remaining(g, found),
-            algorithm="brute",
-        )
+        failures = () if found is not None else (("-", "-", "no valid m-typing exists"),)
+        return _report(g, found or {}, "brute", failures)
     raise ValueError(f"unknown algorithm {algo!r}")
+
+
+def validate_single(
+    g: Graph,
+    s: Schema,
+    algo: str,
+    pre: Mapping[str, Iterable[str]] | None = None,
+    cap: int = BRUTE_CAP,
+) -> ValidationReport:
+    """Single-type validation: is there a valid s-typing of every node?
+
+    ``flood`` requires a pre-typing and is valid only when the flood
+    succeeds and reaches every node.  ``brute`` defers to the enumeration
+    search and is capped.
+    """
+    if algo == "flood":
+        if pre is None:
+            raise ValueError("single-mode flooding needs a pre-typing (--pretyping)")
+        return _flood(g, s, pre, "single", "flood-single", reach_all=True)
+    if algo == "brute":
+        found = brute_force_single(g, s, cap=cap)
+        failures = () if found is not None else (("-", "-", "no valid s-typing exists"),)
+        return _report(g, found or {}, "brute-single", failures)
+    raise ValueError(f"algorithm {algo!r} supports only multi-type validation")
 
 
 def _check_pre_typing(
@@ -710,18 +739,43 @@ def flood_extension(
     per-edge choices; success yields one valid single-type assignment of
     the reached nodes.
     """
+    return _flood(g, s, pre, mode, f"flood-{mode}")
+
+
+def _flood(
+    g: Graph,
+    s: Schema,
+    pre: Mapping[str, Iterable[str]],
+    mode: str,
+    algorithm: str,
+    reach_all: bool = False,
+) -> ValidationReport:
+    """The flooding report; with ``reach_all``, a flood that succeeds but
+    leaves nodes untyped fails at each of them."""
     pre_map = _check_pre_typing(g, s, pre)
     if mode == "multi":
         if not s.class_flags.deterministic:
             raise ValueError("multi-mode flooding needs a deterministic schema")
-        return _flood_multi(g, s, pre_map)
-    if mode == "single":
+        flood = _flood_multi
+    elif mode == "single":
         if not s.class_flags.sorbe:
             raise ValueError(
                 "single-mode flooding needs a single-occurrence schema"
             )
-        return _flood_single(g, s, pre_map)
-    raise ValueError(f"unknown mode {mode!r}")
+        flood = _flood_single
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    # Each flood returns its typing, its failures, the obligations it
+    # processed and the edges it examined.
+    typing, failures, processed, examined = flood(g, s, pre_map)
+    if reach_all and not failures:
+        failures = tuple(
+            (n, "-", "not reached from the pre-typing")
+            for n in sorted(g.nodes - typing.keys())
+        )
+    return _report(
+        g, typing, algorithm, failures, iterations=processed, edges_examined=examined
+    )
 
 
 def _freeze(typing: Mapping[str, set[str]]) -> dict[str, frozenset[str]]:
@@ -731,9 +785,7 @@ def _freeze(typing: Mapping[str, set[str]]) -> dict[str, frozenset[str]]:
 _label = itemgetter(0)
 
 
-def _flood_multi(
-    g: Graph, s: Schema, pre: Mapping[str, frozenset[str]]
-) -> ValidationReport:
+def _flood_multi(g: Graph, s: Schema, pre: Mapping[str, frozenset[str]]) -> tuple:
     typing: dict[str, set[str]] = {}
     queue: deque[tuple[str, str]] = deque()
     seen: set[tuple[str, str]] = set()
@@ -764,30 +816,14 @@ def _flood_multi(
         else:
             reason = reasons[key] = _flood_failure(s, t, targets, neighborhood)
         if reason is not None:
-            return ValidationReport(
-                valid=False,
-                typing=_freeze(typing),
-                failures=((n, t, reason),),
-                remaining_edges=_remaining(g, typing),
-                iterations=processed,
-                algorithm="flood-multi",
-                edges_examined=examined,
-            )
+            return _freeze(typing), ((n, t, reason),), processed, examined
         typing.setdefault(n, set()).add(t)
         for a, m in neighborhood:
             u = targets[a][0]
             if u != TOP and (m, u) not in seen:
                 seen.add((m, u))
                 queue.append((m, u))
-    frozen = _freeze(typing)
-    return ValidationReport(
-        valid=True,
-        typing=frozen,
-        remaining_edges=_remaining(g, frozen),
-        iterations=processed,
-        algorithm="flood-multi",
-        edges_examined=examined,
-    )
+    return _freeze(typing), (), processed, examined
 
 
 def _flood_failure(
@@ -808,9 +844,7 @@ def _flood_failure(
     return None
 
 
-def _flood_single(
-    g: Graph, s: Schema, pre: Mapping[str, frozenset[str]]
-) -> ValidationReport:
+def _flood_single(g: Graph, s: Schema, pre: Mapping[str, frozenset[str]]) -> tuple:
     agenda: list[tuple[str, str]] = [
         (n, t) for n in sorted(pre) for t in sorted(pre[n])
     ]
@@ -905,23 +939,8 @@ def _flood_single(
             break
 
     if lam is None:
-        return ValidationReport(
-            valid=False,
-            typing=dict(failure_typing),
-            failures=tuple(first_failure),
-            remaining_edges=_remaining(g, failure_typing),
-            iterations=processed,
-            algorithm="flood-single",
-            edges_examined=examined,
-        )
-    return ValidationReport(
-        valid=True,
-        typing=lam,
-        remaining_edges=_remaining(g, lam),
-        iterations=processed,
-        algorithm="flood-single",
-        edges_examined=examined,
-    )
+        return failure_typing, tuple(first_failure), processed, examined
+    return lam, (), processed, examined
 
 
 def brute_force_single(

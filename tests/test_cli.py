@@ -141,6 +141,49 @@ class TestValidate:
             == 1
         )
 
+    @pytest.mark.parametrize("mode", ["single", "multi"])
+    def test_brute_reports_the_edges_of_universally_typed_nodes(
+        self, capsys, tmp_path, mode
+    ):
+        schema = write(tmp_path, "top.shex", "t -> a::TOP\n")
+        graph = write(tmp_path, "g.tsv", "n\ta\tm\n")
+        code = main(
+            [
+                "validate",
+                "--schema",
+                schema,
+                "--graph",
+                graph,
+                "--mode",
+                mode,
+                "--algo",
+                "brute",
+                "--report-remaining",
+            ]
+        )
+        assert code == 0
+        assert capsys.readouterr().out.splitlines() == ["valid", "REMAINING\tn\ta\tm"]
+
+    def test_single_mode_brute_names_the_failure(self, capsys, s1_file, g2_file):
+        code = main(
+            [
+                "validate",
+                "--schema",
+                s1_file,
+                "--graph",
+                g2_file,
+                "--mode",
+                "single",
+                "--algo",
+                "brute",
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "invalid",
+            "FAILED\t-\t-\tno valid s-typing exists",
+        ]
+
     def test_single_mode_flood_needs_pretyping(self, capsys, s1_file, g1_file):
         code = main(
             [

@@ -62,6 +62,7 @@ from shexval.validate import (
     report_lines,
     structure_filtered_init,
     validate_multi,
+    validate_single,
 )
 
 S0 = parse_schema(S0_TEXT)
@@ -407,6 +408,34 @@ class TestValidateMulti:
             validate_multi(g2, s1, "guess")
 
 
+class TestValidateSingle:
+    def test_brute_report(self, g1, g2, s1):
+        report = validate_single(g1, s1, "brute")
+        assert report.valid and report.typing == LAM1
+        assert report.algorithm == "brute-single"
+        report = validate_single(g2, s1, "brute")
+        assert not report.valid
+        assert report.failures == (("-", "-", "no valid s-typing exists"),)
+        assert report.remaining_edges == g2.edges
+
+    def test_flood_unreached_nodes_invalidate(self):
+        g = Graph([("x", "a", "y"), ("p", "a", "q")])
+        report = validate_single(g, CHAIN, "flood", pre={"x": {"t"}})
+        assert not report.valid
+        assert report.typing == {"x": "t", "y": "u"}
+        assert report.failures == (
+            ("p", "-", "not reached from the pre-typing"),
+            ("q", "-", "not reached from the pre-typing"),
+        )
+        assert report.remaining_edges == frozenset({("p", "a", "q")})
+
+    def test_flood_needs_pretyping_and_refinement_is_multi_only(self, g1, s1):
+        with pytest.raises(ValueError, match="pre-typing"):
+            validate_single(g1, s1, "flood")
+        with pytest.raises(ValueError, match="multi-type"):
+            validate_single(g1, s1, "refine")
+
+
 class TestFloodExtension:
     def test_minimal_extension_of_bug_tracker(self, fig1, fig2_schema):
         report = flood_extension(fig1, fig2_schema, {"bug1": {"BugReport"}})
@@ -547,6 +576,74 @@ class TestRemainingEdges:
     def test_matches_report_field(self, fig1, fig2_schema):
         report = validate_multi(fig1, fig2_schema)
         assert remaining_edges(fig1, report) == report.remaining_edges
+
+
+def reference_remaining(g, typing):
+    """Every edge of the graph whose source holds no type but TOP."""
+    covered = {
+        n
+        for n, value in typing.items()
+        if any(t != TOP for t in ({value} if isinstance(value, str) else value))
+    }
+    return frozenset(e for e in g.edges if e[0] not in covered)
+
+
+TYPING_VALUES = st.one_of(
+    st.sampled_from(("t", "u", TOP)),
+    st.sampled_from(
+        ((), frozenset(), set(), {TOP}, frozenset({TOP}), {TOP, "t"}, ["t", "u"])
+    ),
+    st.frozensets(st.sampled_from(("t", "u", TOP))),
+    st.sets(st.sampled_from(("t", "u", TOP))),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_remaining_edges_match_the_full_edge_scan(data):
+    nodes = [f"y{i}" for i in range(data.draw(st.integers(0, 6)))]
+    edges = data.draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(nodes), st.sampled_from(("a", "b")), st.sampled_from(nodes)
+            ),
+            max_size=14,
+        )
+        if nodes
+        else st.just([])
+    )
+    g = Graph(edges, nodes)
+    # Some nodes are absent; "ghost" is typed but not in the graph.
+    typing = data.draw(
+        st.dictionaries(st.sampled_from(nodes + ["ghost"]), TYPING_VALUES)
+    )
+    report = ValidationReport(valid=True, typing=typing)
+    assert remaining_edges(g, report) == reference_remaining(g, typing)
+
+
+class CountedEdges(frozenset):
+    """A graph's edge set that counts the times it is iterated."""
+
+    iterations = 0
+
+    def __iter__(self):
+        type(self).iterations += 1
+        return super().__iter__()
+
+
+def test_reports_of_a_fully_covered_typing_never_iterate_the_edges(monkeypatch):
+    s, g, pre, _ = fig2_graph_and_label_bags()
+    monkeypatch.setattr(g, "edges", CountedEdges(g.edges))
+    monkeypatch.setattr(CountedEdges, "iterations", 0)
+    flooded = flood_extension(g, s, pre)
+    # s-refine removes nothing here, so the engine needs no inbound index.
+    refined = validate_multi(g, s, "s-refine")
+    for report in (flooded, refined):
+        assert report.valid
+        assert report.typing.keys() == g.nodes
+        assert report.remaining_edges == frozenset()
+        assert remaining_edges(g, report) == frozenset()
+    assert CountedEdges.iterations == 0
 
 
 class TestExhaustiveSmall:
