@@ -8,6 +8,7 @@ number of distinct targets it reaches.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .rbe import Bag, ParseError
@@ -57,6 +58,12 @@ class Graph:
         if node not in self.nodes:
             raise KeyError(node)
         return self._succ.get(node, frozenset())
+
+    def out_edges(self, nodes: Iterable[str]) -> frozenset[tuple[str, str, str]]:
+        """The edges leaving any of ``nodes``; names that are not nodes of
+        the graph have none."""
+        succ = self._succ
+        return frozenset([(n, a, m) for n in nodes if n in succ for a, m in succ[n]])
 
     def label_classes(self) -> dict[tuple[tuple[str, int], ...], tuple[str, ...]]:
         """The nodes grouped by outbound label bag.

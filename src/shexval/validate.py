@@ -591,6 +591,9 @@ def _auto_strategy(s: Schema) -> str:
     return "general"
 
 
+_TOP_ONLY = frozenset((TOP,))
+
+
 def _types_of(value) -> frozenset[str]:
     if isinstance(value, str):
         return frozenset((value,))
@@ -599,18 +602,14 @@ def _types_of(value) -> frozenset[str]:
 
 def _remaining(g: Graph, typing: Mapping[str, object]) -> frozenset:
     # The out-edges of the uncovered nodes only, so a typing that covers
-    # every node touches no edge.  A string value is one type name: it
-    # holds TOP exactly when it equals it, since no single character does.
+    # every node touches no edge.  ``TOP in types`` cheaply passes over
+    # most typed nodes; the set test decides.
     uncovered = g.nodes.difference(typing).union(
         n
         for n, types in typing.items()
-        if not types
-        or (TOP in types and (types == TOP or all(t == TOP for t in types)))
+        if not types or (TOP in types and _types_of(types) <= _TOP_ONLY)
     )
-    # The successor index has no entry for sinks or for typed nodes
-    # outside the graph.
-    succ = g._succ
-    return frozenset([(n, a, m) for n in uncovered if n in succ for a, m in succ[n]])
+    return g.out_edges(uncovered)
 
 
 def remaining_edges(g: Graph, report: ValidationReport) -> frozenset:
@@ -688,7 +687,6 @@ def validate_single(
     s: Schema,
     algo: str,
     pre: Mapping[str, Iterable[str]] | None = None,
-    cap: int = BRUTE_CAP,
 ) -> ValidationReport:
     """Single-type validation: is there a valid s-typing of every node?
 
@@ -698,13 +696,13 @@ def validate_single(
     """
     if algo == "flood":
         if pre is None:
-            raise ValueError("single-mode flooding needs a pre-typing (--pretyping)")
+            raise ValueError("single-mode flooding needs --pretyping")
         return _flood(g, s, pre, "single", "flood-single", reach_all=True)
     if algo == "brute":
-        found = brute_force_single(g, s, cap=cap)
+        found = brute_force_single(g, s)
         failures = () if found is not None else (("-", "-", "no valid s-typing exists"),)
         return _report(g, found or {}, "brute-single", failures)
-    raise ValueError(f"algorithm {algo!r} supports only multi-type validation")
+    raise ValueError(f"algorithm {algo} supports only --mode multi")
 
 
 def _check_pre_typing(

@@ -199,7 +199,9 @@ class TestValidate:
             ]
         )
         assert code == 2
-        assert "pretyping" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: single-mode flooding needs --pretyping\n"
+        )
 
     def test_single_mode_flood_with_pretyping(
         self, capsys, tmp_path, s1_file, g1_file
@@ -238,6 +240,9 @@ class TestValidate:
             ]
         )
         assert code == 2
+        assert capsys.readouterr().err == (
+            "error: algorithm refine supports only --mode multi\n"
+        )
 
     def test_multi_flood_without_pretyping_or_universal_type(
         self, capsys, tmp_path, s1_file, g1_file

@@ -26,6 +26,12 @@ class TestNeighborhoods:
         assert g0.out_lab_node("n4") == {("c", "n1")}
         assert Graph(nodes=["x"]).out_lab_node("x") == frozenset()
 
+    def test_out_edges_of_a_node_set(self, g1):
+        assert g1.out_edges(["n1"]) == {("n1", "b", "n2"), ("n1", "c", "n3")}
+        assert g1.out_edges(g1.nodes) == g1.edges
+        # Sinks and names outside the graph contribute nothing.
+        assert g1.out_edges(["n3", "missing"]) == frozenset()
+
     def test_unknown_node(self, g0):
         with pytest.raises(KeyError):
             g0.out_lab("missing")

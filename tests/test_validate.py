@@ -430,9 +430,9 @@ class TestValidateSingle:
         assert report.remaining_edges == frozenset({("p", "a", "q")})
 
     def test_flood_needs_pretyping_and_refinement_is_multi_only(self, g1, s1):
-        with pytest.raises(ValueError, match="pre-typing"):
+        with pytest.raises(ValueError, match="needs --pretyping"):
             validate_single(g1, s1, "flood")
-        with pytest.raises(ValueError, match="multi-type"):
+        with pytest.raises(ValueError, match="supports only --mode multi"):
             validate_single(g1, s1, "refine")
 
 
