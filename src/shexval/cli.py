@@ -13,13 +13,14 @@ its cap, which the SHEX_ILP_CAP environment variable overrides.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import secrets
 import sys
 from collections import Counter
 from pathlib import Path
 
 from .genbench import GenConfig, bench, bench_csv, generate_graph
-from .graph import WildcardDecl, format_graph, parse_graph, relabel_wildcards
+from .graph import format_graph, parse_graph, relabel_wildcards
 from .membership import member
 from .rbe import bag, parse_rbe
 from .sat import SolverCapped, inter1, is_unambiguous, rbe_satisfiable
@@ -82,35 +83,21 @@ def _emit_report(report: ValidationReport, args) -> int:
         print(f"verdict\t{verdict}")
     else:
         print(verdict)
+    if not args.emit_typing:
+        report = dataclasses.replace(report, typing={})
     for line in report_lines(report):
-        kind = line.split("\t", 1)[0]
-        if kind == "TYPED" and not args.emit_typing:
-            continue
-        if kind == "REMAINING" and not args.report_remaining:
+        if line.startswith("REMAINING\t") and not args.report_remaining:
             continue
         print(line)
     return 0 if report.valid else 1
 
 
 def _schema_and_graph(args):
-    """The schema and the graph, relabeled onto the schema's wildcards.
-
-    A graph label that no declared wildcard and no schema label claims
-    keeps its own name, as it would under a wildcard-free schema: closed
-    rules reject it and the universal type accepts it.
-    """
+    """The schema and the graph, relabeled onto the schema's wildcards."""
     schema = parse_schema(_read(args.schema))
     graph = parse_graph(_read(args.graph))
     if schema.wildcards:
-        family = schema.wildcard_family()
-        unclaimed = {
-            a for _, a, _ in graph.edges
-            if not any(d.rest or d.matches(a) for d in family)
-        }
-        family += tuple(
-            WildcardDecl(a, labels=frozenset((a,))) for a in sorted(unclaimed)
-        )
-        graph = relabel_wildcards(graph, family)
+        graph = relabel_wildcards(graph, schema.wildcard_family())
     return schema, graph
 
 
@@ -341,7 +328,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
-        print("error: an expression is nested too deeply", file=sys.stderr)
+        print("error: an expression is parenthesised too deeply", file=sys.stderr)
         return 2
 
 

@@ -210,12 +210,11 @@ class _Generator:
             case Symbol(name, bounds):
                 count = _sample_count(self.rng, self.cfg, bounds)
                 self._emit(source, name, count, bounds.lo, pools, used)
-            case Concat(left, right):
-                self._expand(source, left, pools, used)
-                self._expand(source, right, pools, used)
-            case Disj(left, right):
-                branch = left if self.rng.below(2) == 0 else right
-                self._expand(source, branch, pools, used)
+            case Concat(parts):
+                for part in parts:
+                    self._expand(source, part, pools, used)
+            case Disj(parts):
+                self._expand(source, self.rng.choice(parts), pools, used)
             case Star(body):
                 for _ in range(self.rng.randint(*self.cfg.star_range)):
                     self._expand(source, body, pools, used)

@@ -188,16 +188,27 @@ def _check_pair(first: WildcardDecl, second: WildcardDecl) -> None:
 
 
 def relabel_wildcards(graph: Graph, decls) -> Graph:
-    """Rewrite every edge label to the name of its unique matching wildcard."""
+    """Rewrite every edge label to the name of its unique matching wildcard.
+
+    A label that no declaration claims keeps its own name, as it would with
+    no wildcards at all: closed rules reject it and the universal type
+    accepts it.  Such a label must not equal a declaration's name, which
+    would make it read as that wildcard.
+    """
     decls = list(decls)
     check_wildcards_disjoint(decls)
     rest = next((d for d in decls if d.rest), None)
+    names = {d.name for d in decls}
     renamed = []
     for s, label, t in graph.edges:
         decl = next((d for d in decls if d.matches(label)), rest)
-        if decl is None:
-            raise ValueError(f"edge label {label!r} matches no wildcard")
-        renamed.append((s, decl.name, t))
+        if decl is not None:
+            label = decl.name
+        elif label in names:
+            raise ValueError(
+                f"edge label {label!r} matches no wildcard but is the name of one"
+            )
+        renamed.append((s, label, t))
     return Graph(renamed, graph.nodes)
 
 

@@ -13,6 +13,7 @@ static fact the membership test and the validation algorithms read.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
@@ -134,10 +135,12 @@ def _tile(w: Counter[str], e: Rbe) -> Interval:
             return ANY
         case Symbol(name, bounds):
             return _symbol_tiling(w[name], bounds)
-        case Disj(left, right):
-            return interval_add(_tile(w, left), _tile(w, right))
-        case Concat(left, right):
-            return interval_intersect(_tile(w, left), _tile(w, right))
+        case Disj(parts):
+            return functools.reduce(interval_add, [_tile(w, part) for part in parts])
+        case Concat(parts):
+            return functools.reduce(
+                interval_intersect, [_tile(w, part) for part in parts]
+            )
         case Star(body):
             if not _touches(w, body):
                 return ANY

@@ -6,6 +6,12 @@ sum of a bag of ``E1`` and a bag of ``E2``, so ``a,b`` and ``b,a`` denote the
 same language.  Symbols carry multiplicity intervals; ``a`` alone means
 exactly one occurrence.
 
+Concatenation, choice and intersection are associative, so each node of
+these operators holds a flat tuple of two or more parts: a rule of many
+symbols is one wide node, not a deep chain.  :func:`walk` visits every
+node and :func:`map_symbols` rebuilds a tree with its symbols replaced;
+analyses that need no other structure use them instead of recursing.
+
 Symbols are opaque strings.  A symbol of the form ``label::type`` pairs an
 edge label with the shape type required of the edge's target; helpers below
 split and join that form.
@@ -13,6 +19,7 @@ split and join that form.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 from .intervals import ONCE, Interval
@@ -34,6 +41,8 @@ __all__ = [
     "plus",
     "opt",
     "isect",
+    "walk",
+    "map_symbols",
     "typed_symbol",
     "split_symbol",
 ]
@@ -58,20 +67,38 @@ class Symbol(Rbe):
     bounds: Interval = ONCE
 
 
-@dataclass(frozen=True)
-class Disj(Rbe):
-    """Union of the two operand languages."""
+@dataclass(frozen=True, init=False)
+class _Nary(Rbe):
+    """An associative operator over its ``parts``, built as ``Concat(a, b, c)``.
 
-    left: Rbe
-    right: Rbe
+    ``parts`` holds two or more operands.  A part of the node's own class
+    is spliced in, so ``Concat(Concat(a, b), c) == Concat(a, b, c)`` and a
+    rule's depth is the nesting of its parentheses, not its length.
+    """
+
+    parts: tuple[Rbe, ...]
+
+    def __init__(self, *parts: Rbe) -> None:
+        cls = type(self)
+        flat: list[Rbe] = []
+        for part in parts:
+            if type(part) is cls:
+                flat.extend(part.parts)
+            else:
+                flat.append(part)
+        if len(flat) < 2:
+            raise ValueError(f"{cls.__name__} needs at least two parts")
+        object.__setattr__(self, "parts", tuple(flat))
 
 
-@dataclass(frozen=True)
-class Concat(Rbe):
-    """Multiset sums of one bag from each operand (unordered concatenation)."""
+@dataclass(frozen=True, init=False)
+class Disj(_Nary):
+    """Union of the parts' languages."""
 
-    left: Rbe
-    right: Rbe
+
+@dataclass(frozen=True, init=False)
+class Concat(_Nary):
+    """Multiset sums of one bag from each part (unordered concatenation)."""
 
 
 @dataclass(frozen=True)
@@ -88,16 +115,13 @@ class Plus(Rbe):
     body: Rbe
 
 
-@dataclass(frozen=True)
-class Isect(Rbe):
-    """Bags belonging to both operand languages.
+@dataclass(frozen=True, init=False)
+class Isect(_Nary):
+    """Bags belonging to every part's language.
 
     Not part of the content-model grammar; used to pose satisfiability
     questions about language intersections.
     """
-
-    left: Rbe
-    right: Rbe
 
 
 EPSILON = Epsilon()
@@ -107,12 +131,17 @@ def sym(name: str, bounds: Interval = ONCE) -> Symbol:
     return Symbol(name, bounds)
 
 
-def disj(left: Rbe, right: Rbe) -> Disj:
-    return Disj(left, right)
+def disj(first: Rbe, *rest: Rbe) -> Rbe:
+    """The union of one or more expressions; one is returned as it is."""
+    return Disj(first, *rest) if rest else first
 
 
-def concat(left: Rbe, right: Rbe) -> Concat:
-    return Concat(left, right)
+def concat(*parts: Rbe) -> Rbe:
+    """The unordered concatenation of any number of expressions: ``EPSILON``
+    for none, the part itself for one."""
+    if len(parts) > 1:
+        return Concat(*parts)
+    return parts[0] if parts else EPSILON
 
 
 def star(body: Rbe) -> Star:
@@ -138,8 +167,40 @@ def opt(body: Rbe) -> Rbe:
     return Disj(EPSILON, body)
 
 
-def isect(left: Rbe, right: Rbe) -> Isect:
-    return Isect(left, right)
+def isect(first: Rbe, *rest: Rbe) -> Rbe:
+    """The intersection of one or more expressions; one is returned as it is."""
+    return Isect(first, *rest) if rest else first
+
+
+def walk(e: Rbe) -> Iterator[Rbe]:
+    """Every node of ``e`` in preorder, parts left to right, without recursion."""
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        yield node
+        match node:
+            case Disj(parts) | Concat(parts) | Isect(parts):
+                stack.extend(reversed(parts))
+            case Star(body) | Plus(body):
+                stack.append(body)
+            case Epsilon() | Symbol():
+                pass
+            case _:
+                raise TypeError(f"not an expression node: {node!r}")
+
+
+def map_symbols(e: Rbe, f: Callable[[Symbol], Rbe]) -> Rbe:
+    """``e`` rebuilt with every symbol ``s`` replaced by ``f(s)``."""
+    match e:
+        case Symbol():
+            return f(e)
+        case Disj(parts) | Concat(parts) | Isect(parts):
+            return type(e)(*(map_symbols(part, f) for part in parts))
+        case Star(body) | Plus(body):
+            return type(e)(map_symbols(body, f))
+        case Epsilon():
+            return e
+    raise TypeError(f"not an expression node: {e!r}")
 
 
 def typed_symbol(label: str, type_name: str) -> str:

@@ -2,9 +2,21 @@
 
 from __future__ import annotations
 
-from collections import Counter
+import functools
 
-from .ast import Concat, Disj, Epsilon, Isect, Plus, Rbe, Star, Symbol, split_symbol
+from .ast import (
+    Concat,
+    Disj,
+    Epsilon,
+    Isect,
+    Plus,
+    Rbe,
+    Star,
+    Symbol,
+    map_symbols,
+    split_symbol,
+    walk,
+)
 from .bags import BagKey, bag_from_key, bag_key, bag_sum
 from .intervals import ONCE, Interval, interval_add
 
@@ -28,68 +40,36 @@ class EnumerationLimit(Exception):
 def nullable(e: Rbe) -> bool:
     """Whether the empty bag belongs to the language."""
     match e:
-        case Epsilon():
+        case Epsilon() | Star():
             return True
         case Symbol(_, bounds):
             return 0 in bounds
-        case Disj(left, right):
-            return nullable(left) or nullable(right)
-        case Concat(left, right):
-            return nullable(left) and nullable(right)
-        case Star(_):
-            return True
+        case Disj(parts):
+            return any(nullable(part) for part in parts)
+        case Concat(parts) | Isect(parts):
+            return all(nullable(part) for part in parts)
         case Plus(body):
             return nullable(body)
-        case Isect(left, right):
-            return nullable(left) and nullable(right)
     raise TypeError(f"not an expression node: {e!r}")
 
 
 def alphabet(e: Rbe) -> frozenset[str]:
     """All symbol names occurring in the expression."""
-    match e:
-        case Epsilon():
-            return frozenset()
-        case Symbol(name, _):
-            return frozenset((name,))
-        case Disj(left, right) | Concat(left, right) | Isect(left, right):
-            return alphabet(left) | alphabet(right)
-        case Star(body) | Plus(body):
-            return alphabet(body)
-    raise TypeError(f"not an expression node: {e!r}")
+    return frozenset(node.name for node in walk(e) if isinstance(node, Symbol))
 
 
 def is_sorbe(e: Rbe) -> bool:
     """Single-occurrence check: no symbol appears twice, no intersection nodes."""
-    names: list[str] = []
-
-    def walk(node: Rbe) -> bool:
-        match node:
-            case Epsilon():
-                return True
-            case Symbol(name, _):
-                names.append(name)
-                return True
-            case Disj(left, right) | Concat(left, right):
-                return walk(left) and walk(right)
-            case Star(body) | Plus(body):
-                return walk(body)
-            case Isect(_, _):
-                return False
-        raise TypeError(f"not an expression node: {node!r}")
-
-    return walk(e) and max(Counter(names).values(), default=0) <= 1
+    nodes = list(walk(e))
+    names = [node.name for node in nodes if isinstance(node, Symbol)]
+    return len(names) == len(set(names)) and not any(
+        isinstance(node, Isect) for node in nodes
+    )
 
 
 def is_symbol_product(e: Rbe) -> bool:
     """Whether e is built from eps, symbols, and unordered concatenation only."""
-    match e:
-        case Epsilon() | Symbol(_, _):
-            return True
-        case Concat(left, right):
-            return is_symbol_product(left) and is_symbol_product(right)
-        case _:
-            return False
+    return all(isinstance(node, (Epsilon, Symbol, Concat)) for node in walk(e))
 
 
 def choice_groups(e: Rbe) -> list[frozenset[str]] | None:
@@ -101,50 +81,17 @@ def choice_groups(e: Rbe) -> list[frozenset[str]] | None:
     shape.
     """
     groups: list[frozenset[str]] = []
-
-    def group(node: Rbe) -> frozenset[str] | None:
-        match node:
-            case Symbol(name, bounds) if bounds == ONCE:
-                return frozenset((name,))
-            case Disj(left, right):
-                gl, gr = group(left), group(right)
-                if gl is None or gr is None:
-                    return None
-                return gl | gr
-            case _:
-                return None
-
-    def walk(node: Rbe) -> bool:
-        if isinstance(node, Concat):
-            return walk(node.left) and walk(node.right)
-        g = group(node)
-        if g is None:
-            return False
-        groups.append(g)
-        return True
-
-    return groups if walk(e) else None
+    for part in e.parts if isinstance(e, Concat) else (e,):
+        choices = part.parts if isinstance(part, Disj) else (part,)
+        if not all(isinstance(c, Symbol) and c.bounds == ONCE for c in choices):
+            return None
+        groups.append(frozenset(c.name for c in choices))
+    return groups
 
 
 def project_sigma(e: Rbe) -> Rbe:
     """Erase the type part of every ``label::type`` symbol, keeping intervals."""
-    match e:
-        case Epsilon():
-            return e
-        case Symbol(name, bounds):
-            label, _ = split_symbol(name)
-            return Symbol(label, bounds)
-        case Disj(left, right):
-            return Disj(project_sigma(left), project_sigma(right))
-        case Concat(left, right):
-            return Concat(project_sigma(left), project_sigma(right))
-        case Star(body):
-            return Star(project_sigma(body))
-        case Plus(body):
-            return Plus(project_sigma(body))
-        case Isect(left, right):
-            return Isect(project_sigma(left), project_sigma(right))
-    raise TypeError(f"not an expression node: {e!r}")
+    return map_symbols(e, lambda s: Symbol(split_symbol(s.name)[0], s.bounds))
 
 
 def enumerate_language(e: Rbe, max_size: int, limit: int = 1_000_000) -> set[BagKey]:
@@ -188,16 +135,16 @@ def enumerate_language(e: Rbe, max_size: int, limit: int = 1_000_000) -> set[Bag
                 return guard(
                     {((name, c),) if c else () for c in range(bounds.lo, hi + 1)}
                 )
-            case Disj(left, right):
-                return guard(go(left) | go(right))
-            case Concat(left, right):
-                return sums(go(left), go(right))
+            case Disj(parts):
+                return guard(set().union(*map(go, parts)))
+            case Concat(parts):
+                return functools.reduce(sums, map(go, parts))
             case Star(body):
                 return closure(go(body))
             case Plus(body):
                 return sums(go(body), closure(go(body)))
-            case Isect(left, right):
-                return go(left) & go(right)
+            case Isect(parts):
+                return set.intersection(*map(go, parts))
         raise TypeError(f"not an expression node: {node!r}")
 
     return go(e)
@@ -211,20 +158,12 @@ def normalize_product(e: Rbe) -> dict[str, Interval] | None:
     ValueError for shapes outside the symbol-product fragment.
     """
     acc: dict[str, Interval] = {}
-
-    def walk(node: Rbe) -> None:
-        match node:
-            case Epsilon():
-                pass
-            case Symbol(name, bounds):
-                acc[name] = interval_add(acc[name], bounds) if name in acc else bounds
-            case Concat(left, right):
-                walk(left)
-                walk(right)
-            case _:
-                raise ValueError("not a concatenation of symbols")
-
-    walk(e)
+    for node in walk(e):
+        if isinstance(node, Symbol):
+            name, bounds = node.name, node.bounds
+            acc[name] = interval_add(acc[name], bounds) if name in acc else bounds
+        elif not isinstance(node, (Epsilon, Concat)):
+            raise ValueError("not a concatenation of symbols")
     if any(iv.is_empty for iv in acc.values()):
         return None
     return acc

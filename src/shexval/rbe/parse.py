@@ -25,6 +25,9 @@ from .ast import (
     Rbe,
     Star,
     Symbol,
+    concat,
+    disj,
+    isect,
     opt,
     plus,
 )
@@ -95,26 +98,26 @@ def parse_rbe(text: str, *, allow_isect: bool = False) -> Rbe:
 
 
 def _isect(cur: _Cursor, allow: bool) -> Rbe:
-    e = _disj(cur, allow)
+    parts = [_disj(cur, allow)]
     while cur.take("&"):
         if not allow:
             raise ParseError("'&' is only allowed in satisfiability queries")
-        e = Isect(e, _disj(cur, allow))
-    return e
+        parts.append(_disj(cur, allow))
+    return isect(*parts)
 
 
 def _disj(cur: _Cursor, allow: bool) -> Rbe:
-    e = _concat(cur, allow)
+    parts = [_concat(cur, allow)]
     while cur.take("|"):
-        e = Disj(e, _concat(cur, allow))
-    return e
+        parts.append(_concat(cur, allow))
+    return disj(*parts)
 
 
 def _concat(cur: _Cursor, allow: bool) -> Rbe:
-    e = _postfix(cur, allow)
+    parts = [_postfix(cur, allow)]
     while cur.take(","):
-        e = Concat(e, _postfix(cur, allow))
-    return e
+        parts.append(_postfix(cur, allow))
+    return concat(*parts)
 
 
 _SUGAR = {"?": OPT, "*": ANY, "+": SOME}
@@ -179,20 +182,23 @@ def _fmt(e: Rbe, level: int) -> str:
             return "eps"
         case Symbol(name, bounds):
             return name + _bounds_suffix(bounds)
-        case Isect(left, right):
-            s = f"{_fmt(left, _ISECT)} & {_fmt(right, _ISECT + 1)}"
-            return f"({s})" if level > _ISECT else s
-        case Disj(left, right):
-            s = f"{_fmt(left, _DISJ)} | {_fmt(right, _DISJ + 1)}"
-            return f"({s})" if level > _DISJ else s
-        case Concat(left, right):
-            s = f"{_fmt(left, _CONCAT)}, {_fmt(right, _CONCAT + 1)}"
-            return f"({s})" if level > _CONCAT else s
+        case Isect(parts):
+            return _join(parts, " & ", _ISECT, level)
+        case Disj(parts):
+            return _join(parts, " | ", _DISJ, level)
+        case Concat(parts):
+            return _join(parts, ", ", _CONCAT, level)
         case Star(body):
             return f"({_fmt(body, _ISECT)})*"
         case Plus(body):
             return f"({_fmt(body, _ISECT)})+"
     raise TypeError(f"not an expression node: {e!r}")
+
+
+def _join(parts: tuple[Rbe, ...], sep: str, own: int, level: int) -> str:
+    # A part never has its parent's class, so every part binds tighter.
+    s = sep.join(_fmt(part, own + 1) for part in parts)
+    return f"({s})" if level > own else s
 
 
 def _bounds_suffix(bounds: Interval) -> str:

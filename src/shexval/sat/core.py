@@ -11,6 +11,7 @@ their languages collapse to one interval per symbol.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass
 
@@ -30,6 +31,7 @@ from ..rbe import (
     interval_intersect,
     normalize_product,
     split_symbol,
+    walk,
 )
 from .flow import build_flow_network, circulation_exists
 from .ilp import IlpResult, LinearSystem, SolverCapped, ilp_feasible
@@ -68,23 +70,23 @@ def encode_phi(e: Rbe, system: LinearSystem) -> dict[str, str]:
 
 def _alphabets(e: Rbe) -> dict[int, frozenset[str]]:
     """The alphabet of every subexpression, keyed by node identity, from
-    one walk; the encoding splits counts by them at every binary node."""
+    one pass; the encoding splits counts by them at every n-ary node."""
     table: dict[int, frozenset[str]] = {}
 
-    def walk(node: Rbe) -> frozenset[str]:
+    def fill(node: Rbe) -> frozenset[str]:
         match node:
             case Symbol(name, _):
                 names = frozenset((name,))
-            case Disj(left, right) | Concat(left, right) | Isect(left, right):
-                names = walk(left) | walk(right)
+            case Disj(parts) | Concat(parts) | Isect(parts):
+                names = frozenset().union(*map(fill, parts))
             case Star(body) | Plus(body):
-                names = walk(body)
+                names = fill(body)
             case _:
                 names = frozenset()
         table[id(node)] = names
         return names
 
-    walk(e)
+    fill(e)
     return table
 
 
@@ -118,18 +120,17 @@ def _phi(
                     [system.make_ge({n: 1}, 1)],
                 )
             return
-        case Disj(left, right):
-            nl = system.fresh_var("n")
-            nr = system.fresh_var("n")
-            system.eq({nl: 1, nr: 1, n: -1}, 0)
-            lx, rx = _split(xvars, alphabets[id(left)], alphabets[id(right)], system)
-            _phi(left, lx, nl, system, alphabets, under_repeat)
-            _phi(right, rx, nr, system, alphabets, under_repeat)
+        case Disj(parts):
+            counts = [system.fresh_var("n") for _ in parts]
+            system.eq({**dict.fromkeys(counts, 1), n: -1}, 0)
+            split = _split(xvars, [alphabets[id(part)] for part in parts], system)
+            for part, px, pn in zip(parts, split, counts):
+                _phi(part, px, pn, system, alphabets, under_repeat)
             return
-        case Concat(left, right):
-            lx, rx = _split(xvars, alphabets[id(left)], alphabets[id(right)], system)
-            _phi(left, lx, n, system, alphabets, under_repeat)
-            _phi(right, rx, n, system, alphabets, under_repeat)
+        case Concat(parts):
+            split = _split(xvars, [alphabets[id(part)] for part in parts], system)
+            for part, px in zip(parts, split):
+                _phi(part, px, n, system, alphabets, under_repeat)
             return
         case Star(body):
             zero = [system.make_eq({n: 1}, 0)]
@@ -142,46 +143,49 @@ def _phi(
             # Encoded as Concat(body, Star(body)), whose operands share the
             # body's alphabet.
             names = alphabets[id(body)]
-            lx, rx = _split(xvars, names, names, system)
+            lx, rx = _split(xvars, [names, names], system)
             _phi(body, lx, n, system, alphabets, under_repeat)
             _phi(Star(body), rx, n, system, alphabets, under_repeat)
             return
-        case Isect(left, right):
+        case Isect(parts):
             if under_repeat:
                 raise ValueError(
                     "intersection under a repetition operator is not supported"
                 )
-            la, ra = alphabets[id(left)], alphabets[id(right)]
+            names = [alphabets[id(part)] for part in parts]
             for a, x in xvars.items():
-                if a not in la or a not in ra:
+                if not all(a in part_names for part_names in names):
                     system.eq({x: 1}, 0)
-            _phi(left, {a: xvars[a] for a in la}, n, system, alphabets, under_repeat)
-            _phi(right, {a: xvars[a] for a in ra}, n, system, alphabets, under_repeat)
+            for part, part_names in zip(parts, names):
+                px = {a: xvars[a] for a in part_names}
+                _phi(part, px, n, system, alphabets, under_repeat)
             return
     raise TypeError(f"not an expression node: {e!r}")
 
 
 def _split(
-    xvars: dict[str, str],
-    left_alpha: frozenset[str],
-    right_alpha: frozenset[str],
-    system: LinearSystem,
-) -> tuple[dict[str, str], dict[str, str]]:
-    """Divide the parent's counts between two children by alphabet."""
-    left: dict[str, str] = {}
-    right: dict[str, str] = {}
+    xvars: dict[str, str], alphas: list[frozenset[str]], system: LinearSystem
+) -> list[dict[str, str]]:
+    """Divide the parent's counts between the children by alphabet.
+
+    A symbol held by one child passes its unknown through; a symbol held by
+    k > 1 children gets k fresh unknowns that sum to the parent's.
+    """
+    holders: dict[str, list[int]] = {}
+    for i, names in enumerate(alphas):
+        for a in names:
+            holders.setdefault(a, []).append(i)
+    split: list[dict[str, str]] = [{} for _ in alphas]
     for a, x in xvars.items():
-        if a in left_alpha and a in right_alpha:
-            xl = system.fresh_var("x")
-            xr = system.fresh_var("x")
-            system.eq({xl: 1, xr: 1, x: -1}, 0)
-            left[a] = xl
-            right[a] = xr
-        elif a in left_alpha:
-            left[a] = x
-        elif a in right_alpha:
-            right[a] = x
-    return left, right
+        owners = holders.get(a, ())
+        if len(owners) == 1:
+            split[owners[0]][a] = x
+        elif owners:
+            shares = [system.fresh_var("x") for _ in owners]
+            system.eq({**dict.fromkeys(shares, 1), x: -1}, 0)
+            for i, share in zip(owners, shares):
+                split[i][a] = share
+    return split
 
 
 def inter1_groups(
@@ -252,22 +256,25 @@ def _product_form(e: Rbe) -> dict[str, Interval] | None:
             if bounds.is_empty:
                 return None
             return {name: bounds}
-        case Concat(left, right):
-            lf, rf = _product_form(left), _product_form(right)
-            if lf is None or rf is None:
+        case Concat(parts):
+            forms = [_product_form(part) for part in parts]
+            if None in forms:
                 return None
-            merged = dict(lf)
-            for a, iv in rf.items():
-                merged[a] = interval_add(merged[a], iv) if a in merged else iv
+            merged = {}
+            for form in forms:
+                for a, iv in form.items():
+                    merged[a] = interval_add(merged[a], iv) if a in merged else iv
             return merged
-        case Isect(left, right):
-            lf, rf = _product_form(left), _product_form(right)
-            if lf is None or rf is None:
+        case Isect(parts):
+            forms = [_product_form(part) for part in parts]
+            if None in forms:
                 return None
             zero = Interval(0, 0)
             merged = {}
-            for a in sorted(set(lf) | set(rf)):
-                iv = interval_intersect(lf.get(a, zero), rf.get(a, zero))
+            for a in sorted(set().union(*forms)):
+                iv = functools.reduce(
+                    interval_intersect, [form.get(a, zero) for form in forms]
+                )
                 if iv.is_empty:
                     return None
                 merged[a] = iv
@@ -299,31 +306,25 @@ def _structurally_nonempty(e: Rbe) -> Counter[str] | None:
             if bounds.is_empty:
                 return None
             return Counter({name: bounds.lo}) if bounds.lo else Counter()
-        case Disj(left, right):
-            w = _structurally_nonempty(left)
-            return w if w is not None else _structurally_nonempty(right)
-        case Concat(left, right):
-            wl = _structurally_nonempty(left)
-            wr = _structurally_nonempty(right)
-            if wl is None or wr is None:
-                return None
-            wl.update(wr)
-            return wl
+        case Disj(parts):
+            return next(
+                (w for w in map(_structurally_nonempty, parts) if w is not None), None
+            )
+        case Concat(parts):
+            total: Counter[str] = Counter()
+            for part in parts:
+                w = _structurally_nonempty(part)
+                if w is None:
+                    return None
+                total.update(w)
+            return total
         case Plus(body):
             return _structurally_nonempty(body)
     raise TypeError(f"not an expression node: {e!r}")
 
 
 def _has_isect(e: Rbe) -> bool:
-    match e:
-        case Isect(_, _):
-            return True
-        case Disj(left, right) | Concat(left, right):
-            return _has_isect(left) or _has_isect(right)
-        case Star(body) | Plus(body):
-            return _has_isect(body)
-        case _:
-            return False
+    return any(isinstance(node, Isect) for node in walk(e))
 
 
 def rbe_satisfiable(e: Rbe, *, cap: int | None = None) -> SatResult:

@@ -30,16 +30,12 @@ from .rbe import (
     ANY,
     EPSILON,
     Bag,
-    Concat,
-    Disj,
-    Epsilon,
-    Isect,
     ParseError,
-    Plus,
     Rbe,
-    Star,
     Symbol,
+    concat,
     format_rbe,
+    map_symbols,
     parse_rbe,
     split_symbol,
     typed_symbol,
@@ -307,38 +303,23 @@ def _parse_wildcard(lineno: int, line: str) -> WildcardDecl:
 def _resolve(lineno: int, e: Rbe, wildcard_names: set[str]) -> Rbe:
     """Validate rule symbols and rewrite wildcard references to plain labels."""
 
-    def fix(node: Rbe) -> Rbe:
-        match node:
-            case Epsilon():
-                return node
-            case Symbol(name, bounds):
-                label, target = split_symbol(name)
-                if target is None or not label or not target:
-                    raise ParseError(
-                        f"line {lineno}: expected label::type, got {name!r}"
-                    )
-                if label.startswith("<") and label.endswith(">"):
-                    wname = label[1:-1]
-                    if wname not in wildcard_names:
-                        raise ParseError(f"line {lineno}: unknown wildcard {wname!r}")
-                    return Symbol(typed_symbol(wname, target), bounds)
-                if label in wildcard_names:
-                    raise ParseError(
-                        f"line {lineno}: label {label!r} collides with a wildcard"
-                        f" name; write <{label}> to reference the wildcard"
-                    )
-                return node
-            case Disj(left, right):
-                return Disj(fix(left), fix(right))
-            case Concat(left, right):
-                return Concat(fix(left), fix(right))
-            case Star(body):
-                return Star(fix(body))
-            case Plus(body):
-                return Plus(fix(body))
-        raise TypeError(f"not an expression node: {node!r}")
+    def fix(node: Symbol) -> Symbol:
+        label, target = split_symbol(node.name)
+        if target is None or not label or not target:
+            raise ParseError(f"line {lineno}: expected label::type, got {node.name!r}")
+        if label.startswith("<") and label.endswith(">"):
+            wname = label[1:-1]
+            if wname not in wildcard_names:
+                raise ParseError(f"line {lineno}: unknown wildcard {wname!r}")
+            return Symbol(typed_symbol(wname, target), node.bounds)
+        if label in wildcard_names:
+            raise ParseError(
+                f"line {lineno}: label {label!r} collides with a wildcard"
+                f" name; write <{label}> to reference the wildcard"
+            )
+        return node
 
-    return fix(e)
+    return map_symbols(e, fix)
 
 
 def format_schema(schema: Schema) -> str:
@@ -370,28 +351,13 @@ def _unresolve(e: Rbe, wildcard_names: set[str]) -> Rbe:
     if not wildcard_names:
         return e
 
-    def fix(node: Rbe) -> Rbe:
-        match node:
-            case Epsilon():
-                return node
-            case Symbol(name, bounds):
-                label, target = split_symbol(name)
-                if label in wildcard_names:
-                    return Symbol(typed_symbol(f"<{label}>", target), bounds)
-                return node
-            case Disj(left, right):
-                return Disj(fix(left), fix(right))
-            case Concat(left, right):
-                return Concat(fix(left), fix(right))
-            case Star(body):
-                return Star(fix(body))
-            case Plus(body):
-                return Plus(fix(body))
-            case Isect(left, right):
-                return Isect(fix(left), fix(right))
-        raise TypeError(f"not an expression node: {node!r}")
+    def fix(node: Symbol) -> Symbol:
+        label, target = split_symbol(node.name)
+        if label in wildcard_names:
+            return Symbol(typed_symbol(f"<{label}>", target), node.bounds)
+        return node
 
-    return fix(e)
+    return map_symbols(e, fix)
 
 
 def _require_plain(schema: Schema, operation: str) -> None:
@@ -523,11 +489,13 @@ def homomorphism_schema(h: Graph) -> Schema:
     Graphs valid against the result under single-type semantics are exactly
     the graphs with a homomorphism into h.
     """
-    rules: dict[str, Rbe] = {}
-    for node in sorted(h.nodes):
-        rule: Rbe = EPSILON
-        for label, target in sorted(h.out_lab_node(node)):
-            part = Symbol(typed_symbol(label, target), ANY)
-            rule = part if isinstance(rule, Epsilon) else Concat(rule, part)
-        rules[node] = rule
+    rules = {
+        node: concat(
+            *(
+                Symbol(typed_symbol(label, target), ANY)
+                for label, target in sorted(h.out_lab_node(node))
+            )
+        )
+        for node in sorted(h.nodes)
+    }
     return Schema(rules)

@@ -54,17 +54,7 @@ from operator import itemgetter
 
 from .graph import Graph
 from .membership import member
-from .rbe import (
-    Bag,
-    Concat,
-    Disj,
-    EPSILON,
-    Epsilon,
-    ParseError,
-    Rbe,
-    Symbol,
-    typed_symbol,
-)
+from .rbe import Bag, ParseError, Rbe, Symbol, concat, disj, typed_symbol
 from .sat import inter1, inter1_groups
 from .schema import TOP, Schema, flattenings, rule_member
 
@@ -170,17 +160,13 @@ def flatten(neighborhood: Counter[tuple[str, frozenset[str]]]) -> Rbe:
     flattenings: bags obtained by picking one type per occurrence.  The empty
     bag yields the empty-product expression whose language is {empty bag}.
     """
-    expr: Rbe = EPSILON
+    groups: list[Rbe] = []
     for (a, types), count in sorted(neighborhood.items(), key=_flatten_key):
         if not types:
             raise ValueError(f"empty type set under label {a!r}")
-        group: Rbe | None = None
-        for t in sorted(types):
-            choice = Symbol(typed_symbol(a, t))
-            group = choice if group is None else Disj(group, choice)
-        for _ in range(count):
-            expr = group if isinstance(expr, Epsilon) else Concat(expr, group)
-    return expr
+        group = disj(*(Symbol(typed_symbol(a, t)) for t in sorted(types)))
+        groups.extend([group] * count)
+    return concat(*groups)
 
 
 def _flatten_key(item: tuple[tuple[str, frozenset[str]], int]) -> tuple:

@@ -352,26 +352,62 @@ class TestValidate:
             tmp_path, WILDCARD_TEXT, WILDCARD_GRAPH_TEXT + "n\tP\tm\n"
         )
         assert code == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "'P'" in err
 
 
 LONG_RULE_TEXT = "t -> " + ", ".join(f"a{i}::t?" for i in range(1500)) + "\n"
+DEEP_RULE_TEXT = "t -> " + "(" * 1500 + "a::t?" + ")" * 1500 + "\n"
 
 
-@pytest.mark.parametrize("command", ["check", "validate"])
-def test_deeply_nested_rule_is_a_usage_error(tmp_path, command):
-    schema = write(tmp_path, "long.shex", LONG_RULE_TEXT)
-    args = ["--schema", schema]
+def _run_cli(tmp_path, command, schema_text):
+    args = ["--schema", write(tmp_path, "rule.shex", schema_text)]
     if command == "validate":
         args += ["--graph", write(tmp_path, "g.tsv", "n\ta0\tm\n")]
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "shexval.cli", command, *args],
         capture_output=True,
         text=True,
     )
+
+
+@pytest.mark.parametrize("command", ["check", "validate"])
+def test_long_rule_is_accepted(tmp_path, command):
+    proc = _run_cli(tmp_path, command, LONG_RULE_TEXT)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    if command == "validate":
+        assert proc.stdout.splitlines() == ["valid"]
+
+
+@pytest.mark.parametrize("command", ["check", "validate"])
+def test_deeply_parenthesised_rule_is_a_usage_error(tmp_path, command):
+    proc = _run_cli(tmp_path, command, DEEP_RULE_TEXT)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ")
+
+
+HUB_SCHEMA_TEXT = "t -> a::u*, a::v*\nu -> eps\nv -> eps\n"
+
+
+@pytest.mark.parametrize("algo", ["refine", "rbe0-refine"])
+def test_hub_of_many_edges_is_valid(capsys, tmp_path, algo):
+    hub = "".join(f"n\ta\tm{i}\n" for i in range(1200))
+    code = main(
+        [
+            "validate",
+            "--algo",
+            algo,
+            "--schema",
+            write(tmp_path, "hub.shex", HUB_SCHEMA_TEXT),
+            "--graph",
+            write(tmp_path, "hub.tsv", hub),
+        ]
+    )
+    assert code == 0
+    assert capsys.readouterr().out.splitlines() == ["valid"]
 
 
 class TestCheck:

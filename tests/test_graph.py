@@ -156,9 +156,14 @@ class TestWildcards:
         with pytest.raises(ValueError, match="one rest"):
             check_wildcards_disjoint(decls)
 
-    def test_unmatched_label(self):
-        g = Graph([("s", "foo", "t")])
-        with pytest.raises(ValueError, match="foo"):
+    def test_unclaimed_label_keeps_its_name(self):
+        g = Graph([("s", "foo", "t"), ("s", "a", "u")])
+        relabeled = relabel_wildcards(g, [WildcardDecl("A", labels={"a"})])
+        assert relabeled.edges == {("s", "foo", "t"), ("s", "A", "u")}
+
+    def test_unclaimed_label_named_like_a_wildcard_is_rejected(self):
+        g = Graph([("s", "A", "t")])
+        with pytest.raises(ValueError, match="'A'"):
             relabel_wildcards(g, [WildcardDecl("A", labels={"a"})])
 
     def test_exactly_one_form_required(self):

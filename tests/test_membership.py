@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shexval.membership import member, member_general, sorbe_interval, sorbe_member
+from shexval.membership import (
+    compile_rule,
+    member,
+    member_general,
+    sorbe_interval,
+    sorbe_member,
+)
 from shexval.rbe import (
     ANY,
     Concat,
@@ -157,10 +163,8 @@ def _freshen(e, names):
             return e
         case Symbol(_, bounds):
             return Symbol(next(names), bounds)
-        case Disj(left, right):
-            return Disj(_freshen(left, names), _freshen(right, names))
-        case Concat(left, right):
-            return Concat(_freshen(left, names), _freshen(right, names))
+        case Disj(parts) | Concat(parts):
+            return type(e)(*(_freshen(part, names) for part in parts))
         case Star(body):
             return Star(_freshen(body, names))
         case Plus(body):
@@ -264,3 +268,15 @@ def test_member_general_on_intersections_matches_enumeration(left, right, bag):
         enumerate_language(left, size) & enumerate_language(right, size)
     )
     assert member_general(bag, e) == expected
+
+
+@pytest.mark.parametrize("op", [Concat, Disj])
+def test_wide_flat_rules_compile_and_decide(op):
+    e = op(*(Symbol(f"a{i}::t", Interval(0, 1)) for i in range(5000)))
+    rule = compile_rule(e)
+    assert rule.sorbe and rule.deterministic
+    assert rule.product == (op is Concat)
+    assert len(rule.targets) == 5000
+    assert member(Counter(["a0::t", "a4999::t"]), rule).verdict == (op is Concat)
+    assert member(Counter(["a4999::t"]), rule).verdict
+    assert not member(Counter(["b::t"]), rule).verdict

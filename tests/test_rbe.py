@@ -249,8 +249,8 @@ bounds_st = st.sampled_from(
 trees_st = st.recursive(
     st.one_of(st.just(EPSILON), st.builds(Symbol, symbols_st, bounds_st)),
     lambda kids: st.one_of(
-        st.builds(Disj, kids, kids),
-        st.builds(Concat, kids, kids),
+        st.lists(kids, min_size=2, max_size=4).map(lambda parts: Disj(*parts)),
+        st.lists(kids, min_size=2, max_size=4).map(lambda parts: Concat(*parts)),
         st.builds(Star, kids),
         st.builds(plus, kids),
         st.builds(opt, kids),
@@ -267,3 +267,31 @@ def test_format_parse_round_trip(tree):
 @given(trees_st)
 def test_nullable_agrees_with_enumeration(tree):
     assert nullable(tree) == (k() in enumerate_language(tree, 2, limit=100_000))
+
+
+WIDE = 5000
+
+
+@pytest.mark.parametrize("op", [Concat, Disj])
+def test_wide_flat_nodes_need_no_deep_recursion(op):
+    e = op(*(Symbol(f"a{i}::t", OPT) for i in range(WIDE)))
+    assert len(e.parts) == WIDE
+    assert alphabet(e) == {f"a{i}::t" for i in range(WIDE)}
+    assert nullable(e)
+    assert is_sorbe(e)
+    assert project_sigma(e) == op(*(Symbol(f"a{i}", OPT) for i in range(WIDE)))
+    assert parse_rbe(format_rbe(e)) == e
+    if op is Concat:
+        assert normalize_product(e) == {f"a{i}::t": OPT for i in range(WIDE)}
+    else:
+        with pytest.raises(ValueError):
+            normalize_product(e)
+
+
+def test_nested_operators_splice_into_one_node():
+    a, b, c = Symbol("a"), Symbol("b"), Symbol("c")
+    assert Concat(Concat(a, b), c) == Concat(a, Concat(b, c)) == Concat(a, b, c)
+    assert Disj(a, Disj(b, c)).parts == (a, b, c)
+    assert Concat(Disj(a, b), c).parts == (Disj(a, b), c)
+    with pytest.raises(ValueError):
+        Concat(a)

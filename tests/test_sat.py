@@ -232,12 +232,12 @@ class TestRbeSatisfiable:
         assert result.status == "sat"
         size = sum(result.witness.values())
         key = bag_key(result.witness)
-        assert key in enumerate_language(e.left, size)
-        assert key in enumerate_language(e.right, size)
+        assert key in enumerate_language(e.parts[0], size)
+        assert key in enumerate_language(e.parts[1], size)
         # The minimal meeting point pairs one b with one c.
         meet = bag_key(Counter({"b": 1, "c": 1}))
-        assert meet in enumerate_language(e.left, 4)
-        assert meet in enumerate_language(e.right, 4)
+        assert meet in enumerate_language(e.parts[0], 4)
+        assert meet in enumerate_language(e.parts[1], 4)
 
     def test_arithmetic_route_unsat(self):
         assert rbe_satisfiable(irbe("(a, a) & (a | eps)")).status == "unsat"

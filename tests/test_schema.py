@@ -414,6 +414,12 @@ class TestHomomorphism:
         s = homomorphism_schema(Graph(nodes=["x"]))
         assert s.delta["x"] == EPSILON
 
+    def test_node_with_many_out_edges(self):
+        hub = Graph([("h", "a", f"m{i}") for i in range(1200)])
+        s = homomorphism_schema(hub)
+        assert len(s.delta["h"].parts) == 1200
+        assert rule_member(s, bag("a::m0", "a::m1199"), "h")
+
     def test_neighborhood_membership(self, k3):
         s = homomorphism_schema(k3)
         assert rule_member(s, bag("a::c1", "a::c2", "a::c1"), "c0")
