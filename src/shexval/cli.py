@@ -22,7 +22,7 @@ from pathlib import Path
 from .genbench import GenConfig, bench, bench_csv, generate_graph
 from .graph import format_graph, parse_graph, relabel_wildcards
 from .membership import member
-from .rbe import bag, parse_rbe
+from .rbe import parse_rbe
 from .sat import SolverCapped, inter1, is_unambiguous, rbe_satisfiable
 from .schema import TOP, nondeterministic_labels, parse_schema
 from .validate import (
@@ -48,7 +48,8 @@ def _split_csv(text: str) -> list[str]:
 
 
 def _parse_bag(text: str) -> Counter[str]:
-    """Comma-separated symbols, each optionally suffixed ``^count``."""
+    """Comma-separated symbols, each optionally suffixed ``^count``; a
+    symbol whose counts add up to zero is absent."""
     counts: Counter[str] = Counter()
     for item in _split_csv(text):
         symbol, sep, raw = item.partition("^")
@@ -62,7 +63,7 @@ def _parse_bag(text: str) -> Counter[str]:
         else:
             count = 1
         counts[symbol] += count
-    return bag(counts.elements())
+    return +counts
 
 
 def _format_bag(counts: Counter[str]) -> str:
@@ -318,10 +319,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SolverCapped as exc:
-        print(f"capped: {exc}", file=sys.stderr)
-        return 3
-    except BruteCapExceeded as exc:
+    except (SolverCapped, BruteCapExceeded) as exc:
         print(f"capped: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:

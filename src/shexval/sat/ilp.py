@@ -227,20 +227,31 @@ class _Search:
             return None
         n = len(self.names)
         base = [r for r, case in enumerate(self.owner) if case < 0]
-        lo: list[int] = [0] * n
-        hi: list[int | None] = [None] * n
-        model = self._node(lo, hi, [-1] * len(self.cases), base)
-        if model is None:
-            return None
-        return {self.names[v]: x for v, x in model.items()}
+        root = ([0] * n, [None] * n, [-1] * len(self.cases), base)
+        # Depth first, from an explicit stack of child iterators, one per
+        # open node, so deep searches cannot exhaust the interpreter's stack.
+        stack = [iter((root,))]
+        while stack:
+            node = next(stack[-1], None)
+            if node is None:
+                stack.pop()
+                continue
+            outcome = self._node(*node)
+            if isinstance(outcome, dict):
+                return {self.names[v]: x for v, x in outcome.items()}
+            if outcome is not None:
+                stack.append(outcome)
+        return None
 
     def _active(self, r: int, chosen: list[int]) -> bool:
         case = self.owner[r]
         return case < 0 or chosen[case] == self.block[r]
 
-    def _node(self, lo, hi, chosen, seeds) -> dict[int, int] | None:
+    def _node(self, lo, hi, chosen, seeds):
         """Propagate from ``seeds`` (the rows whose unknowns just changed or
-        that were just committed), settle the splits, then branch."""
+        that were just committed) and settle the splits.  Returns None when
+        the node fails, its model when every unknown is fixed, else an
+        iterator over its children, built lazily in branching order."""
         self.budget -= 1
         if self.budget <= 0:
             raise _Budget
@@ -250,15 +261,7 @@ class _Search:
         if split is False:
             return None
         if split is not None:
-            case, live = split
-            for b in live:
-                branch = list(chosen)
-                branch[case] = b
-                rows = self.cases[case][b]
-                model = self._node(list(lo), list(hi), branch, rows)
-                if model is not None:
-                    return model
-            return None
+            return self._case_branches(lo, hi, chosen, *split)
         unknowns = self._unknowns(chosen)
         var = self._pick(lo, hi, unknowns)
         if var is None:
@@ -269,7 +272,7 @@ class _Search:
                 ) != self.rhs[r]:
                     return None
             return model
-        low, high = lo[var], hi[var]
+        high = hi[var]
         if high is None:
             if self.slack[var]:
                 # Slack unknowns sit outside the caller's completeness promise.
@@ -279,13 +282,20 @@ class _Search:
                 if self.artificial:
                     self.capped = True
                 high = self.clamp
-        for value in range(low, high + 1):
+        return self._value_branches(lo, hi, chosen, var, high)
+
+    def _case_branches(self, lo, hi, chosen, case, live):
+        for b in live:
+            branch = list(chosen)
+            branch[case] = b
+            yield list(lo), list(hi), branch, self.cases[case][b]
+
+    def _value_branches(self, lo, hi, chosen, var, high):
+        # Every split is committed, so the children share ``chosen``.
+        for value in range(lo[var], high + 1):
             child_lo, child_hi = list(lo), list(hi)
             child_lo[var] = child_hi[var] = value
-            model = self._node(child_lo, child_hi, chosen, self.watch[var])
-            if model is not None:
-                return model
-        return None
+            yield child_lo, child_hi, chosen, self.watch[var]
 
     def _settle(self, lo, hi, chosen):
         """Drop the blocks the domains rule out and commit every split left

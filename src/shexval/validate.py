@@ -18,9 +18,12 @@ The workhorses are:
 
 Refinement supports interchangeable per-node tests: a general
 intersection-nonemptiness test that works for every schema, a circulation
-test for schemas whose rules are symbol products, and two shortcuts for
-deterministic single-occurrence schemas.  All of them compute the same
-fixpoint on schemas where their preconditions hold.
+test for schemas whose rules are symbol products, and a shortcut for
+deterministic single-occurrence schemas, under which a node's typed bag
+follows from its label bag.  All of them compute the same fixpoint on
+schemas where their preconditions hold.  ``refine`` and ``rbe0-refine``
+start from the full typing; ``s-refine`` starts from the structure-filtered
+typing, whose label-bag verdicts are the ones the shortcut reads.
 
 The refinement driver is frontier-driven, in the manner of maximal
 simulation (Henzinger, Henzinger and Kopke, FOCS 1995) and arc
@@ -38,8 +41,10 @@ synchronous round of :func:`refine_step` removes.
 Tests that see a node only through its outbound label bag are decided
 once per label-bag class of the graph (:meth:`Graph.label_classes`), in
 the manner of partition refinement (Paige and Tarjan, SIAM J. Comput.
-1987): the structure-filtered initial typing, and round 1 of refinement
-from the full typing, under which every successor carries every type.
+1987): the types that admit a label bag, cached on the schema per bag and
+read by both the structure-filtered initial typing and the shortcut's
+label check, and round 1 of refinement from the full typing, under which
+every successor carries every type.
 Multi-mode flooding checks each (type, label bag) once per call, since a
 deterministic rule turns a label bag into one typed bag.
 """
@@ -62,7 +67,6 @@ __all__ = [
     "ALGORITHMS",
     "BRUTE_CAP",
     "BruteCapExceeded",
-    "INITS",
     "STRATEGIES",
     "ValidationReport",
     "out_lab_type_s",
@@ -86,8 +90,7 @@ __all__ = [
     "report_lines",
 ]
 
-STRATEGIES = ("general", "rbe0-flow", "det-membership", "structure-filtered")
-INITS = ("full-gamma", "structure-filtered")
+STRATEGIES = ("general", "rbe0-flow", "det-membership")
 ALGORITHMS = ("refine", "s-refine", "rbe0-refine", "flood", "brute")
 
 # Bound on the number of assignments the brute-force searches may visit.
@@ -233,14 +236,11 @@ class _RefineEngine:
       tests;
     * ``rbe0-flow`` runs the circulation test against the interval
       product of a symbol-product rule;
-    * ``structure-filtered`` checks that every successor still carries
-      the one type the rule requires under the edge's label (the filtered
-      initial typing has already checked the label bag);
-    * ``det-membership`` also checks the node's label bag against the
-      label projection of the rule, memoized by the bag.  :meth:`run`
-      checks labels in round 1 only: a node's label bag never changes, so
-      a pair that survived round 1 has passed the check.  :meth:`step`
-      checks them every time, because it may start from any typing.
+    * ``det-membership`` checks that the rule admits the node's label bag
+      (:func:`_admitted`, one verdict per bag) and that every successor
+      still carries the one type the rule requires under the edge's
+      label.  A node's label bag never changes, so once every pair has
+      passed the label check, later tests check successors only.
 
     Types with a universal rule always survive and are never tested.
     Every test reads the rules as the schema compiled them (label maps,
@@ -248,15 +248,17 @@ class _RefineEngine:
     schema, so engines over the same schema share them and repeat
     validations start warm.
 
-    :meth:`step` is one synchronous round over every pair.  :meth:`run` is
-    the frontier driver.  Its first round is :meth:`step`, decided once per
-    label-bag class when every node starts with the same types.  Each
-    later round re-tests only the pairs (n, t) with an a-edge from n into a
-    node m that lost a type u in the round before, where t's rule mentions
-    ``a::u``.
+    :meth:`step` is one synchronous round over every pair.
+    :meth:`from_full` and :meth:`from_filtered` are the frontier driver
+    from its two starts.  From the full typing, round 1 is :meth:`step`
+    decided once per label-bag class.  From the structure-filtered typing,
+    whose types have all passed the label check, round 1 checks the
+    successors of every pair.  Each later round re-tests only the pairs
+    (n, t) with an a-edge from n into a node m that lost a type u in the
+    round before, where t's rule mentions ``a::u``.
     A pair off that frontier keeps its previous verdict, because the test
     sees a successor only through the types the rule mentions under the
-    edge's label, so :meth:`run` yields the typing of repeated :meth:`step`
+    edge's label, so the driver yields the typing of repeated :meth:`step`
     after every round.  ``local_tests`` counts the pairs tested; a class
     decided by one representative counts that representative's pairs.
     """
@@ -269,31 +271,32 @@ class _RefineEngine:
         self.rules = s.compiled
         flags = s.class_flags
         if strategy == "general":
-            self._lost = self._lost_general
+            self._retest = self._lost_general
+            # Memoized by neighborhood shape; the memo depends only on the
+            # schema, so engines over the same schema share it.
+            self._memo: dict[tuple, bool] = s._derived.setdefault(
+                "refine:memo:general", {}
+            )
         elif strategy == "rbe0-flow":
             if not flags.rbe0:
                 raise ValueError(
                     "the rbe0-flow strategy needs a schema of symbol products"
                 )
-            self._lost = self._lost_flow
+            self._retest = self._lost_flow
         else:
             if not (flags.deterministic and flags.sorbe):
                 raise ValueError(
                     f"the {strategy} strategy needs a deterministic "
                     "single-occurrence schema"
                 )
-            self._lost = self._lost_successors
-        # Rounds after the first of run() skip the label check.
-        self._retest = self._lost
-        if strategy == "det-membership":
-            self._lost = self._lost_labeled
+            self._retest = self._lost_successors
+        # The test of pairs that may not have passed the label check; the
+        # rounds after the first re-test with _retest.
+        self._lost = (
+            self._lost_labeled if strategy == "det-membership" else self._retest
+        )
         self.testable = frozenset(
             t for t, rule in self.rules.items() if not rule.universal
-        )
-        # Verdict memos depend only on the schema, so engines over the same
-        # schema share them; repeat validations start warm.
-        self._memo: dict[tuple, bool] = s._derived.setdefault(
-            f"refine:memo:{strategy}", {}
         )
         self.local_tests = 0
 
@@ -305,21 +308,30 @@ class _RefineEngine:
             for n in self.g.nodes
         }
 
-    def run(self, current: dict[str, frozenset[str]], uniform: bool = False) -> int:
-        """Refine ``current`` in place to the fixpoint below it; returns the
-        number of rounds, counting the last one, which removes nothing.
+    def from_full(self) -> tuple[dict[str, frozenset[str]], int]:
+        """The fixpoint below the full typing and its number of rounds.
 
-        ``uniform`` says that every node starts with the same types.  Round
-        1 then tests one node per label-bag class and gives its verdicts to
-        the whole class: under a uniform typing every local test sees a
-        node only through its label bag.
+        Every node starts with every type, so round 1 sees a node only
+        through its label bag: it tests one node per label-bag class and
+        gives its verdicts to the whole class.
         """
-        if uniform:
-            lost = self._first_round_by_class(current)
-        else:
-            lost = self._test(current, current, self._lost)
-            for n, types in lost.items():
-                current[n] = _without(current[n], types)
+        full = frozenset(self.s.gamma)
+        current = dict.fromkeys(self.g.nodes, full)
+        return current, self._settle(current, self._first_round_by_class(current))
+
+    def from_filtered(self) -> tuple[dict[str, frozenset[str]], int]:
+        """The fixpoint below :func:`structure_filtered_init` and its number
+        of rounds; round 1 skips the label check the filter has made."""
+        current = structure_filtered_init(self.g, self.s)
+        lost = self._test(current, current, self._retest)
+        for n, types in lost.items():
+            current[n] = _without(current[n], types)
+        return current, self._settle(current, lost)
+
+    def _settle(self, current: dict[str, frozenset[str]], lost) -> int:
+        """Refine ``current`` in place after a first round that removed
+        ``lost``; returns the number of rounds, counting the first and the
+        last one, which removes nothing."""
         rounds = 1
         preds: dict[str, list[tuple[str, str]]] | None = None
         while lost:
@@ -352,8 +364,8 @@ class _RefineEngine:
     def _first_round_by_class(
         self, current: dict[str, frozenset[str]]
     ) -> dict[str, list[str]]:
-        """Round 1 from a uniform typing, one local test per label-bag
-        class; updates ``current`` and returns the types each node lost."""
+        """Round 1 from the full typing, one local test per label-bag class;
+        updates ``current`` and returns the types each node lost."""
         classes = self.g.label_classes().values()
         failed = self._test(
             {nodes[0]: current[nodes[0]] for nodes in classes}, current, self._lost
@@ -413,10 +425,9 @@ class _RefineEngine:
         return lost
 
     def _lost_successors(self, n, types, typing) -> list[str]:
-        # The rule uses each label with one target type, so a flattening
-        # exists exactly when every successor still carries the required
-        # type and the label bag fits the projected rule; this checks the
-        # successors, and _lost_labeled the label bag as well.
+        # The rule uses each label with one target type, so once the label
+        # bag fits the projected rule, a flattening exists exactly when every
+        # successor still carries the required type.
         edges = self.g.out_lab_node(n)
         lost = []
         for t in types:
@@ -429,20 +440,10 @@ class _RefineEngine:
         return lost
 
     def _lost_labeled(self, n, types, typing) -> list[str]:
-        # The successor test plus the check of the label bag against the
-        # label projection of the rule, memoized by the bag.
-        lost = self._lost_successors(n, types, typing)
-        bag = self.g.label_key(n)
-        for t in types:
-            if t in lost:
-                continue
-            verdict = self._memo.get((t, bag))
-            if verdict is None:
-                verdict = member(Counter(dict(bag)), self.rules[t].projected).verdict
-                self._memo[(t, bag)] = verdict
-            if not verdict:
-                lost.append(t)
-        return lost
+        # The label check, then the successors of the types that pass it.
+        admitted = _admitted(self.s, self.g.label_key(n))
+        lost = [t for t in types if t not in admitted]
+        return lost + self._lost_successors(n, admitted.intersection(types), typing)
 
     def _mention_index(
         self,
@@ -504,54 +505,49 @@ def refine_step(
     return _RefineEngine(g, s, strategy).step(_as_m_typing(g, typing))
 
 
+def _admitted(s: Schema, bag: tuple[tuple[str, int], ...]) -> frozenset[str]:
+    """The types whose rule admits the label bag given as sorted (label,
+    count) pairs: the universal type, predicate rules, and the expression
+    rules whose label projection holds the bag.  Cached on the schema per
+    bag; a rule that uses no symbol with some label of the bag is dropped
+    without a membership test."""
+    cache: dict[tuple, frozenset[str]] = s._derived.setdefault("refine:init", {})
+    types = cache.get(bag)
+    if types is None:
+        w = Counter(dict(bag))
+        rules = s.compiled
+        types = cache[bag] = frozenset(
+            t
+            for t in s.gamma
+            if rules[t].projected is None
+            or (
+                all(a in rules[t].targets for a in w)
+                and member(w, rules[t].projected).verdict
+            )
+        )
+    return types
+
+
 def structure_filtered_init(g: Graph, s: Schema) -> dict[str, frozenset[str]]:
     """Initial typing keeping only types whose label-projected rule admits
     the node's outbound label bag.
 
     Types dropped here could never survive a refinement round, so starting
     from this typing reaches the same fixpoint as starting from the full
-    one.  The type set is computed once per label-bag class of the graph,
-    and every node of the class gets that one set; the sets are also
-    cached on the schema per label bag.
+    one.  The type set is computed once per label-bag class of the graph
+    (:func:`_admitted`), and every node of the class gets that one set.
     """
-    rules = s.compiled
-    cache: dict[tuple, frozenset[str]] = s._derived.setdefault("refine:init", {})
     out: dict[str, frozenset[str]] = {}
     for key, nodes in g.label_classes().items():
-        types = cache.get(key)
-        if types is None:
-            w = Counter(dict(key))
-            types = cache[key] = frozenset(
-                t
-                for t in s.gamma
-                if rules[t].projected is None
-                or member(w, rules[t].projected).verdict
-            )
-        out.update(dict.fromkeys(nodes, types))
+        out.update(dict.fromkeys(nodes, _admitted(s, key)))
     return out
 
 
-def _run_refinement(
-    g: Graph, s: Schema, init: str, strategy: str
-) -> tuple[dict[str, frozenset[str]], int, int]:
-    """The fixpoint, its round count and the number of local tests run."""
-    engine = _RefineEngine(g, s, strategy)
-    if init == "full-gamma":
-        full = frozenset(s.gamma)
-        typing = {n: full for n in g.nodes}
-    elif init == "structure-filtered":
-        typing = structure_filtered_init(g, s)
-    else:
-        raise ValueError(f"unknown initial typing {init!r}")
-    rounds = engine.run(typing, uniform=init == "full-gamma")
-    return typing, rounds, engine.local_tests
-
-
 def refine_fixpoint(
-    g: Graph, s: Schema, init: str = "full-gamma", strategy: str = "general"
+    g: Graph, s: Schema, strategy: str = "general"
 ) -> dict[str, frozenset[str]]:
-    """Refine until nothing changes: the greatest fixpoint of
-    :func:`refine_step` below the initial typing.
+    """Refine the full typing until nothing changes: the greatest fixpoint
+    of :func:`refine_step`.
 
     The frontier driver re-tests, after the first round, only the pairs
     whose successors lost a type their rule mentions (see the module
@@ -559,7 +555,7 @@ def refine_fixpoint(
     as iterating :func:`refine_step`, but each round costs only the pairs
     it can change.
     """
-    typing, _, _ = _run_refinement(g, s, init, strategy)
+    typing, _ = _RefineEngine(g, s, strategy).from_full()
     return typing
 
 
@@ -567,7 +563,7 @@ def infer_types(g: Graph, s: Schema) -> dict[str, frozenset[str]]:
     """The refinement fixpoint from the full typing: per node, every type
     it can carry in some valid m-typing.  Empty sets mark nodes that can
     carry none; they are returned rather than raised."""
-    return refine_fixpoint(g, s, "full-gamma", _auto_strategy(s))
+    return refine_fixpoint(g, s, _auto_strategy(s))
 
 
 def _auto_strategy(s: Schema) -> str:
@@ -639,19 +635,20 @@ def validate_multi(
     the enumeration search and is capped.
     """
     if algo in ("refine", "s-refine", "rbe0-refine"):
-        if algo == "refine":
-            init, strategy = "full-gamma", _auto_strategy(s)
-        elif algo == "s-refine":
-            init, strategy = "structure-filtered", "structure-filtered"
+        if algo == "s-refine":
+            engine = _RefineEngine(g, s, "det-membership")
+            typing, rounds = engine.from_filtered()
         else:
-            init, strategy = "full-gamma", "rbe0-flow"
-        typing, rounds, local_tests = _run_refinement(g, s, init, strategy)
+            strategy = "rbe0-flow" if algo == "rbe0-refine" else _auto_strategy(s)
+            engine = _RefineEngine(g, s, strategy)
+            typing, rounds = engine.from_full()
         failures = tuple(
             (n, "-", "no type survives refinement")
             for n in sorted(n for n, types in typing.items() if not types)
         )
         return _report(
-            g, typing, algo, failures, iterations=rounds, local_tests=local_tests
+            g, typing, algo, failures,
+            iterations=rounds, local_tests=engine.local_tests,
         )
     if algo == "flood":
         if pre is None:

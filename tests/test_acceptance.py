@@ -550,7 +550,7 @@ def test_a05_refinement_fixpoint_is_maximal():
 
 
 # ---------------------------------------------------------------------------
-# 06 — the four per-node tests compute one fixpoint
+# 06 — the three local tests and s-refine compute one fixpoint
 
 _RBE0_DET_POOL = [
     "BugReport -> descr::Str , reportedBy::User , reportedOn::Date , "
@@ -577,11 +577,12 @@ def test_a06_strategies_reach_identical_fixpoints():
         star_range=(0, 3),
         plus_range=(1, 3),
     )
+    # The three local tests from the full typing, and s-refine.
     deployments = [
-        ("full-gamma", "general"),
-        ("full-gamma", "rbe0-flow"),
-        ("full-gamma", "det-membership"),
-        ("structure-filtered", "structure-filtered"),
+        lambda g, s: refine_fixpoint(g, s, "general"),
+        lambda g, s: refine_fixpoint(g, s, "rbe0-flow"),
+        lambda g, s: refine_fixpoint(g, s, "det-membership"),
+        lambda g, s: validate_multi(g, s, "s-refine").typing,
     ]
     rng = random.Random(606)
     mismatches = 0
@@ -598,18 +599,15 @@ def test_a06_strategies_reach_identical_fixpoints():
             )
             g = Graph(list(g.edges) + [extra], g.nodes)
             perturbed += 1
-        fixpoints = [
-            refine_fixpoint(g, s, init, strategy)
-            for init, strategy in deployments
-        ]
+        fixpoints = [deploy(g, s) for deploy in deployments]
         if any(fp != fixpoints[0] for fp in fixpoints[1:]):
             mismatches += 1
     elapsed = perf_counter() - start
     _verdict(
         6,
         len(instances) == 200 and mismatches == 0,
-        f"200 generated instances ({perturbed} perturbed), four per-node "
-        f"tests, {mismatches} fixpoint mismatches, {elapsed:.1f}s",
+        f"200 generated instances ({perturbed} perturbed), three local tests "
+        f"and s-refine, {mismatches} fixpoint mismatches, {elapsed:.1f}s",
     )
 
 

@@ -650,6 +650,19 @@ class TestRbe:
             main(["rbe", "member", "--expr", "a[2;3],b?", "--bag", "a^2,b"]) == 0
         )
 
+    def test_member_takes_a_huge_count_without_expanding_it(self, capsys):
+        bag = "a^99999999999999999999"
+        assert main(["rbe", "member", "--expr", "a*", "--bag", bag]) == 0
+        assert capsys.readouterr().out.strip() == "member"
+        assert main(["rbe", "member", "--expr", "a[0;5]", "--bag", bag]) == 1
+        assert capsys.readouterr().out.strip() == "not-member"
+
+    def test_member_zero_count_means_absent(self, capsys):
+        assert main(["rbe", "member", "--expr", "a", "--bag", "a^0"]) == 1
+        assert capsys.readouterr().out.strip() == "not-member"
+        assert main(["rbe", "member", "--expr", "b", "--bag", "a^0,b"]) == 0
+        assert capsys.readouterr().out.strip() == "member"
+
     def test_sat_verdicts(self, capsys):
         assert main(["rbe", "sat", "--expr", "a|b"]) == 0
         assert capsys.readouterr().out.startswith("satisfiable\t")

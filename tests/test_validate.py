@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import random
 import sys
@@ -19,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shexval import schema as schema_module
+from shexval import validate as validate_module
 from shexval.genbench import GenConfig, generate_graph
 from shexval.graph import Graph
 from shexval.membership import member
@@ -40,11 +42,9 @@ from shexval.schema import (
     rule_member,
 )
 from shexval.validate import (
-    INITS,
     STRATEGIES,
     ValidationReport,
     _RefineEngine,
-    _run_refinement,
     brute_force_multi,
     brute_force_single,
     check_m_typing,
@@ -258,14 +258,6 @@ class TestRefineStep:
         }
         assert results["general"] == results["rbe0-flow"] == results["det-membership"]
 
-    def test_structure_filtered_skips_label_recheck(self, g2, s1):
-        # On an init that already passed the label filter, the cheaper
-        # strategy agrees with the full deterministic test.
-        init = structure_filtered_init(g2, s1)
-        assert refine_step(g2, s1, init, "structure-filtered") == refine_step(
-            g2, s1, init, "det-membership"
-        )
-
     def test_universal_type_always_survives(self):
         g = Graph([("x", "a", "y"), ("x", "extra", "z"), ("z", "b", "w0")])
         full = {n: frozenset(TOP_SCHEMA.gamma) for n in g.nodes}
@@ -284,6 +276,15 @@ class TestRefineStep:
     def test_unknown_strategy(self, g0, s0):
         with pytest.raises(ValueError):
             refine_step(g0, s0, lift(LAM0), "magic")
+
+    def test_structure_filtered_is_no_strategy(self, g0, s0):
+        # A test that skips the label check is no strategy of its own: from
+        # a typing that has not passed the check it gives wrong answers.
+        assert "structure-filtered" not in STRATEGIES
+        with pytest.raises(ValueError, match="unknown strategy"):
+            refine_step(g0, s0, lift(LAM0), "structure-filtered")
+        with pytest.raises(ValueError, match="unknown strategy"):
+            refine_fixpoint(g0, s0, "structure-filtered")
 
     def test_partial_typing_rejected(self, g0, s0):
         with pytest.raises(ValueError):
@@ -307,20 +308,37 @@ class TestRefineFixpoint:
 
     def test_init_does_not_change_fixpoint(self, g0, g1, g2, s0, s1):
         for g, s in ((g0, s0), (g1, s1), (g2, s1)):
-            assert refine_fixpoint(g, s, "full-gamma") == refine_fixpoint(
-                g, s, "structure-filtered"
+            assert (
+                validate_multi(g, s, "refine").typing
+                == validate_multi(g, s, "s-refine").typing
             )
 
     def test_strategies_share_the_fixpoint(self, g0, g1, g2, s1):
         for g in (g0, g1, g2):
             results = [
-                refine_fixpoint(g, s1, "full-gamma", strategy)
+                refine_fixpoint(g, s1, strategy)
                 for strategy in ("general", "rbe0-flow", "det-membership")
             ]
-            results.append(
-                refine_fixpoint(g, s1, "structure-filtered", "structure-filtered")
-            )
+            results.append(validate_multi(g, s1, "s-refine").typing)
             assert all(r == results[0] for r in results)
+
+    @pytest.mark.parametrize(
+        "edges",
+        [[("x", "b", "y")], [("x", "a", "y"), ("x", "a", "z")]],
+        ids=["stray-label", "label-twice"],
+    )
+    def test_every_strategy_checks_the_label_bag(self, edges):
+        # Successors that carry the required types do not make up for a
+        # label bag the rule rejects.
+        s = parse_schema("t -> a::u\nu -> eps\n")
+        g = Graph(edges)
+        expected = infer_types(g, s)
+        assert expected["x"] == frozenset()
+        assert all(expected[n] == {"u"} for n in g.nodes - {"x"})
+        for strategy in STRATEGIES:
+            assert refine_fixpoint(g, s, strategy) == expected
+        for algo in ("refine", "s-refine", "rbe0-refine"):
+            assert validate_multi(g, s, algo).typing == expected
 
     def test_unsatisfiable_node_keeps_empty_set(self):
         g = Graph([], nodes=["x"])
@@ -870,9 +888,7 @@ def admissible_strategies(schema):
     for strategy in STRATEGIES:
         if strategy == "rbe0-flow" and not flags.rbe0:
             continue
-        if strategy in ("det-membership", "structure-filtered") and not (
-            flags.deterministic and flags.sorbe
-        ):
+        if strategy == "det-membership" and not (flags.deterministic and flags.sorbe):
             continue
         yield strategy
 
@@ -889,12 +905,8 @@ def per_node_structure_filtered_init(g, schema):
     }
 
 
-def naive_refinement(g, schema, init, strategy):
+def naive_refinement(g, schema, typing, strategy):
     """refine_step from the initial typing until nothing changes."""
-    if init == "full-gamma":
-        typing = {n: frozenset(schema.gamma) for n in g.nodes}
-    else:
-        typing = per_node_structure_filtered_init(g, schema)
     rounds = 0
     while True:
         rounds += 1
@@ -922,10 +934,18 @@ def test_frontier_driver_matches_synchronous_rounds(data):
     assert structure_filtered_init(g, schema) == per_node_structure_filtered_init(
         g, schema
     )
-    for init in INITS:
-        for strategy in admissible_strategies(schema):
-            typing, rounds, _ = _run_refinement(g, schema, init, strategy)
-            assert (typing, rounds) == naive_refinement(g, schema, init, strategy)
+    full = {n: frozenset(schema.gamma) for n in g.nodes}
+    for strategy in admissible_strategies(schema):
+        assert _RefineEngine(g, schema, strategy).from_full() == naive_refinement(
+            g, schema, full, strategy
+        )
+    flags = schema.class_flags
+    if flags.deterministic and flags.sorbe:
+        # The start of s-refine.
+        report = validate_multi(g, schema, "s-refine")
+        assert (report.typing, report.iterations) == naive_refinement(
+            g, schema, per_node_structure_filtered_init(g, schema), "det-membership"
+        )
 
 
 def reference_flood_multi(g, schema, pre):
@@ -1067,6 +1087,22 @@ def test_cold_refine_tests_each_label_bag_once_per_type_in_round_one(monkeypatch
     assert report.local_tests == sum(per_call)
 
 
+def test_s_refine_reuses_the_label_bag_verdicts_of_refine(monkeypatch):
+    s, g, _, _ = fig2_graph_and_label_bags()
+    assert validate_multi(g, s, "refine").valid
+    calls = Counter()
+    original = validate_module.member
+
+    def counted(*args):
+        calls["member"] += 1
+        return original(*args)
+
+    for module in (validate_module, schema_module):
+        monkeypatch.setattr(module, "member", counted)
+    assert validate_multi(g, s, "s-refine").valid
+    assert calls["member"] == 0
+
+
 @pytest.mark.parametrize(
     "algo, extra_rounds",
     [("refine", 2), ("s-refine", 1), ("rbe0-refine", 2)],
@@ -1095,6 +1131,21 @@ def test_flood_single_settles_a_long_chain_without_recursion():
     assert report.edges_examined == length
     assert report.local_tests == 0
     assert len(report.typing) == length
+
+
+def test_ilp_search_on_a_hub_needs_no_deep_recursion():
+    # The rule is no symbol product and not deterministic, so the hub's
+    # test is an ILP search whose depth grows with the number of edges.
+    s = parse_schema("t -> (a::u | a::v)* , a::u\nu -> eps\nv -> eps\n")
+    g = Graph([("h", "a", f"m{i}") for i in range(200)])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 150)
+    try:
+        report = validate_multi(g, s, "refine")
+    finally:
+        sys.setrecursionlimit(limit)
+    assert report.valid
+    assert report.typing["h"] == {"t"}
 
 
 RULE_ANALYSES = ("is_sorbe", "is_symbol_product", "normalize_product", "project_sigma")
