@@ -18,7 +18,7 @@ from .ast import (
     walk,
 )
 from .bags import BagKey, bag_from_key, bag_key, bag_sum
-from .intervals import ONCE, Interval, interval_add
+from .intervals import ONCE, Interval, interval_add, interval_intersect
 
 __all__ = [
     "EnumerationLimit",
@@ -150,20 +150,39 @@ def enumerate_language(e: Rbe, max_size: int, limit: int = 1_000_000) -> set[Bag
     return go(e)
 
 
-def normalize_product(e: Rbe) -> dict[str, Interval] | None:
-    """Canonical per-symbol intervals for a concatenation of symbols.
+_ZERO = Interval(0, 0)
 
-    Repeated symbols merge by interval addition.  Returns None when some
-    merged interval is empty, which makes the whole language empty.  Raises
-    ValueError for shapes outside the symbol-product fragment.
+
+def normalize_product(e: Rbe) -> dict[str, Interval] | None:
+    """The interval product of ``e``, one interval per symbol: the one
+    analysis of symbol products (RBE0) and their intersections.
+
+    Concatenated parts' intervals add; intersected parts' intervals
+    intersect, a symbol missing from a part counting as [0;0] there.
+    Returns None for an empty language; raises ValueError for any shape
+    but eps, interval symbols, concatenation and intersection.
     """
-    acc: dict[str, Interval] = {}
-    for node in walk(e):
-        if isinstance(node, Symbol):
-            name, bounds = node.name, node.bounds
-            acc[name] = interval_add(acc[name], bounds) if name in acc else bounds
-        elif not isinstance(node, (Epsilon, Concat)):
-            raise ValueError("not a concatenation of symbols")
-    if any(iv.is_empty for iv in acc.values()):
-        return None
-    return acc
+    match e:
+        case Epsilon():
+            return {}
+        case Symbol(name, bounds):
+            return None if bounds.is_empty else {name: bounds}
+        case Concat(parts) | Isect(parts):
+            forms = [normalize_product(part) for part in parts]
+            if None in forms:
+                return None
+            merged: dict[str, Interval] = {}
+            if isinstance(e, Concat):
+                for form in forms:
+                    for a, iv in form.items():
+                        merged[a] = interval_add(merged[a], iv) if a in merged else iv
+                return merged
+            for a in sorted(set().union(*forms)):
+                iv = functools.reduce(
+                    interval_intersect, [form.get(a, _ZERO) for form in forms]
+                )
+                if iv.is_empty:
+                    return None
+                merged[a] = iv
+            return merged
+    raise ValueError("not an interval product")

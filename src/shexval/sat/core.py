@@ -6,12 +6,14 @@ repetition unknown per subexpression, linked by linear equations.  A bag
 belongs to the language exactly when the system has a solution with the
 top-level repetition count pinned to one.  Expressions built from interval
 symbols, unordered concatenation, and intersection alone skip the solver:
-their languages collapse to one interval per symbol.
+their languages collapse to one interval per symbol, computed by
+:func:`~shexval.rbe.normalize_product`, the one analysis of that fragment.
+A choice-group language meets such a product exactly when a circulation
+exists (:func:`inter1_groups`).
 """
 
 from __future__ import annotations
 
-import functools
 from collections import Counter
 from dataclasses import dataclass
 
@@ -27,8 +29,6 @@ from ..rbe import (
     Symbol,
     alphabet,
     choice_groups,
-    interval_add,
-    interval_intersect,
     normalize_product,
     split_symbol,
     walk,
@@ -242,46 +242,6 @@ class SatResult:
     witness: Counter[str] | None
 
 
-class _NotProductClass(Exception):
-    pass
-
-
-def _product_form(e: Rbe) -> dict[str, Interval] | None:
-    """Per-symbol intervals for expressions over interval symbols, unordered
-    concatenation, and intersection; None when the language is empty."""
-    match e:
-        case Epsilon():
-            return {}
-        case Symbol(name, bounds):
-            if bounds.is_empty:
-                return None
-            return {name: bounds}
-        case Concat(parts):
-            forms = [_product_form(part) for part in parts]
-            if None in forms:
-                return None
-            merged = {}
-            for form in forms:
-                for a, iv in form.items():
-                    merged[a] = interval_add(merged[a], iv) if a in merged else iv
-            return merged
-        case Isect(parts):
-            forms = [_product_form(part) for part in parts]
-            if None in forms:
-                return None
-            zero = Interval(0, 0)
-            merged = {}
-            for a in sorted(set().union(*forms)):
-                iv = functools.reduce(
-                    interval_intersect, [form.get(a, zero) for form in forms]
-                )
-                if iv.is_empty:
-                    return None
-                merged[a] = iv
-            return merged
-    raise _NotProductClass
-
-
 def normal_form_isect(e1: Rbe, e2: Rbe) -> dict[str, Interval] | None:
     """Per-symbol intervals of the intersection of two interval-product
     languages; None when the intersection is empty.
@@ -289,8 +249,8 @@ def normal_form_isect(e1: Rbe, e2: Rbe) -> dict[str, Interval] | None:
     A symbol missing on one side is constrained to zero occurrences there.
     """
     try:
-        return _product_form(Isect(e1, e2))
-    except _NotProductClass:
+        return normalize_product(Isect(e1, e2))
+    except ValueError:
         raise ValueError(
             "operands are not built from interval symbols, unordered "
             "concatenation, and intersection"
@@ -327,12 +287,13 @@ def _has_isect(e: Rbe) -> bool:
     return any(isinstance(node, Isect) for node in walk(e))
 
 
-def rbe_satisfiable(e: Rbe, *, cap: int | None = None) -> SatResult:
+def rbe_satisfiable(e: Rbe) -> SatResult:
     """Decide language nonemptiness, producing a witness bag when satisfiable.
 
     Intersection-free expressions and interval-product expressions (with
     intersection) are decided structurally; the rest goes through the
-    arithmetic encoding with ``cap`` limiting the search.
+    arithmetic encoding, whose search stops at
+    :func:`~shexval.sat.ilp.solver_cap`.
     """
     if not _has_isect(e):
         witness = _structurally_nonempty(e)
@@ -340,8 +301,8 @@ def rbe_satisfiable(e: Rbe, *, cap: int | None = None) -> SatResult:
             return SatResult("unsat", None)
         return SatResult("sat", witness)
     try:
-        merged = _product_form(e)
-    except _NotProductClass:
+        merged = normalize_product(e)
+    except ValueError:
         pass
     else:
         if merged is None:
@@ -351,7 +312,7 @@ def rbe_satisfiable(e: Rbe, *, cap: int | None = None) -> SatResult:
         )
     system = LinearSystem()
     xvars = encode_phi(e, system)
-    result = ilp_feasible(system, cap=cap)
+    result = ilp_feasible(system)
     return SatResult(result.status, _decode(result, xvars))
 
 
@@ -369,7 +330,7 @@ class AmbiguityResult:
     witness: tuple[Counter[str], Counter[str]] | None
 
 
-def is_unambiguous(e: Rbe, *, cap: int | None = None) -> AmbiguityResult:
+def is_unambiguous(e: Rbe) -> AmbiguityResult:
     """Whether no member bag uses one label with two types and no two members
     with equal label projections swap types on a shared label.
 
@@ -406,7 +367,7 @@ def is_unambiguous(e: Rbe, *, cap: int | None = None) -> AmbiguityResult:
         xvars = encode_phi(e, system)
         system.ge({xvars[s1]: 1}, 1)
         system.ge({xvars[s2]: 1}, 1)
-        result = ilp_feasible(system, cap=cap)
+        result = ilp_feasible(system)
         if result.status == "sat":
             w = _decode(result, xvars)
             return AmbiguityResult("ambiguous", (w, w))
@@ -424,7 +385,7 @@ def is_unambiguous(e: Rbe, *, cap: int | None = None) -> AmbiguityResult:
             system.eq(coeffs, 0)
         system.eq({xvars[s1]: 1, yvars[s2]: -1}, 0)
         system.ge({xvars[s1]: 1}, 1)
-        result = ilp_feasible(system, cap=cap)
+        result = ilp_feasible(system)
         if result.status == "sat":
             return AmbiguityResult(
                 "ambiguous", (_decode(result, xvars), _decode(result, yvars))

@@ -190,6 +190,7 @@ class _Search:
                     blocks.append(tuple(r for r in rows if r >= 0))
             self.cases.append(blocks)
         self.slack = [name.startswith("_") for name in self.names]
+        self.listed: dict[tuple[int, ...], list[int]] = {}  # unknowns per commitment
         self.visit_cap = _VISITS_PER_EQUATION * max(1, len(self.terms))
 
     def _row(self, coeffs: dict[str, int], rhs: int, case: int, block: int):
@@ -262,7 +263,13 @@ class _Search:
             return None
         if split is not None:
             return self._case_branches(lo, hi, chosen, *split)
-        unknowns = self._unknowns(chosen)
+        # Value branching commits no split, so the nodes below one
+        # commitment share its list of unknowns: scan the rows once per
+        # commitment, not once per node.
+        key = tuple(chosen)
+        unknowns = self.listed.get(key)
+        if unknowns is None:
+            unknowns = self.listed[key] = self._unknowns(chosen)
         var = self._pick(lo, hi, unknowns)
         if var is None:
             model = {v: lo[v] for v in unknowns}

@@ -17,8 +17,9 @@ The workhorses are:
 * brute force — enumerate assignments outright, as a reference oracle.
 
 Refinement supports interchangeable per-node tests: a general
-intersection-nonemptiness test that works for every schema, a circulation
-test for schemas whose rules are symbol products, and a shortcut for
+intersection-nonemptiness test that works for every schema (a circulation
+on the compiled interval product for a symbol-product rule), the same test
+without a memo for schemas of symbol products, and a shortcut for
 deterministic single-occurrence schemas, under which a node's typed bag
 follows from its label bag.  All of them compute the same fixpoint on
 schemas where their preconditions hold.  ``refine`` and ``rbe0-refine``
@@ -208,7 +209,11 @@ def m_typing_leq(first: Mapping[str, Iterable[str]], second: Mapping[str, Iterab
 def _some_flattening_member(
     s: Schema, neighborhood: Counter[tuple[str, frozenset[str]]], t: str
 ) -> bool:
-    """Whether some flattening of the neighborhood satisfies ``t``'s rule."""
+    """Whether some flattening of the neighborhood satisfies ``t``'s rule.
+
+    A symbol-product rule takes the circulation test on the interval
+    product compiled with it; other expression rules take :func:`inter1`.
+    """
     rule = s.compiled[t]
     if rule.universal:
         return True
@@ -222,6 +227,11 @@ def _some_flattening_member(
         )
     if any(not types for (_, types) in neighborhood):
         return False
+    if rule.product:
+        groups: list[frozenset[str]] = []
+        for (a, types), count in neighborhood.items():
+            groups += [frozenset(typed_symbol(a, u) for u in types)] * count
+        return rule.intervals is not None and inter1_groups(groups, rule.intervals)
     return inter1(flatten(neighborhood), rule.expr)
 
 
@@ -234,8 +244,10 @@ class _RefineEngine:
       satisfies the rule, memoized by neighborhood shape, which collapses
       the many identically-shaped nodes of large graphs into a handful of
       tests;
-    * ``rbe0-flow`` runs the circulation test against the interval
-      product of a symbol-product rule;
+    * ``rbe0-flow`` runs that test per node, which on its schemas of
+      symbol products is the circulation.  It has no memo on purpose:
+      with one it is about as fast as the deterministic shortcut, so
+      which of the two wins would be left to noise;
     * ``det-membership`` checks that the rule admits the node's label bag
       (:func:`_admitted`, one verdict per bag) and that every successor
       still carries the one type the rule requires under the edge's
@@ -413,16 +425,10 @@ class _RefineEngine:
         return lost
 
     def _lost_flow(self, n, types, typing) -> list[str]:
-        groups = [
-            frozenset(typed_symbol(a, u) for u in typing[m])
-            for a, m in self.g.out_lab_node(n)
+        neighborhood = out_lab_type_m(self.g, typing, n)
+        return [
+            t for t in types if not _some_flattening_member(self.s, neighborhood, t)
         ]
-        lost = []
-        for t in types:
-            intervals = self.rules[t].intervals
-            if intervals is None or not inter1_groups(groups, intervals):
-                lost.append(t)
-        return lost
 
     def _lost_successors(self, n, types, typing) -> list[str]:
         # The rule uses each label with one target type, so once the label
@@ -624,7 +630,6 @@ def validate_multi(
     s: Schema,
     algo: str = "refine",
     pre: Mapping[str, Iterable[str]] | None = None,
-    cap: int = BRUTE_CAP,
 ) -> ValidationReport:
     """Multi-type validation: is there a valid m-typing assigning at least
     one type to every node?
@@ -632,7 +637,7 @@ def validate_multi(
     The refine family reports the maximal m-typing.  ``flood`` requires a
     pre-typing (or a schema with the universal type) and is valid only
     when the flood succeeds and reaches every node.  ``brute`` defers to
-    the enumeration search and is capped.
+    the enumeration search, capped at ``BRUTE_CAP`` assignments.
     """
     if algo in ("refine", "s-refine", "rbe0-refine"):
         if algo == "s-refine":
@@ -659,7 +664,7 @@ def validate_multi(
             pre = {}
         return _flood(g, s, pre, "multi", "flood", reach_all=True)
     if algo == "brute":
-        found = brute_force_multi(g, s, cap=cap)
+        found = brute_force_multi(g, s)
         failures = () if found is not None else (("-", "-", "no valid m-typing exists"),)
         return _report(g, found or {}, "brute", failures)
     raise ValueError(f"unknown algorithm {algo!r}")
@@ -675,7 +680,7 @@ def validate_single(
 
     ``flood`` requires a pre-typing and is valid only when the flood
     succeeds and reaches every node.  ``brute`` defers to the enumeration
-    search and is capped.
+    search, capped at ``BRUTE_CAP`` assignments.
     """
     if algo == "flood":
         if pre is None:

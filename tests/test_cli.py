@@ -1,5 +1,7 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +22,17 @@ T -> reportedBy::User , reportedBy::Employee
 User -> eps
 Employee -> eps
 """
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _child_env():
+    """The environment of a child interpreter, with ``src/`` on its path, so
+    the subprocess tests run from a fresh checkout without PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return env
 
 
 def write(tmp_path, name, text):
@@ -369,6 +382,7 @@ def _run_cli(tmp_path, command, schema_text):
         [sys.executable, "-m", "shexval.cli", command, *args],
         capture_output=True,
         text=True,
+        env=_child_env(),
     )
 
 
@@ -711,6 +725,7 @@ def test_module_entry_point_runs_in_a_subprocess(tmp_path, g1):
         ],
         capture_output=True,
         text=True,
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines() == ["valid"]

@@ -6,10 +6,13 @@ from math import gcd
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shexval.graph import Graph
 from shexval.membership import member_general
 from shexval.rbe import concat, star, sym
 from shexval.sat import DEFAULT_CAP, LinearSystem, ilp_feasible, solver_cap
 from shexval.sat.ilp import _Search
+from shexval.schema import parse_schema
+from shexval.validate import validate_multi
 
 
 def feasible(*equations, cases=(), bound=None, cap=None):
@@ -389,3 +392,28 @@ def test_stars_branch_only_where_propagation_leaves_a_split_open(monkeypatch):
     nodes = 0
     assert not member_general(member + Counter({"a5": 1}), e)
     assert nodes <= 100
+
+
+def test_active_unknowns_are_listed_once_per_commitment(monkeypatch):
+    # A hub of 300 a-edges under a nondeterministic rule that is no symbol
+    # product: its test is one search with hundreds of value-branching
+    # nodes below a few commitments of the case splits.
+    s = parse_schema("t -> (a::u | a::v)* , a::u\nu -> eps\nv -> eps\n")
+    g = Graph([("h", "a", f"m{i}") for i in range(300)])
+    scans, nodes = [], []
+    scan, node = _Search._unknowns, _Search._node
+
+    def counted_scan(self, chosen):
+        scans.append((self, tuple(chosen)))
+        return scan(self, chosen)
+
+    def counted_node(self, *args):
+        nodes.append(self)
+        return node(self, *args)
+
+    monkeypatch.setattr(_Search, "_unknowns", counted_scan)
+    monkeypatch.setattr(_Search, "_node", counted_node)
+    report = validate_multi(g, s, "refine")
+    assert report.typing["h"] == {"t"}
+    assert len(scans) == len(set(scans))
+    assert len(nodes) > 300 > 10 * len(scans)

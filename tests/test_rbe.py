@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -22,6 +24,8 @@ from shexval.rbe import (
     choice_groups,
     enumerate_language,
     format_rbe,
+    interval_add,
+    interval_intersect,
     is_sorbe,
     is_symbol_product,
     normalize_product,
@@ -267,6 +271,70 @@ def test_format_parse_round_trip(tree):
 @given(trees_st)
 def test_nullable_agrees_with_enumeration(tree):
     assert nullable(tree) == (k() in enumerate_language(tree, 2, limit=100_000))
+
+
+class _NotProduct(Exception):
+    pass
+
+
+def reference_product_form(e):
+    """Per-symbol intervals of eps, interval symbols, unordered
+    concatenation and intersection, None for an empty language: the
+    part-by-part recursion ``sat.core`` once held beside
+    ``normalize_product``, kept as the reference."""
+    if e == EPSILON:
+        return {}
+    if isinstance(e, Symbol):
+        return None if e.bounds.is_empty else {e.name: e.bounds}
+    if not isinstance(e, (Concat, Isect)):
+        raise _NotProduct
+    forms = [reference_product_form(part) for part in e.parts]
+    if None in forms:
+        return None
+    merged = {}
+    if isinstance(e, Concat):
+        for form in forms:
+            for a, iv in form.items():
+                merged[a] = interval_add(merged[a], iv) if a in merged else iv
+        return merged
+    for a in sorted(set().union(*forms)):
+        iv = functools.reduce(
+            interval_intersect, [form.get(a, Interval(0, 0)) for form in forms]
+        )
+        if iv.is_empty:
+            return None
+        merged[a] = iv
+    return merged
+
+
+product_trees_st = st.recursive(
+    st.one_of(st.just(EPSILON), st.builds(Symbol, symbols_st, bounds_st)),
+    lambda kids: st.one_of(
+        st.lists(kids, min_size=2, max_size=4).map(lambda parts: Concat(*parts)),
+        st.lists(kids, min_size=2, max_size=4).map(lambda parts: Isect(*parts)),
+    ),
+    max_leaves=10,
+)
+
+
+@given(product_trees_st)
+def test_normalize_product_matches_the_reference(tree):
+    assert normalize_product(tree) == reference_product_form(tree)
+
+
+@given(
+    product_trees_st,
+    product_trees_st,
+    st.sampled_from([lambda e: Disj(e, Symbol("a")), Star, Plus]),
+    st.sampled_from([Concat, Isect]),
+)
+def test_normalize_product_rejects_choice_and_repetition(tree, other, wrap, op):
+    # Anywhere in the tree, even beside a part whose language is empty.
+    for e in (wrap(tree), op(other, wrap(tree)), op(wrap(tree), other)):
+        with pytest.raises(_NotProduct):
+            reference_product_form(e)
+        with pytest.raises(ValueError):
+            normalize_product(e)
 
 
 WIDE = 5000

@@ -26,13 +26,22 @@ from shexval.graph import Graph
 from shexval.membership import member
 from shexval.rbe import ops as rbe_ops
 from shexval.rbe import (
+    EMPTY,
     EPSILON,
+    ONCE,
+    OPT,
+    SOME,
+    Interval,
+    Symbol,
     bag,
     bag_key,
     choice_groups,
+    concat,
     enumerate_language,
+    format_rbe,
     typed_symbol,
 )
+from shexval.sat import inter1
 from shexval.schema import (
     TOP,
     homomorphism_schema,
@@ -45,6 +54,7 @@ from shexval.validate import (
     STRATEGIES,
     ValidationReport,
     _RefineEngine,
+    _some_flattening_member,
     brute_force_multi,
     brute_force_single,
     check_m_typing,
@@ -1203,3 +1213,71 @@ def test_rules_are_analysed_once_per_schema(monkeypatch, schema_text, algo):
     small = calls(40)
     assert calls(400) == small
     assert small["is_sorbe"] > 0
+
+
+# A nondeterministic symbol product: refine takes the general local test.
+HUB_PRODUCT_TEXT = "t -> a::t* , a::u?\nu -> eps\n"
+
+
+def hub_product_graph() -> Graph:
+    # 30 hubs in a chain, each with 0 to 3 leaves; the last one's failing
+    # successor x sends removals down the chain, round after round.
+    edges = [(f"h{i}", "a", f"h{i + 1}") for i in range(29)]
+    edges += [(f"h{i}", "a", f"m{i}.{j}") for i in range(30) for j in range(i % 4)]
+    edges += [("h29", "a", "x"), ("x", "b", "y")]
+    return Graph(edges)
+
+
+def test_refine_reads_the_compiled_interval_products(monkeypatch):
+    # Parsing computed each rule's interval product; validation decides
+    # product rules by circulation on it and never analyses them again.
+    s = parse_schema(HUB_PRODUCT_TEXT)
+    assert s.compiled["t"].product and not s.class_flags.deterministic
+    g = hub_product_graph()
+    reports = []
+    calls = analysis_calls(
+        monkeypatch, lambda: reports.append(validate_multi(g, s, "refine"))
+    )
+    assert calls["normalize_product"] == 0
+    (report,) = reports
+    assert report.iterations > 3
+    assert report.typing["m1.0"] == {"t", "u"}
+    assert report.typing["x"] == report.typing["h0"] == frozenset()
+    assert report.typing == validate_multi(g, s, "rbe0-refine").typing
+
+
+product_rule_st = st.lists(
+    st.builds(
+        Symbol,
+        st.sampled_from(["a::t", "a::u", "b::t", "b::u"]),
+        st.sampled_from(
+            [ONCE, OPT, SOME, Interval(0, None), Interval(2, 3), Interval(0, 0), EMPTY]
+        ),
+    ),
+    max_size=4,
+).map(lambda symbols: concat(*symbols))
+# Labels and type sets outside the rules, and empty type sets, drawn less
+# often: any of them decides the test alone.
+neighborhood_st = st.dictionaries(
+    st.tuples(
+        st.sampled_from("aaabbbc"),
+        st.sampled_from(["t", "u", "tu", "t", "u", "tu", ""]).map(frozenset),
+    ),
+    st.integers(1, 3),
+    max_size=4,
+).map(Counter)
+
+
+@settings(max_examples=300, deadline=None)
+@given(product_rule_st, neighborhood_st)
+def test_product_rules_decide_like_the_flattening_intersection(rule, neighborhood):
+    # A count above one repeats a (label, types) entry; an empty type set
+    # has no flattening, and flatten() rejects it.
+    s = parse_schema(f"t -> {format_rbe(rule)}\nu -> eps\n")
+    for t in ("t", "u"):
+        compiled = s.compiled[t]
+        assert compiled.product
+        expected = all(types for _, types in neighborhood) and inter1(
+            flatten(neighborhood), compiled.expr
+        )
+        assert _some_flattening_member(s, neighborhood, t) == expected
