@@ -41,7 +41,8 @@ from .rbe import (
     project_sigma,
     split_symbol,
 )
-from .sat import LinearSystem, SolverCapped, encode_phi, ilp_feasible
+# perfbench/spans.py wraps the ilp_feasible attribute of this module.
+from .sat import RuleEncoding, SolverCapped, ilp_feasible  # noqa: F401
 
 __all__ = [
     "CompiledRule",
@@ -64,7 +65,8 @@ class CompiledRule:
     is no symbol product or its language is empty.  ``projected`` is the
     compiled label projection.  A rule given as a membership predicate has
     ``predicate`` instead of ``expr`` and fails every syntactic test;
-    ``universal`` marks the universal type's rule.
+    ``universal`` marks the universal type's rule.  ``encoding`` is built
+    on first use.
     """
 
     expr: Rbe | None = None
@@ -76,6 +78,10 @@ class CompiledRule:
     product: bool = False
     intervals: dict[str, Interval] | None = None
     projected: CompiledRule | None = None
+
+    @functools.cached_property
+    def encoding(self) -> RuleEncoding:
+        return RuleEncoding(self.expr)
 
     @property
     def deterministic(self) -> bool:
@@ -195,23 +201,17 @@ def _interval_member(w: Bag, rule: CompiledRule) -> MembershipWitness:
     return MembershipWitness(verdict, interval, "sorbe-interval")
 
 
-def member_general(w: Bag, e: Rbe) -> bool:
-    """Exact membership for any expression via the arithmetic encoding.
-
-    Every unknown in the encoding is dominated by the bag size plus one, so
-    the bounded search is complete.
-    """
-    bag = Counter(w)
-    system = LinearSystem()
-    xvars = encode_phi(e, system)
-    if any(count and s not in xvars for s, count in bag.items()):
-        return False
-    for s, x in xvars.items():
-        system.eq({x: 1}, bag.get(s, 0))
-    result = ilp_feasible(system, bound=sum(bag.values()) + 1)
-    if result.status == "unknown":
-        raise SolverCapped("membership search was cut off below its completeness bound")
-    return result.status == "sat"
+def member_general(w: Bag, e: Rbe | CompiledRule) -> bool:
+    """Exact membership via the arithmetic encoding, with one singleton
+    choice group per bag symbol; a compiled rule's encoding is reused."""
+    encoding = e.encoding if isinstance(e, CompiledRule) else RuleEncoding(e)
+    groups = {frozenset((s,)): count for s, count in Counter(w).items() if count}
+    try:
+        return encoding.meets(groups)
+    except SolverCapped:
+        raise SolverCapped(
+            "membership search was cut off below its completeness bound"
+        ) from None
 
 
 def member(w: Bag, e: Rbe | CompiledRule) -> MembershipWitness:
@@ -223,4 +223,4 @@ def member(w: Bag, e: Rbe | CompiledRule) -> MembershipWitness:
     rule = _compiled(e)
     if rule.sorbe:
         return _interval_member(w, rule)
-    return MembershipWitness(member_general(w, rule.expr), None, "ilp")
+    return MembershipWitness(member_general(w, rule), None, "ilp")

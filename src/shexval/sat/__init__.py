@@ -2,6 +2,7 @@
 
 from .core import (
     AmbiguityResult,
+    RuleEncoding,
     SatResult,
     encode_phi,
     inter1,
@@ -22,6 +23,7 @@ from .ilp import (
 
 __all__ = [
     "AmbiguityResult",
+    "RuleEncoding",
     "SatResult",
     "encode_phi",
     "inter1",

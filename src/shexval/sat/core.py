@@ -10,11 +10,16 @@ their languages collapse to one interval per symbol, computed by
 :func:`~shexval.rbe.normalize_product`, the one analysis of that fragment.
 A choice-group language meets such a product exactly when a circulation
 exists (:func:`inter1_groups`).
+
+Any other rule is encoded once, like the linear-size Parikh-image formulas
+of Verma, Seidl and Schwentick (CADE 2005), into a :class:`RuleEncoding`
+compiled for the solver; each query adds only a few rows per choice group.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from ..rbe import (
@@ -34,10 +39,11 @@ from ..rbe import (
     walk,
 )
 from .flow import build_flow_network, circulation_exists
-from .ilp import IlpResult, LinearSystem, SolverCapped, ilp_feasible
+from .ilp import CompiledSystem, IlpResult, LinearSystem, SolverCapped, ilp_feasible
 
 __all__ = [
     "encode_phi",
+    "RuleEncoding",
     "inter1",
     "inter1_groups",
     "SatResult",
@@ -188,6 +194,48 @@ def _split(
     return split
 
 
+class RuleEncoding:
+    """A rule's encoding, compiled for the solver once: ``counts`` maps each
+    symbol to its count unknown, and every query extends ``rows``."""
+
+    def __init__(self, e: Rbe):
+        system = LinearSystem()
+        self.counts = encode_phi(e, system)
+        self.rows = CompiledSystem(system)
+
+    def meets(self, groups: Mapping[frozenset[str], int]) -> bool:
+        """Whether some bag picking one symbol from each group, a group of
+        count c picked c times, belongs to the rule's language.
+
+        A group's count goes to its one rule symbol, or is split among two
+        or more through fresh unknowns; a group without a rule symbol fails
+        at once.  The search is complete at the number of picks plus one.
+        """
+        counts = self.counts
+        system = LinearSystem(self.rows)
+        fixed = dict.fromkeys(counts, 0)
+        shares: dict[str, dict[str, int]] = {a: {} for a in counts}
+        k = 0
+        for group, c in groups.items():
+            inside = sorted(group.intersection(counts))
+            if not inside:
+                return False
+            k += c
+            if len(inside) == 1:
+                fixed[inside[0]] += c
+                continue
+            ys = [system.fresh_var("y") for _ in inside]
+            system.eq(dict.fromkeys(ys, 1), c)
+            for a, y in zip(inside, ys):
+                shares[a][y] = -1
+        for a, x in counts.items():
+            system.eq({x: 1, **shares[a]}, fixed[a])
+        result = ilp_feasible(system, bound=k + 1)
+        if result.status == "unknown":
+            raise SolverCapped(f"intersection test capped at bound {k + 1}")
+        return result.status == "sat"
+
+
 def inter1_groups(
     groups: list[frozenset[str] | set[str]], intervals: dict[str, Interval]
 ) -> bool:
@@ -200,10 +248,8 @@ def inter1(choice_expr: Rbe, other: Rbe) -> bool:
 
     ``choice_expr`` must be an unordered concatenation of single-occurrence
     disjunction groups.  When ``other`` reduces to per-symbol intervals the
-    question becomes a circulation problem; otherwise both expressions are
-    encoded arithmetically over shared count unknowns.  Since every member
-    of the left language has exactly one symbol per group, the search is
-    complete at bag size plus one.
+    question becomes a circulation problem; otherwise it goes to
+    :meth:`RuleEncoding.meets`.
     """
     if isinstance(choice_expr, Epsilon):
         groups: list[frozenset[str]] = []
@@ -215,25 +261,10 @@ def inter1(choice_expr: Rbe, other: Rbe) -> bool:
     try:
         intervals = normalize_product(other)
     except ValueError:
-        return _inter1_ilp(choice_expr, other, len(groups))
+        return RuleEncoding(other).meets(Counter(groups))
     if intervals is None:
         return False
     return inter1_groups(groups, intervals)
-
-
-def _inter1_ilp(choice_expr: Rbe, other: Rbe, k: int) -> bool:
-    system = LinearSystem()
-    left = encode_phi(choice_expr, system)
-    right = encode_phi(other, system)
-    for a in sorted(set(left) | set(right)):
-        if a in left and a in right:
-            system.eq({left[a]: 1, right[a]: -1}, 0)
-        else:
-            system.eq({left.get(a, right.get(a)): 1}, 0)
-    result = ilp_feasible(system, bound=k + 1)
-    if result.status == "unknown":
-        raise SolverCapped(f"intersection test capped at bound {k + 1}")
-    return result.status == "sat"
 
 
 @dataclass

@@ -17,10 +17,14 @@ Propagation uses exact arithmetic with an explicit "unbounded" marker, so
 any infeasibility it derives holds unconditionally.  It works from a
 worklist: each equation's terms and gcd test are prepared once, watch lists
 map every unknown to its equations, and only equations whose unknowns
-changed are visited again.  Bounds can creep upward without end (x - y = 0
-and x - y = 1 raise each other's lower bound forever), so one propagation
-makes at most ``_VISITS_PER_EQUATION`` visits per equation of the system;
-stopping there keeps every bound sound and only loses pruning.
+changed are visited again.  A system compiled once (:class:`CompiledSystem`)
+can be the base of many systems that each add a few rows; their searches
+copy the base's rows instead of preparing them again.
+
+Bounds can creep upward without end (x - y = 0 and x - y = 1 raise each
+other's lower bound forever), so one propagation makes at most
+``_VISITS_PER_EQUATION`` visits per equation of the system; stopping there
+keeps every bound sound and only loses pruning.
 
 Branching on an unknown whose domain is still unbounded requires clamping
 it; when the caller has supplied a completeness bound (a value B such that a
@@ -34,12 +38,12 @@ from __future__ import annotations
 import os
 from collections import deque
 from dataclasses import dataclass
-from itertools import count
 from math import gcd
 
 __all__ = [
     "Eq",
     "LinearSystem",
+    "CompiledSystem",
     "IlpResult",
     "SolverCapped",
     "ilp_feasible",
@@ -71,15 +75,22 @@ def solver_cap() -> int:
 
 
 class LinearSystem:
-    """A conjunction of equations plus case splits over alternative blocks."""
+    """A conjunction of equations plus case splits over alternative blocks.
 
-    def __init__(self) -> None:
+    A system built on a compiled ``base`` adds its rows to the base's: its
+    equations may name the base's unknowns, and its fresh unknowns are
+    numbered after them.
+    """
+
+    def __init__(self, base: CompiledSystem | None = None) -> None:
+        self.base = base
         self.equations: list[Eq] = []
         self.cases: list[list[list[Eq]]] = []
-        self._counter = count()
+        self.fresh = base.fresh if base else 0  # number of the next fresh unknown
 
     def fresh_var(self, prefix: str = "_s") -> str:
-        return f"{prefix}{next(self._counter)}"
+        self.fresh += 1
+        return f"{prefix}{self.fresh - 1}"
 
     def make_eq(self, coeffs: dict[str, int], rhs: int) -> Eq:
         return ({v: c for v, c in coeffs.items() if c}, rhs)
@@ -142,45 +153,37 @@ def _row_range(terms, lo, hi) -> tuple[int, int, int, int]:
     return lo_sum, lo_open, hi_sum, hi_open
 
 
-class _Search:
-    """One search over a whole system.
+class CompiledSystem:
+    """A system in the solver's form.
 
-    Unknowns are numbered; a node's domains are two lists, ``lo`` and ``hi``,
-    with None in ``hi`` for an unbounded end.  Every equation of the system,
-    in a block or not, is a row of ``(unknown, coefficient)`` terms.  A row
-    is active at a node when it is a base equation or its block is the one
-    committed for its split; ``chosen`` holds the committed block of each
-    split, -1 while the split is open.
+    Unknowns are numbered; ``slack`` marks the internal ones and ``watch``
+    lists the rows of each.  Every equation is a row of ``(unknown,
+    coefficient)`` terms that passed its gcd test, with its split in
+    ``owner`` (-1 for a base equation) and its block in ``block``.
+    ``cases`` holds each block's rows, None for a block with an equation no
+    assignment satisfies; ``refuted`` marks such a base equation.  A system
+    built on a base starts from copies of the base's lists, and a base
+    watch list is copied when a new row writes it.
     """
 
-    def __init__(
-        self,
-        system: LinearSystem,
-        clamp: int,
-        slack_clamp: int,
-        artificial: bool,
-        budget: int,
-    ):
-        self.clamp = clamp
-        self.slack_clamp = slack_clamp
-        self.artificial = artificial
-        self.budget = budget
-        self.capped = False
-        self.refuted = False  # some base equation holds for no assignment
-        self.names: list[str] = []
-        self.index: dict[str, int] = {}
-        self.terms: list[tuple[tuple[int, int], ...]] = []
-        self.rhs: list[int] = []
-        self.owner: list[int] = []  # split of each row, -1 for a base row
-        self.block: list[int] = []  # block of each row within its split
-        self.watch: list[list[int]] = []  # rows of each unknown
+    def __init__(self, system: LinearSystem):
+        base = system.base
+        self.names: list[str] = list(base.names) if base else []
+        self.index: dict[str, int] = dict(base.index) if base else {}
+        self.slack: list[bool] = list(base.slack) if base else []
+        self.terms: list[tuple[tuple[int, int], ...]] = list(base.terms) if base else []
+        self.rhs: list[int] = list(base.rhs) if base else []
+        self.owner: list[int] = list(base.owner) if base else []
+        self.block: list[int] = list(base.block) if base else []
+        self.watch: list[list[int]] = list(base.watch) if base else []
+        self.cases: list[list[tuple[int, ...] | None]] = list(base.cases) if base else []
+        self.refuted = base.refuted if base else False
+        self._shared = len(self.watch)  # watch lists still the base's
+        self.fresh = system.fresh
         for coeffs, rhs in system.equations:
             if self._row(coeffs, rhs, -1, -1) is None:
                 self.refuted = True
-        # Per split, the rows of each block; None for a block holding an
-        # equation that no assignment satisfies.
-        self.cases: list[list[tuple[int, ...] | None]] = []
-        for case, alternatives in enumerate(system.cases):
+        for case, alternatives in enumerate(system.cases, len(self.cases)):
             blocks: list[tuple[int, ...] | None] = []
             for b, block in enumerate(alternatives):
                 rows = [self._row(coeffs, rhs, case, b) for coeffs, rhs in block]
@@ -189,9 +192,6 @@ class _Search:
                 else:
                     blocks.append(tuple(r for r in rows if r >= 0))
             self.cases.append(blocks)
-        self.slack = [name.startswith("_") for name in self.names]
-        self.listed: dict[tuple[int, ...], list[int]] = {}  # unknowns per commitment
-        self.visit_cap = _VISITS_PER_EQUATION * max(1, len(self.terms))
 
     def _row(self, coeffs: dict[str, int], rhs: int, case: int, block: int):
         """Add a row; None when no assignment satisfies it, -1 when every
@@ -207,6 +207,7 @@ class _Search:
             if v is None:
                 v = index[name] = len(names)
                 names.append(name)
+                self.slack.append(name.startswith("_"))
                 watch.append([])
             terms.append((v, c))
             if g != 1:
@@ -216,12 +217,42 @@ class _Search:
         if rhs % g:
             return None
         for v, _ in terms:
-            watch[v].append(r)
+            if v < self._shared:
+                watch[v] = [*watch[v], r]
+            else:
+                watch[v].append(r)
         self.terms.append(tuple(terms))
         self.rhs.append(rhs)
         self.owner.append(case)
         self.block.append(block)
         return r
+
+
+class _Search(CompiledSystem):
+    """One search over a whole system.
+
+    A node's domains are two lists, ``lo`` and ``hi``, with None in ``hi``
+    for an unbounded end.  A row is active at a node when it is a base
+    equation or its block is the one committed for its split; ``chosen``
+    holds the committed block of each split, -1 while the split is open.
+    """
+
+    def __init__(
+        self,
+        system: LinearSystem,
+        clamp: int,
+        slack_clamp: int,
+        artificial: bool,
+        budget: int,
+    ):
+        super().__init__(system)
+        self.clamp = clamp
+        self.slack_clamp = slack_clamp
+        self.artificial = artificial
+        self.budget = budget
+        self.capped = False
+        self.listed: dict[tuple[int, ...], list[int]] = {}  # unknowns per commitment
+        self.visit_cap = _VISITS_PER_EQUATION * max(1, len(self.terms))
 
     def run(self) -> dict[str, int] | None:
         if self.refuted:

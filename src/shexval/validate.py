@@ -18,10 +18,11 @@ The workhorses are:
 
 Refinement supports interchangeable per-node tests: a general
 intersection-nonemptiness test that works for every schema (a circulation
-on the compiled interval product for a symbol-product rule), the same test
-without a memo for schemas of symbol products, and a shortcut for
-deterministic single-occurrence schemas, under which a node's typed bag
-follows from its label bag.  All of them compute the same fixpoint on
+on the compiled interval product for a symbol-product rule, the rule's
+compiled arithmetic encoding for any other), the same test without a memo
+for schemas of symbol products, and a shortcut for deterministic
+single-occurrence schemas, under which a node's typed bag follows from its
+label bag.  All of them compute the same fixpoint on
 schemas where their preconditions hold.  ``refine`` and ``rbe0-refine``
 start from the full typing; ``s-refine`` starts from the structure-filtered
 typing, whose label-bag verdicts are the ones the shortcut reads.
@@ -61,7 +62,8 @@ from operator import itemgetter
 from .graph import Graph
 from .membership import member
 from .rbe import Bag, ParseError, Rbe, Symbol, concat, disj, typed_symbol
-from .sat import inter1, inter1_groups
+# perfbench/spans.py wraps the inter1 attribute of this module.
+from .sat import inter1, inter1_groups  # noqa: F401
 from .schema import TOP, Schema, flattenings, rule_member
 
 __all__ = [
@@ -211,8 +213,10 @@ def _some_flattening_member(
 ) -> bool:
     """Whether some flattening of the neighborhood satisfies ``t``'s rule.
 
-    A symbol-product rule takes the circulation test on the interval
-    product compiled with it; other expression rules take :func:`inter1`.
+    The flattenings pick one symbol per edge from a choice group.  A
+    symbol-product rule takes the circulation on its compiled interval
+    product, any other expression rule its encoding, which counts the edges
+    sharing a label and type set as one group.
     """
     rule = s.compiled[t]
     if rule.universal:
@@ -227,12 +231,15 @@ def _some_flattening_member(
         )
     if any(not types for (_, types) in neighborhood):
         return False
+    groups = {
+        frozenset(typed_symbol(a, u) for u in types): count
+        for (a, types), count in neighborhood.items()
+    }
     if rule.product:
-        groups: list[frozenset[str]] = []
-        for (a, types), count in neighborhood.items():
-            groups += [frozenset(typed_symbol(a, u) for u in types)] * count
-        return rule.intervals is not None and inter1_groups(groups, rule.intervals)
-    return inter1(flatten(neighborhood), rule.expr)
+        return rule.intervals is not None and inter1_groups(
+            list(Counter(groups).elements()), rule.intervals
+        )
+    return rule.encoding.meets(groups)
 
 
 class _RefineEngine:
@@ -282,8 +289,11 @@ class _RefineEngine:
         self.s = s
         self.rules = s.compiled
         flags = s.class_flags
+        # The local tests are kept as plain functions and called with the
+        # engine: a bound method kept on the engine would be a reference
+        # cycle, holding the engine, its graph and schema until a collection.
         if strategy == "general":
-            self._retest = self._lost_general
+            self._retest = _RefineEngine._lost_general
             # Memoized by neighborhood shape; the memo depends only on the
             # schema, so engines over the same schema share it.
             self._memo: dict[tuple, bool] = s._derived.setdefault(
@@ -294,18 +304,20 @@ class _RefineEngine:
                 raise ValueError(
                     "the rbe0-flow strategy needs a schema of symbol products"
                 )
-            self._retest = self._lost_flow
+            self._retest = _RefineEngine._lost_flow
         else:
             if not (flags.deterministic and flags.sorbe):
                 raise ValueError(
                     f"the {strategy} strategy needs a deterministic "
                     "single-occurrence schema"
                 )
-            self._retest = self._lost_successors
+            self._retest = _RefineEngine._lost_successors
         # The test of pairs that may not have passed the label check; the
         # rounds after the first re-test with _retest.
         self._lost = (
-            self._lost_labeled if strategy == "det-membership" else self._retest
+            _RefineEngine._lost_labeled
+            if strategy == "det-membership"
+            else self._retest
         )
         self.testable = frozenset(
             t for t, rule in self.rules.items() if not rule.universal
@@ -405,7 +417,7 @@ class _RefineEngine:
             types = self.testable.intersection(types)
             if types:
                 self.local_tests += len(types)
-                failed = local_test(n, types, typing)
+                failed = local_test(self, n, types, typing)
                 if failed:
                     lost[n] = failed
         return lost

@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from shexval.graph import Graph
 from shexval.membership import member_general
-from shexval.rbe import concat, star, sym
-from shexval.sat import DEFAULT_CAP, LinearSystem, ilp_feasible, solver_cap
+from shexval.rbe import concat, parse_rbe, star, sym
+from shexval.sat import DEFAULT_CAP, LinearSystem, encode_phi, ilp_feasible, solver_cap
 from shexval.sat.ilp import _Search
 from shexval.schema import parse_schema
-from shexval.validate import validate_multi
+from shexval.validate import flatten, validate_multi
 
 
 def feasible(*equations, cases=(), bound=None, cap=None):
@@ -395,11 +395,18 @@ def test_stars_branch_only_where_propagation_leaves_a_split_open(monkeypatch):
 
 
 def test_active_unknowns_are_listed_once_per_commitment(monkeypatch):
-    # A hub of 300 a-edges under a nondeterministic rule that is no symbol
-    # product: its test is one search with hundreds of value-branching
-    # nodes below a few commitments of the case splits.
-    s = parse_schema("t -> (a::u | a::v)* , a::u\nu -> eps\nv -> eps\n")
-    g = Graph([("h", "a", f"m{i}") for i in range(300)])
+    # The intersection system of a hub of 400 a-edges, one choice group per
+    # edge, and a nondeterministic rule that is no symbol product: one
+    # search with hundreds of value-branching nodes below a few
+    # commitments of the case splits.
+    system = LinearSystem()
+    left = encode_phi(flatten(Counter({("a", frozenset("uv")): 400})), system)
+    right = encode_phi(parse_rbe("(a::u | a::v)* , a::u"), system)
+    for a in sorted(set(left) | set(right)):
+        if a in left and a in right:
+            system.eq({left[a]: 1, right[a]: -1}, 0)
+        else:
+            system.eq({left.get(a, right.get(a)): 1}, 0)
     scans, nodes = [], []
     scan, node = _Search._unknowns, _Search._node
 
@@ -413,7 +420,32 @@ def test_active_unknowns_are_listed_once_per_commitment(monkeypatch):
 
     monkeypatch.setattr(_Search, "_unknowns", counted_scan)
     monkeypatch.setattr(_Search, "_node", counted_node)
-    report = validate_multi(g, s, "refine")
-    assert report.typing["h"] == {"t"}
+    assert ilp_feasible(system, bound=401).status == "sat"
     assert len(scans) == len(set(scans))
     assert len(nodes) > 300 > 10 * len(scans)
+
+
+def test_hub_searches_do_not_grow_with_the_hub(monkeypatch):
+    # The edges of a hub share one label and type set, so they make one
+    # choice group with a count: the searches of a hub of 3,000 edges are
+    # those of a hub of 300.
+    node = _Search._node
+
+    def nodes(n_edges):
+        s = parse_schema("t -> (a::u | a::v)* , a::u\nu -> eps\nv -> eps\n")
+        calls = 0
+
+        def counted(self, *args):
+            nonlocal calls
+            calls += 1
+            return node(self, *args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(_Search, "_node", counted)
+            g = Graph([("h", "a", f"m{i}") for i in range(n_edges)])
+            report = validate_multi(g, s, "refine")
+        assert report.typing["h"] == {"t"}
+        return calls
+
+    small = nodes(300)
+    assert 0 < small == nodes(1200) == nodes(3000)

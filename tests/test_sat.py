@@ -7,12 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shexval.rbe import (
+    EMPTY,
     EPSILON,
+    Concat,
+    Disj,
     Interval,
+    Plus,
+    Star,
     bag_key,
     concat,
     disj,
     enumerate_language,
+    is_symbol_product,
     isect,
     parse_rbe,
     split_symbol,
@@ -21,6 +27,7 @@ from shexval.rbe import (
 )
 from shexval.sat import (
     LinearSystem,
+    RuleEncoding,
     encode_phi,
     ilp_feasible,
     inter1,
@@ -166,6 +173,12 @@ class TestInter1:
     def test_arithmetic_fallback_for_disjunctive_right(self):
         assert inter1(rbe("a | b"), rbe("b | c"))
         assert not inter1(rbe("a"), rbe("b | c"))
+
+    def test_a_counted_group_is_searched_up_to_its_count(self):
+        # Four picks from one group need a repetition count of four, past
+        # the number of distinct groups plus one.
+        assert RuleEncoding(rbe("(a?)*, b?")).meets({frozenset("a"): 4})
+        assert not RuleEncoding(rbe("(a?)*, b")).meets({frozenset("a"): 4})
 
     def test_groups_form(self):
         assert inter1_groups([{"a", "c"}, {"b", "c"}], {"a": Interval(0, 1), "b": Interval(0, None), "c": Interval(1, 1)})
@@ -394,3 +407,60 @@ def test_ambiguity_verdicts_are_sound_and_catch_small_witnesses(e):
         assert member_by_phi(e, w2)
         assert _label_projection(w1) == _label_projection(w2)
         assert w1 != w2 or _mixes_some_label(bag_key(w1))
+
+
+def reference_inter1_ilp(choice_expr, other, k):
+    """The per-occurrence intersection system that decided non-product
+    rules before :class:`RuleEncoding`: both expressions encoded, their
+    counts linked, complete at k + 1 for k choice groups."""
+    system = LinearSystem()
+    left = encode_phi(choice_expr, system)
+    right = encode_phi(other, system)
+    for a in sorted(set(left) | set(right)):
+        if a in left and a in right:
+            system.eq({left[a]: 1, right[a]: -1}, 0)
+        else:
+            system.eq({left.get(a, right.get(a)): 1}, 0)
+    result = ilp_feasible(system, bound=k + 1)
+    assert result.status != "unknown"
+    return result.status == "sat"
+
+
+def non_product_rules():
+    bounds = st.sampled_from(
+        [Interval(1, 1), Interval(0, 1), Interval(0, None), Interval(1, None),
+         Interval(2, 3), Interval(0, 0), EMPTY]
+    )
+    leaves = st.builds(sym, st.sampled_from("abc"), bounds)
+    return st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            st.lists(inner, min_size=2, max_size=3).map(lambda ps: Disj(*ps)),
+            st.lists(inner, min_size=2, max_size=3).map(lambda ps: Concat(*ps)),
+            st.builds(Star, inner),
+            st.builds(Plus, inner),
+        ),
+        max_leaves=5,
+    ).filter(lambda e: not is_symbol_product(e))
+
+
+# Groups over the rules' symbols and d, which no rule uses; the empty
+# neighborhood and counts above one included.
+choice_groups_st = st.dictionaries(
+    st.frozensets(st.sampled_from("abcd"), min_size=1, max_size=3),
+    st.integers(1, 3),
+    max_size=4,
+).map(Counter)
+
+
+@settings(max_examples=300, deadline=None)
+@given(non_product_rules(), st.lists(choice_groups_st, min_size=1, max_size=3))
+def test_rule_encoding_meets_like_the_per_occurrence_system(rule, queries):
+    # One encoding answers every query, so a query that changed the
+    # compiled rows would show in the next one.
+    encoding = RuleEncoding(rule)
+    for groups in queries:
+        choice_expr = choice_expr_from(list(groups.elements()))
+        expected = reference_inter1_ilp(choice_expr, rule, sum(groups.values()))
+        assert encoding.meets(groups) == expected
+        assert inter1(choice_expr, rule) == expected

@@ -41,6 +41,7 @@ from shexval.rbe import (
     format_rbe,
     typed_symbol,
 )
+from shexval.sat import core as sat_core
 from shexval.sat import inter1
 from shexval.schema import (
     TOP,
@@ -1244,6 +1245,62 @@ def test_refine_reads_the_compiled_interval_products(monkeypatch):
     assert report.typing["m1.0"] == {"t", "u"}
     assert report.typing["x"] == report.typing["h0"] == frozenset()
     assert report.typing == validate_multi(g, s, "rbe0-refine").typing
+
+
+# Nondeterministic and not single-occurrence: refine decides its rules by
+# their arithmetic encodings.
+NONDET_ILP_TEXT = """\
+t0 -> (a::tc | a::t0)* , b::tc* , (c::t0 , d::t0)* , (c::tc , d::tc)*
+tc -> (a::tc+ | b::tc) , a::t0* , b::tc* , (c::tc | d::t0)*
+"""
+
+
+def random_abcd_graph(n_nodes: int, seed: int) -> Graph:
+    rng = random.Random(seed)
+    edges = {
+        (f"n{i}", rng.choice("abcd"), f"n{rng.randrange(n_nodes)}")
+        for i in range(n_nodes)
+        for _ in range(rng.randint(0, 4))
+    }
+    return Graph(sorted(edges))
+
+
+@pytest.mark.parametrize(
+    "schemas",
+    [
+        lambda: [parse_schema(NONDET_ILP_TEXT)],
+        lambda: [parse_schema(NONDET_ILP_TEXT), parse_schema(S1_TEXT)],
+    ],
+    ids=["nondet", "intersect"],
+)
+def test_refine_encodes_each_rule_once(monkeypatch, schemas):
+    # Parsing analysed every rule; refine encodes a rule for the solver the
+    # first time it needs the encoding and never again.  The joins of
+    # intersect_schemas decide their parts by membership on those rules.
+    parts = schemas()
+    s = parts[0] if len(parts) == 1 else intersect_schemas(*parts)
+    g = random_abcd_graph(60 if len(parts) == 1 else 25, seed=3)
+    encoded, encode = [], sat_core.encode_phi
+
+    def counted_encode(e, system):
+        encoded.append(e)
+        return encode(e, system)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("shexval") and (
+            getattr(module, "encode_phi", None) is encode
+        ):
+            monkeypatch.setattr(module, "encode_phi", counted_encode)
+    reports = []
+    calls = analysis_calls(
+        monkeypatch, lambda: reports.append(validate_multi(g, s, "refine"))
+    )
+    (report,) = reports
+    rules = [rule.expr for part in parts for rule in part.compiled.values()]
+    assert calls["normalize_product"] == 0
+    assert encoded and all(sum(e is r for e in encoded) <= 1 for r in rules)
+    assert all(any(e is r for r in rules) for e in encoded)
+    assert report.local_tests > 2 * len(rules)
 
 
 product_rule_st = st.lists(
