@@ -7,7 +7,7 @@ number of distinct targets it reaches.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -26,28 +26,62 @@ __all__ = [
 class Graph:
     """A finite set of nodes and labeled edges between them.
 
-    Two indexes answer the queries.  The successor index (node to its
-    (label, target) pairs) is built at construction.  The label-bag index
-    groups the nodes by outbound label bag; it is built on first use, so
+    One index is built at construction, in one pass over the edges: the
+    successor index, from each node to its (label, target) pairs.  The
+    queries read it.  The edge set ``edges`` is derived from it on first
+    read and kept; validation never reads it.  The label-bag index groups
+    the nodes by outbound label bag; it too is built on first use, so
     parsing a graph never pays for it.  Refinement decides the tests that
     see a node only through its label bag once per class of that index.
     """
 
-    __slots__ = ("nodes", "edges", "_succ", "_classes", "_class_of")
+    __slots__ = ("nodes", "_succ", "_edges", "_classes", "_class_of")
 
     def __init__(self, edges=(), nodes=()):
-        edge_set = frozenset(
-            (str(s), str(label), str(t)) for s, label, t in edges
+        self._index(
+            ((str(s), str(label), str(t)) for s, label, t in edges), map(str, nodes)
         )
-        touched = {s for s, _, _ in edge_set} | {t for _, _, t in edge_set}
-        self.nodes: frozenset[str] = frozenset(map(str, nodes)) | touched
-        self.edges: frozenset[tuple[str, str, str]] = edge_set
-        succ: dict[str, set[tuple[str, str]]] = defaultdict(set)
-        for s, label, t in edge_set:
-            succ[s].add((label, t))
+
+    @classmethod
+    def _from_strings(cls, triples, nodes) -> Graph:
+        """The graph of (subject, label, object) triples of strings and
+        further node names, taken as they are."""
+        graph = cls.__new__(cls)
+        graph._index(triples, nodes)
+        return graph
+
+    def _index(self, triples, nodes) -> None:
+        # The one index builder.  Duplicate edges collapse in the per-node
+        # sets; ``nodes`` is read only once ``triples`` is exhausted.
+        succ: dict[str, set[tuple[str, str]]] = {}
+        targets = set()
+        for s, label, t in triples:
+            pairs = succ.get(s)
+            if pairs is None:
+                succ[s] = {(label, t)}
+            else:
+                pairs.add((label, t))
+            targets.add(t)
+        self.nodes: frozenset[str] = frozenset(targets.union(succ, nodes))
         self._succ = {n: frozenset(pairs) for n, pairs in succ.items()}
+        self._edges: frozenset[tuple[str, str, str]] | None = None
         self._classes: dict[tuple, tuple[str, ...]] | None = None
         self._class_of: dict[str, tuple] = {}
+
+    @property
+    def edges(self) -> frozenset[tuple[str, str, str]]:
+        """The (subject, label, object) triples, derived from the successor
+        index on first read and kept."""
+        if self._edges is None:
+            self._edges = frozenset(
+                [(n, label, m) for n, pairs in self._succ.items() for label, m in pairs]
+            )
+        return self._edges
+
+    @edges.setter
+    def edges(self, value: frozenset[tuple[str, str, str]]) -> None:
+        # Replaces what reading ``edges`` returns; the index is unchanged.
+        self._edges = value
 
     def out_lab(self, node: str) -> Bag:
         """The bag of outbound edge labels of a node."""
@@ -105,13 +139,14 @@ class Graph:
     def __eq__(self, other):
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.nodes == other.nodes and self.edges == other.edges
+        return self.nodes == other.nodes and self._succ == other._succ
 
     def __hash__(self):
-        return hash((self.nodes, self.edges))
+        return hash(self.nodes)
 
     def __repr__(self):
-        return f"Graph({len(self.nodes)} nodes, {len(self.edges)} edges)"
+        n_edges = sum(map(len, self._succ.values()))
+        return f"Graph({len(self.nodes)} nodes, {n_edges} edges)"
 
 
 @dataclass(frozen=True)
@@ -193,23 +228,29 @@ def relabel_wildcards(graph: Graph, decls) -> Graph:
     A label that no declaration claims keeps its own name, as it would with
     no wildcards at all: closed rules reject it and the universal type
     accepts it.  Such a label must not equal a declaration's name, which
-    would make it read as that wildcard.
+    would make it read as that wildcard; the error names the least such
+    label.  Each distinct label is decided once.
     """
     decls = list(decls)
     check_wildcards_disjoint(decls)
     rest = next((d for d in decls if d.rest), None)
     names = {d.name for d in decls}
-    renamed = []
-    for s, label, t in graph.edges:
+    succ = graph._succ
+    renamed = {}
+    for label in sorted({label for pairs in succ.values() for label, _ in pairs}):
         decl = next((d for d in decls if d.matches(label)), rest)
         if decl is not None:
-            label = decl.name
+            renamed[label] = decl.name
         elif label in names:
             raise ValueError(
                 f"edge label {label!r} matches no wildcard but is the name of one"
             )
-        renamed.append((s, label, t))
-    return Graph(renamed, graph.nodes)
+        else:
+            renamed[label] = label
+    return Graph._from_strings(
+        ((n, renamed[label], m) for n, pairs in succ.items() for label, m in pairs),
+        graph.nodes,
+    )
 
 
 def parse_graph(text: str) -> Graph:
@@ -218,9 +259,20 @@ def parse_graph(text: str) -> Graph:
     Each line is `subject<TAB>predicate<TAB>object`, or `node<TAB><id>` for
     an isolated node; `#` starts a comment.
     """
-    edges = []
-    nodes = []
+    nodes: list[str] = []
+    return Graph._from_strings(_triples(text, nodes), nodes)
+
+
+def _triples(text: str, nodes: list[str]):
+    # The edges of ``text`` in order; the ids of its node lines are
+    # appended to ``nodes`` on the way.
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        fields = tuple(map(str.strip, raw.split("\t")))
+        if len(fields) == 3 and "" not in fields and fields[0][0] != "#":
+            # Three non-empty fields read the same once the line is
+            # stripped, so only the other lines need the checks below.
+            yield fields
+            continue
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -228,7 +280,7 @@ def parse_graph(text: str) -> Graph:
         if any(not f for f in fields):
             raise ParseError(f"line {lineno}: empty field")
         if len(fields) == 3:
-            edges.append(tuple(fields))
+            yield tuple(fields)
         elif len(fields) == 2 and fields[0] == "node":
             nodes.append(fields[1])
         else:
@@ -236,12 +288,12 @@ def parse_graph(text: str) -> Graph:
                 f"line {lineno}: expected subject<TAB>predicate<TAB>object "
                 f"or node<TAB>id, got {len(fields)} field(s)"
             )
-    return Graph(edges, nodes)
 
 
 def format_graph(graph: Graph) -> str:
     """Serialize a graph; parsing the result reproduces it exactly."""
     lines = ["\t".join(edge) for edge in sorted(graph.edges)]
-    touched = {s for s, _, _ in graph.edges} | {t for _, _, t in graph.edges}
-    lines.extend(f"node\t{n}" for n in sorted(graph.nodes - touched))
+    targets = {m for pairs in graph._succ.values() for _, m in pairs}
+    isolated = graph.nodes.difference(graph._succ, targets)
+    lines.extend(f"node\t{n}" for n in sorted(isolated))
     return "\n".join(lines) + ("\n" if lines else "")

@@ -78,21 +78,18 @@ def _alphabets(e: Rbe) -> dict[int, frozenset[str]]:
     """The alphabet of every subexpression, keyed by node identity, from
     one pass; the encoding splits counts by them at every n-ary node."""
     table: dict[int, frozenset[str]] = {}
-
-    def fill(node: Rbe) -> frozenset[str]:
+    # Reversed preorder visits every part before the nodes above it.
+    for node in reversed(list(walk(e))):
         match node:
             case Symbol(name, _):
                 names = frozenset((name,))
             case Disj(parts) | Concat(parts) | Isect(parts):
-                names = frozenset().union(*map(fill, parts))
+                names = frozenset().union(*[table[id(part)] for part in parts])
             case Star(body) | Plus(body):
-                names = fill(body)
+                names = table[id(body)]
             case _:
                 names = frozenset()
         table[id(node)] = names
-        return names
-
-    fill(e)
     return table
 
 

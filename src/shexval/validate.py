@@ -493,10 +493,12 @@ def _without(types: frozenset[str], lost: list[str]) -> frozenset[str]:
 
 
 def _predecessors(g: Graph) -> dict[str, list[tuple[str, str]]]:
-    """Per node, the (source, label) pairs of its inbound edges."""
+    """Per node, the (source, label) pairs of its inbound edges, read off
+    the successor index."""
     preds: dict[str, list[tuple[str, str]]] = {}
-    for n, a, m in g.edges:
-        preds.setdefault(m, []).append((n, a))
+    for n, pairs in g._succ.items():
+        for a, m in pairs:
+            preds.setdefault(m, []).append((n, a))
     return preds
 
 

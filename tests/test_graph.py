@@ -1,4 +1,4 @@
-from collections import Counter
+from collections import Counter, defaultdict
 
 import pytest
 from hypothesis import given, settings
@@ -166,6 +166,12 @@ class TestWildcards:
         with pytest.raises(ValueError, match="'A'"):
             relabel_wildcards(g, [WildcardDecl("A", labels={"a"})])
 
+    def test_the_least_label_named_like_a_wildcard_is_reported(self):
+        g = Graph([("s", "S", "t"), ("s", "P", "t"), ("s", "a", "u")])
+        decls = [WildcardDecl("P", prefix="x"), WildcardDecl("S", labels={"a"})]
+        with pytest.raises(ValueError, match="'P'"):
+            relabel_wildcards(g, decls)
+
     def test_exactly_one_form_required(self):
         with pytest.raises(ValueError):
             WildcardDecl("A")
@@ -233,3 +239,91 @@ def test_relabel_preserves_nodes_and_parallel_free_edge_count(edges):
         assert len(relabeled.edges) == len(g.edges)
     else:
         assert len(relabeled.edges) <= len(g.edges)
+
+
+def reference_parse_graph(text):
+    """The triple format as read before the one-pass index: every line
+    and field stripped, then the edge set, the nodes and the successor
+    index each built in a pass of their own."""
+    edges = []
+    nodes = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = [f.strip() for f in line.split("\t")]
+        if any(not f for f in fields):
+            raise ParseError(f"line {lineno}: empty field")
+        if len(fields) == 3:
+            edges.append(tuple(fields))
+        elif len(fields) == 2 and fields[0] == "node":
+            nodes.append(fields[1])
+        else:
+            raise ParseError(
+                f"line {lineno}: expected subject<TAB>predicate<TAB>object "
+                f"or node<TAB>id, got {len(fields)} field(s)"
+            )
+    edge_set = frozenset((str(s), str(label), str(t)) for s, label, t in edges)
+    touched = {s for s, _, _ in edge_set} | {t for _, _, t in edge_set}
+    succ = defaultdict(set)
+    for s, label, t in edge_set:
+        succ[s].add((label, t))
+    return frozenset(map(str, nodes)) | touched, edge_set, succ
+
+
+def _label_classes(nodes, succ):
+    classes = defaultdict(set)
+    for n in nodes:
+        classes[tuple(sorted(Counter(a for a, _ in succ.get(n, ())).items()))].add(n)
+    return dict(classes)
+
+
+def field_st(cores):
+    return st.builds(
+        "".join,
+        st.tuples(
+            st.sampled_from(["", " ", "  ", "\xa0", "\x1f"]),
+            st.sampled_from(cores),
+            st.sampled_from(["", " ", "\xa0"]),
+        ),
+    )
+
+
+some_field_st = field_st(["n0", "n1", "a", "b c", "node", "x#"])
+any_field_st = field_st(["", "n0", "a", "node", "#c"])
+line_st = st.one_of(
+    st.lists(some_field_st, min_size=3, max_size=3).map("\t".join),
+    st.lists(any_field_st, min_size=1, max_size=5).map("\t".join),
+    st.lists(any_field_st, max_size=2).map(lambda f: "\t".join(["node", *f])),
+    st.sampled_from(["", "   ", "# note", " #\ta\tb", "\xa0"]),
+)
+
+
+@st.composite
+def triple_texts(draw):
+    # A pool of lines, drawn from again so that lines repeat.
+    pool = draw(st.lists(line_st, min_size=1, max_size=6))
+    lines = draw(st.lists(st.sampled_from(pool), max_size=10))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines),
+                         max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+@settings(max_examples=500, deadline=None)
+@given(triple_texts())
+def test_parse_matches_the_per_pass_reference(text):
+    try:
+        nodes, edges, succ = reference_parse_graph(text)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as raised:
+            parse_graph(text)
+        assert str(raised.value) == str(exc)
+        return
+    g = parse_graph(text)
+    assert g.nodes == nodes
+    assert g.edges == edges
+    for n in nodes:
+        assert g.out_lab_node(n) == succ.get(n, frozenset())
+    classes = {key: set(members) for key, members in g.label_classes().items()}
+    assert classes == _label_classes(nodes, succ)

@@ -1,3 +1,4 @@
+import gc
 import itertools
 from collections import Counter
 from functools import reduce
@@ -141,6 +142,17 @@ class TestEncodePhi:
         system = LinearSystem()
         with pytest.raises(ValueError):
             encode_phi(irbe("(a & a)+"), system)
+
+    def test_leaves_no_reference_cycle(self):
+        # A cycle would hold the rule's alphabet table until a collection.
+        e = irbe("((a, b)* | c+)+, (d | a)* , (a, a+) & (a, a?, a?)")
+        gc.collect()
+        gc.disable()
+        try:
+            encode_phi(e, LinearSystem())
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestInter1:

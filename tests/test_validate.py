@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from shexval import schema as schema_module
 from shexval import validate as validate_module
 from shexval.genbench import GenConfig, generate_graph
-from shexval.graph import Graph
+from shexval.graph import Graph, format_graph, parse_graph
 from shexval.membership import member
 from shexval.rbe import ops as rbe_ops
 from shexval.rbe import (
@@ -1338,3 +1338,49 @@ def test_product_rules_decide_like_the_flattening_intersection(rule, neighborhoo
             flatten(neighborhood), compiled.expr
         )
         assert _some_flattening_member(s, neighborhood, t) == expected
+
+
+def _fig2_case():
+    s = parse_schema(FIG2_TEXT)
+    g, pre = generate_graph(GenConfig(s, 300, seed=5))
+    return s, g, pre, ("refine", "s-refine")
+
+
+def _nondet_case():
+    return parse_schema(NONDET_ILP_TEXT), random_abcd_graph(300, 3), None, ("refine",)
+
+
+def _product_case():
+    s = parse_schema(HUB_PRODUCT_TEXT)
+    return s, hub_product_graph(), None, ("refine", "rbe0-refine")
+
+
+@pytest.mark.parametrize(
+    "case", [_fig2_case, _nondet_case, _product_case], ids=["fig2", "nondet", "rbe0"]
+)
+def test_validating_a_parsed_graph_never_builds_its_edge_set(monkeypatch, case):
+    # A parsed graph holds only its successor index; flooding (on the
+    # deterministic schema), every refinement and the reports read that
+    # index alone.
+    s, built, pre, algos = case()
+    parsed = parse_graph(format_graph(built))
+    reads = []
+    edges = Graph.edges
+
+    def counted(g):
+        reads.append(g)
+        return edges.fget(g)
+
+    monkeypatch.setattr(Graph, "edges", property(counted, edges.fset))
+
+    def reports(g):
+        out = [validate_multi(g, s, algo) for algo in algos]
+        # A refinement that removed pairs read the inbound edges.
+        assert out[0].iterations > 1
+        if pre is not None:
+            out.append(flood_extension(g, s, pre, mode="multi"))
+        return out
+
+    of_parsed = reports(parsed)
+    assert reads == []
+    assert of_parsed == reports(built)
