@@ -26,6 +26,7 @@ from .rbe import parse_rbe
 from .sat import SolverCapped, inter1, is_unambiguous, rbe_satisfiable
 from .schema import TOP, nondeterministic_labels, parse_schema
 from .validate import (
+    ALGORITHMS,
     BruteCapExceeded,
     ValidationReport,
     format_pretyping,
@@ -246,7 +247,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     validate.add_argument(
         "--algo",
-        choices=("refine", "s-refine", "rbe0-refine", "flood", "brute"),
+        choices=ALGORITHMS,
         default="refine",
     )
     validate.add_argument("--pretyping")

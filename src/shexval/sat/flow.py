@@ -8,7 +8,7 @@ the networks built here are tiny, so no scaling tricks are needed.
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import Counter, defaultdict, deque
 from collections.abc import Hashable, Iterable
 
 from ..rbe import Interval
@@ -94,23 +94,25 @@ def build_flow_network(
     """Network whose circulations are the bags meeting both sides.
 
     ``groups`` lists symbol-choice groups (one symbol picked per group);
-    ``intervals`` gives per-symbol multiplicity constraints.  A unit flows
-    from the source through each group to its chosen symbol; symbol-to-sink
-    arcs enforce the intervals, with unbounded tops cut to the group count
-    (no bag can exceed it).  Symbols outside ``intervals`` get no outgoing
-    arc and so can never be chosen.
+    ``intervals`` gives per-symbol multiplicity constraints.  Identical
+    groups share one group node: c copies of a group get a source arc
+    [c; c] and arcs [0; c] to their symbols, so the network grows with the
+    distinct groups, not with their count.  Symbol-to-sink arcs enforce the
+    intervals, with unbounded tops cut to the total group count (no bag can
+    exceed it).  Symbols outside ``intervals`` get no outgoing arc and so
+    can never be chosen.
     """
-    groups = list(groups)
-    k = len(groups)
+    counts = Counter(frozenset(group) for group in groups)
+    k = sum(counts.values())
     net = FlowNetwork()
     source = ("src",)
     target = ("snk",)
     seen: set[str] = set()
-    for i, group in enumerate(groups):
+    for i, (group, c) in enumerate(counts.items()):
         gnode = ("grp", i)
-        net.add_arc(source, gnode, 1, 1)
+        net.add_arc(source, gnode, c, c)
         for symbol in sorted(group):
-            net.add_arc(gnode, ("sym", symbol), 0, 1)
+            net.add_arc(gnode, ("sym", symbol), 0, c)
             seen.add(symbol)
     for symbol in sorted(seen | set(intervals)):
         iv = intervals.get(symbol)

@@ -16,16 +16,17 @@ The workhorses are:
   minimal valid extension instead of the maximal typing,
 * brute force — enumerate assignments outright, as a reference oracle.
 
-Refinement supports interchangeable per-node tests: a general
+A round of refinement is synchronous: it tests every (node, type) pair
+against the typing the round before left, and removes the pairs that
+fail all at once.  The algorithm name and the schema's class pick the
+local test: a shortcut for deterministic single-occurrence schemas, under
+which a node's typed bag follows from its label bag, or a general
 intersection-nonemptiness test that works for every schema (a circulation
 on the compiled interval product for a symbol-product rule, the rule's
-compiled arithmetic encoding for any other), the same test without a memo
-for schemas of symbol products, and a shortcut for deterministic
-single-occurrence schemas, under which a node's typed bag follows from its
-label bag.  All of them compute the same fixpoint on
-schemas where their preconditions hold.  ``refine`` and ``rbe0-refine``
-start from the full typing; ``s-refine`` starts from the structure-filtered
-typing, whose label-bag verdicts are the ones the shortcut reads.
+compiled arithmetic encoding for any other).  Both give the same fixpoint
+where the shortcut applies.  ``refine`` and ``rbe0-refine`` start from the
+full typing; ``s-refine`` starts from the structure-filtered typing, whose
+label-bag verdicts are the ones the shortcut reads.
 
 The refinement driver is frontier-driven, in the manner of maximal
 simulation (Henzinger, Henzinger and Kopke, FOCS 1995) and arc
@@ -38,7 +39,7 @@ edge's label: a flattening that picks an unmentioned symbol lies outside
 the rule's language.  Rules given as opaque predicates count as
 mentioning every symbol.  So a pair off the frontier keeps the verdict it
 had a round earlier, and every round removes exactly the pairs the
-synchronous round of :func:`refine_step` removes.
+synchronous round removes.
 
 Tests that see a node only through its outbound label bag are decided
 once per label-bag class of the graph (:meth:`Graph.label_classes`), in
@@ -70,7 +71,6 @@ __all__ = [
     "ALGORITHMS",
     "BRUTE_CAP",
     "BruteCapExceeded",
-    "STRATEGIES",
     "ValidationReport",
     "out_lab_type_s",
     "out_lab_type_m",
@@ -78,9 +78,7 @@ __all__ = [
     "check_s_typing",
     "check_m_typing",
     "m_typing_leq",
-    "refine_step",
     "structure_filtered_init",
-    "refine_fixpoint",
     "infer_types",
     "validate_multi",
     "validate_single",
@@ -93,7 +91,6 @@ __all__ = [
     "report_lines",
 ]
 
-STRATEGIES = ("general", "rbe0-flow", "det-membership")
 ALGORITHMS = ("refine", "s-refine", "rbe0-refine", "flood", "brute")
 
 # Bound on the number of assignments the brute-force searches may visit.
@@ -117,9 +114,10 @@ class ValidationReport:
     the nodes the typing leaves uncovered: absent from it, or holding no
     type other than the universal one.  ``iterations`` counts refinement
     rounds, including the last one, which removes nothing, or processed
-    flooding obligations.  Refinement rounds are those of the synchronous
-    definition (:func:`refine_step` until nothing changes), even though
-    the driver re-tests only a frontier of pairs in each round.
+    flooding obligations.  A refinement round is synchronous: it tests
+    every (node, type) pair against the typing the round before left and
+    removes the failing pairs together.  The driver re-tests only a
+    frontier of pairs in each round, but counts these rounds.
     ``local_tests`` counts the (node, type) local tests the refinement
     driver ran over all rounds; from the full typing, round 1 counts one
     test per type for one representative node of each label-bag class.
@@ -243,23 +241,25 @@ def _some_flattening_member(
 
 
 class _RefineEngine:
-    """Refinement rounds against a fixed graph and schema.
+    """Refinement rounds of one algorithm against a fixed graph and schema.
 
-    The strategy picks the local test once, at construction:
+    The algorithm and the schema's class pick the local test once, at
+    construction:
 
-    * ``general`` asks whether some flattening of the neighborhood
-      satisfies the rule, memoized by neighborhood shape, which collapses
-      the many identically-shaped nodes of large graphs into a handful of
-      tests;
-    * ``rbe0-flow`` runs that test per node, which on its schemas of
-      symbol products is the circulation.  It has no memo on purpose:
-      with one it is about as fast as the deterministic shortcut, so
-      which of the two wins would be left to noise;
-    * ``det-membership`` checks that the rule admits the node's label bag
-      (:func:`_admitted`, one verdict per bag) and that every successor
-      still carries the one type the rule requires under the edge's
-      label.  A node's label bag never changes, so once every pair has
-      passed the label check, later tests check successors only.
+    * ``refine`` on a deterministic single-occurrence schema, and
+      ``s-refine``, which needs one, use the deterministic test: the rule
+      admits the node's label bag (:func:`_admitted`, one verdict per bag)
+      and every successor still carries the one type the rule requires
+      under the edge's label.  A node's label bag never changes, so after
+      the first round only the successors are checked;
+    * ``refine`` on any other schema asks whether some flattening of the
+      neighborhood satisfies the rule, memoized by neighborhood shape,
+      which collapses the many identically-shaped nodes of large graphs
+      into a handful of tests;
+    * ``rbe0-refine`` needs a schema of symbol products and runs that
+      flattening test per node, which there is the circulation.  It has
+      no memo on purpose: with one it is about as fast as the
+      deterministic test, so which of the two wins would be left to noise.
 
     Types with a universal rule always survive and are never tested.
     Every test reads the rules as the schema compiled them (label maps,
@@ -267,70 +267,43 @@ class _RefineEngine:
     schema, so engines over the same schema share them and repeat
     validations start warm.
 
-    :meth:`step` is one synchronous round over every pair.
-    :meth:`from_full` and :meth:`from_filtered` are the frontier driver
-    from its two starts.  From the full typing, round 1 is :meth:`step`
-    decided once per label-bag class.  From the structure-filtered typing,
-    whose types have all passed the label check, round 1 checks the
-    successors of every pair.  Each later round re-tests only the pairs
-    (n, t) with an a-edge from n into a node m that lost a type u in the
-    round before, where t's rule mentions ``a::u``.
-    A pair off that frontier keeps its previous verdict, because the test
-    sees a successor only through the types the rule mentions under the
-    edge's label, so the driver yields the typing of repeated :meth:`step`
-    after every round.  ``local_tests`` counts the pairs tested; a class
-    decided by one representative counts that representative's pairs.
+    :meth:`from_full` and :meth:`from_filtered` run the frontier driver
+    of the module docstring from its two starts; each yields the typing
+    and the number of the synchronous rounds.  ``local_tests`` counts the
+    pairs tested; a class decided by one representative counts that
+    representative's pairs.
     """
 
-    def __init__(self, g: Graph, s: Schema, strategy: str):
-        if strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {strategy!r}")
+    def __init__(self, g: Graph, s: Schema, algo: str):
+        flags = s.class_flags
+        deterministic = flags.deterministic and flags.sorbe
+        if algo == "s-refine" and not deterministic:
+            raise ValueError(
+                "s-refine needs a deterministic single-occurrence schema"
+            )
+        if algo == "rbe0-refine" and not flags.rbe0:
+            raise ValueError("rbe0-refine needs a schema of symbol products")
         self.g = g
         self.s = s
         self.rules = s.compiled
-        flags = s.class_flags
         # The local tests are kept as plain functions and called with the
         # engine: a bound method kept on the engine would be a reference
         # cycle, holding the engine, its graph and schema until a collection.
-        if strategy == "general":
-            self._retest = _RefineEngine._lost_general
-            # Memoized by neighborhood shape; the memo depends only on the
-            # schema, so engines over the same schema share it.
-            self._memo: dict[tuple, bool] = s._derived.setdefault(
-                "refine:memo:general", {}
-            )
-        elif strategy == "rbe0-flow":
-            if not flags.rbe0:
-                raise ValueError(
-                    "the rbe0-flow strategy needs a schema of symbol products"
-                )
-            self._retest = _RefineEngine._lost_flow
-        else:
-            if not (flags.deterministic and flags.sorbe):
-                raise ValueError(
-                    f"the {strategy} strategy needs a deterministic "
-                    "single-occurrence schema"
-                )
+        # _first is round 1 from the full typing; _retest is every other.
+        self._memo: dict[tuple, bool] | None = None
+        if deterministic and algo != "rbe0-refine":
+            self._first = _RefineEngine._lost_label_bag
             self._retest = _RefineEngine._lost_successors
-        # The test of pairs that may not have passed the label check; the
-        # rounds after the first re-test with _retest.
-        self._lost = (
-            _RefineEngine._lost_labeled
-            if strategy == "det-membership"
-            else self._retest
-        )
+        else:
+            self._first = self._retest = _RefineEngine._lost_general
+            if algo != "rbe0-refine":
+                # The memo depends only on the schema, so engines over the
+                # same schema share it.
+                self._memo = s._derived.setdefault("refine:memo:general", {})
         self.testable = frozenset(
             t for t, rule in self.rules.items() if not rule.universal
         )
         self.local_tests = 0
-
-    def step(self, typing: Mapping[str, frozenset[str]]) -> dict[str, frozenset[str]]:
-        """All pairs re-tested against the previous round's typing."""
-        lost = self._test(typing, typing, self._lost)
-        return {
-            n: _without(typing[n], lost[n]) if n in lost else typing[n]
-            for n in self.g.nodes
-        }
 
     def from_full(self) -> tuple[dict[str, frozenset[str]], int]:
         """The fixpoint below the full typing and its number of rounds.
@@ -392,7 +365,7 @@ class _RefineEngine:
         updates ``current`` and returns the types each node lost."""
         classes = self.g.label_classes().values()
         failed = self._test(
-            {nodes[0]: current[nodes[0]] for nodes in classes}, current, self._lost
+            {nodes[0]: current[nodes[0]] for nodes in classes}, current, self._first
         )
         lost = {}
         for nodes in classes:
@@ -424,6 +397,11 @@ class _RefineEngine:
 
     def _lost_general(self, n, types, typing) -> list[str]:
         neighborhood = out_lab_type_m(self.g, typing, n)
+        if self._memo is None:
+            return [
+                t for t in types
+                if not _some_flattening_member(self.s, neighborhood, t)
+            ]
         shape = _neighborhood_key(neighborhood)
         lost = []
         for t in types:
@@ -435,12 +413,6 @@ class _RefineEngine:
             if not verdict:
                 lost.append(t)
         return lost
-
-    def _lost_flow(self, n, types, typing) -> list[str]:
-        neighborhood = out_lab_type_m(self.g, typing, n)
-        return [
-            t for t in types if not _some_flattening_member(self.s, neighborhood, t)
-        ]
 
     def _lost_successors(self, n, types, typing) -> list[str]:
         # The rule uses each label with one target type, so once the label
@@ -457,11 +429,11 @@ class _RefineEngine:
                     break
         return lost
 
-    def _lost_labeled(self, n, types, typing) -> list[str]:
-        # The label check, then the successors of the types that pass it.
+    def _lost_label_bag(self, n, types, typing) -> list[str]:
+        # Under the full typing every successor carries every type, so the
+        # deterministic test reduces to the label check.
         admitted = _admitted(self.s, self.g.label_key(n))
-        lost = [t for t in types if t not in admitted]
-        return lost + self._lost_successors(n, admitted.intersection(types), typing)
+        return [t for t in types if t not in admitted]
 
     def _mention_index(
         self,
@@ -502,29 +474,6 @@ def _predecessors(g: Graph) -> dict[str, list[tuple[str, str]]]:
     return preds
 
 
-def _as_m_typing(g: Graph, typing: Mapping[str, Iterable[str]]) -> dict[str, frozenset[str]]:
-    missing = g.nodes - typing.keys()
-    if missing:
-        raise ValueError(f"typing assigns no set to node {min(missing)!r}")
-    return {n: frozenset(typing[n]) for n in g.nodes}
-
-
-def refine_step(
-    g: Graph,
-    s: Schema,
-    typing: Mapping[str, Iterable[str]],
-    strategy: str = "general",
-) -> dict[str, frozenset[str]]:
-    """One refinement round: delete every locally unsatisfiable type.
-
-    A type survives at a node when some flattening of the node's
-    neighborhood under the *current* typing belongs to its language; the
-    universal type always survives.  The result is pointwise contained in
-    the input.
-    """
-    return _RefineEngine(g, s, strategy).step(_as_m_typing(g, typing))
-
-
 def _admitted(s: Schema, bag: tuple[tuple[str, int], ...]) -> frozenset[str]:
     """The types whose rule admits the label bag given as sorted (label,
     count) pairs: the universal type, predicate rules, and the expression
@@ -563,34 +512,17 @@ def structure_filtered_init(g: Graph, s: Schema) -> dict[str, frozenset[str]]:
     return out
 
 
-def refine_fixpoint(
-    g: Graph, s: Schema, strategy: str = "general"
-) -> dict[str, frozenset[str]]:
-    """Refine the full typing until nothing changes: the greatest fixpoint
-    of :func:`refine_step`.
-
-    The frontier driver re-tests, after the first round, only the pairs
-    whose successors lost a type their rule mentions (see the module
-    docstring), so it takes the same rounds, at most |nodes|·|types| + 1,
-    as iterating :func:`refine_step`, but each round costs only the pairs
-    it can change.
-    """
-    typing, _ = _RefineEngine(g, s, strategy).from_full()
-    return typing
-
-
 def infer_types(g: Graph, s: Schema) -> dict[str, frozenset[str]]:
     """The refinement fixpoint from the full typing: per node, every type
     it can carry in some valid m-typing.  Empty sets mark nodes that can
-    carry none; they are returned rather than raised."""
-    return refine_fixpoint(g, s, _auto_strategy(s))
+    carry none; they are returned rather than raised.
 
-
-def _auto_strategy(s: Schema) -> str:
-    flags = s.class_flags
-    if flags.deterministic and flags.sorbe:
-        return "det-membership"
-    return "general"
+    The frontier driver takes the same rounds as synchronous refinement,
+    at most |nodes|·|types| + 1, but each round costs only the pairs it
+    can change (see :class:`_RefineEngine`).
+    """
+    typing, _ = _RefineEngine(g, s, "refine").from_full()
+    return typing
 
 
 _TOP_ONLY = frozenset((TOP,))
@@ -654,12 +586,10 @@ def validate_multi(
     the enumeration search, capped at ``BRUTE_CAP`` assignments.
     """
     if algo in ("refine", "s-refine", "rbe0-refine"):
+        engine = _RefineEngine(g, s, algo)
         if algo == "s-refine":
-            engine = _RefineEngine(g, s, "det-membership")
             typing, rounds = engine.from_filtered()
         else:
-            strategy = "rbe0-flow" if algo == "rbe0-refine" else _auto_strategy(s)
-            engine = _RefineEngine(g, s, strategy)
             typing, rounds = engine.from_full()
         failures = tuple(
             (n, "-", "no type survives refinement")

@@ -257,6 +257,41 @@ class TestValidate:
             "error: algorithm refine supports only --mode multi\n"
         )
 
+    @pytest.mark.parametrize(
+        "algo, schema_text, message",
+        [
+            (
+                "rbe0-refine",
+                "t -> (a::u | a::v)*\nu -> eps\nv -> eps\n",
+                "error: rbe0-refine needs a schema of symbol products\n",
+            ),
+            (
+                "s-refine",
+                "t -> a::t* , a::u?\nu -> eps\n",
+                "error: s-refine needs a deterministic single-occurrence schema\n",
+            ),
+        ],
+        ids=["rbe0-refine", "s-refine"],
+    )
+    def test_inadmissible_algorithm_is_named(
+        self, capsys, tmp_path, algo, schema_text, message
+    ):
+        code = main(
+            [
+                "validate",
+                "--algo",
+                algo,
+                "--schema",
+                write(tmp_path, "s.shex", schema_text),
+                "--graph",
+                write(tmp_path, "g.tsv", "x\ta\ty\n"),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == message
+        assert "strategy" not in err
+
     def test_multi_flood_without_pretyping_or_universal_type(
         self, capsys, tmp_path, s1_file, g1_file
     ):

@@ -6,8 +6,12 @@ from hypothesis import strategies as st
 
 import pytest
 
+from shexval.graph import Graph
 from shexval.rbe import ANY, EMPTY, ONCE, OPT, Interval
 from shexval.sat import FlowNetwork, build_flow_network, circulation_exists, max_flow
+from shexval.sat import core as sat_core
+from shexval.schema import parse_schema
+from shexval.validate import validate_multi
 
 
 class TestMaxFlow:
@@ -170,3 +174,92 @@ def test_circulation_invariant_under_presentation(groups, intervals, rng):
         circulation_exists(build_flow_network(renamed_groups, renamed_intervals))
         == baseline
     )
+
+
+def reference_build_flow_network(groups, intervals):
+    """The per-group network: a source arc [1; 1] and a group node for
+    every group, identical ones included."""
+    groups = list(groups)
+    k = len(groups)
+    net = FlowNetwork()
+    source = ("src",)
+    target = ("snk",)
+    seen = set()
+    for i, group in enumerate(groups):
+        gnode = ("grp", i)
+        net.add_arc(source, gnode, 1, 1)
+        for symbol in sorted(group):
+            net.add_arc(gnode, ("sym", symbol), 0, 1)
+            seen.add(symbol)
+    for symbol in sorted(seen | set(intervals)):
+        iv = intervals.get(symbol)
+        if iv is None:
+            continue
+        if iv.is_empty:
+            net.add_arc(("sym", symbol), target, k + 1, k + 1)
+        elif iv.lo > (upper := k if iv.hi is None else min(iv.hi, k)):
+            net.add_arc(("sym", symbol), target, iv.lo, iv.lo)
+        else:
+            net.add_arc(("sym", symbol), target, iv.lo, upper)
+    net.add_arc(target, source, 0, k)
+    return net
+
+
+# Groups with repeats, the empty group included, over symbols some of
+# which no interval names.
+repeated_groups_st = st.lists(
+    st.tuples(
+        st.frozensets(st.sampled_from("abcde"), max_size=3), st.integers(1, 5)
+    ),
+    max_size=4,
+).map(lambda pairs: [group for group, c in pairs for _ in range(c)]).flatmap(
+    st.permutations
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    repeated_groups_st,
+    st.dictionaries(
+        st.sampled_from("abcd"), st.one_of(intervals_st, st.just(EMPTY)), max_size=4
+    ),
+)
+def test_merged_groups_decide_like_the_per_group_network(groups, intervals):
+    net = build_flow_network(groups, intervals)
+    expected = circulation_exists(reference_build_flow_network(groups, intervals))
+    assert circulation_exists(net) == expected
+    # One group node per distinct group.
+    sources = [arc for arc in net.arcs if arc[0] == ("src",)]
+    assert len(sources) == len(set(groups))
+    assert sum(lower for _, _, lower, _ in sources) == len(groups)
+
+
+@pytest.mark.parametrize("algo", ["refine", "rbe0-refine"])
+def test_hub_networks_do_not_grow_with_the_hub(monkeypatch, algo):
+    # The edges of a hub share one label and type set, so they make one
+    # group node with a count: a hub of 3,000 edges builds the networks
+    # of a hub of 300, with other bounds on the same arcs.
+    build = sat_core.build_flow_network
+
+    def networks(n_edges):
+        s = parse_schema("t -> a::u* , a::v?\nu -> eps\nv -> eps\n")
+        built = []
+
+        def recorded(groups, intervals):
+            net = build(groups, intervals)
+            built.append([(u, v) for u, v, _, _ in net.arcs])
+            return net
+
+        with monkeypatch.context() as patch:
+            patch.setattr(sat_core, "build_flow_network", recorded)
+            g = Graph([("h", "a", f"m{i}") for i in range(n_edges)])
+            report = validate_multi(g, s, algo)
+        assert report.valid
+        assert report.typing["h"] == {"t"}
+        assert all(report.typing[f"m{i}"] == {"t", "u", "v"} for i in range(n_edges))
+        return built
+
+    small = networks(300)
+    assert small
+    assert max(map(len, small)) < 10
+    assert small == networks(1200) == networks(3000)

@@ -52,7 +52,6 @@ from shexval.schema import (
     rule_member,
 )
 from shexval.validate import (
-    STRATEGIES,
     ValidationReport,
     _RefineEngine,
     _some_flattening_member,
@@ -67,8 +66,6 @@ from shexval.validate import (
     out_lab_type_m,
     out_lab_type_s,
     parse_pretyping,
-    refine_fixpoint,
-    refine_step,
     remaining_edges,
     report_lines,
     structure_filtered_init,
@@ -117,6 +114,77 @@ def random_graph(rng, nodes, labels):
     slots = [(u, lab, v) for u in nodes for lab in labels for v in nodes]
     chosen = [slot for slot in slots if rng.random() < 0.35]
     return Graph(chosen, nodes)
+
+
+REFINE_ALGORITHMS = ("refine", "s-refine", "rbe0-refine")
+
+
+def admissible_algorithms(schema):
+    """The refinement algorithms the schema's class admits."""
+    flags = schema.class_flags
+    yield "refine"
+    if flags.deterministic and flags.sorbe:
+        yield "s-refine"
+    if flags.rbe0:
+        yield "rbe0-refine"
+
+
+def per_node_structure_filtered_init(g, schema):
+    """The structure-filtered typing, decided node by node."""
+    return {
+        n: frozenset(
+            t
+            for t, rule in schema.compiled.items()
+            if rule.projected is None or member(g.out_lab(n), rule.projected).verdict
+        )
+        for n in g.nodes
+    }
+
+
+def reference_round(g, schema, typing):
+    """One synchronous refinement round, with no engine: t stays at n when
+    t's rule is universal or some flattening of n's neighborhood under
+    ``typing`` satisfies it."""
+    return {
+        n: frozenset(
+            t
+            for t in typing[n]
+            if schema.compiled[t].universal
+            or _some_flattening_member(schema, out_lab_type_m(g, typing, n), t)
+        )
+        for n in g.nodes
+    }
+
+
+def reference_refinement(g, schema, algo):
+    """Synchronous rounds from the start of ``algo`` until nothing changes:
+    the typing and the number of rounds, the last one included."""
+    if algo == "s-refine":
+        typing = per_node_structure_filtered_init(g, schema)
+    else:
+        typing = {n: frozenset(schema.gamma) for n in g.nodes}
+    rounds = 0
+    while True:
+        rounds += 1
+        following = reference_round(g, schema, typing)
+        if following == typing:
+            return typing, rounds
+        typing = following
+
+
+def assert_algorithms_match_the_reference(g, schema):
+    """Every admissible algorithm reports the reference's typing and rounds,
+    and every other one is rejected by name."""
+    admissible = set(admissible_algorithms(schema))
+    for algo in REFINE_ALGORITHMS:
+        if algo in admissible:
+            report = validate_multi(g, schema, algo)
+            assert (report.typing, report.iterations) == reference_refinement(
+                g, schema, algo
+            )
+        else:
+            with pytest.raises(ValueError, match=f"^{algo} needs"):
+                validate_multi(g, schema, algo)
 
 
 class MemberMemo:
@@ -249,57 +317,52 @@ class TestCheckSTyping:
 
 
 class TestRefineStep:
+    """The synchronous round of the reference, and the algorithms on the
+    examples it settles in one round."""
+
     def test_one_step_from_full_typing(self, g2, s1):
         full = {n: frozenset(s1.gamma) for n in g2.nodes}
-        assert refine_step(g2, s1, full) == LAM2
+        assert reference_round(g2, s1, full) == LAM2
 
     def test_result_contained_in_input(self, g0, s0):
         full = {n: frozenset(s0.gamma) for n in g0.nodes}
-        out = refine_step(g0, s0, full)
+        out = reference_round(g0, s0, full)
         assert all(out[n] <= full[n] for n in g0.nodes)
 
     def test_fixpoint_is_stable(self, g2, s1):
-        assert refine_step(g2, s1, LAM2) == LAM2
+        assert reference_round(g2, s1, LAM2) == LAM2
 
     def test_strategies_agree_on_one_step(self, g2, s1):
-        full = {n: frozenset(s1.gamma) for n in g2.nodes}
-        results = {
-            strategy: refine_step(g2, s1, full, strategy)
-            for strategy in ("general", "rbe0-flow", "det-membership")
-        }
-        assert results["general"] == results["rbe0-flow"] == results["det-membership"]
+        # From the full typing one round removes everything and the second
+        # one nothing; the structure filter already leaves LAM2.
+        assert set(admissible_algorithms(s1)) == set(REFINE_ALGORITHMS)
+        for algo, rounds in (("refine", 2), ("rbe0-refine", 2), ("s-refine", 1)):
+            report = validate_multi(g2, s1, algo)
+            assert (report.typing, report.iterations) == (LAM2, rounds)
+        assert_algorithms_match_the_reference(g2, s1)
 
     def test_universal_type_always_survives(self):
         g = Graph([("x", "a", "y"), ("x", "extra", "z"), ("z", "b", "w0")])
-        full = {n: frozenset(TOP_SCHEMA.gamma) for n in g.nodes}
-        out = refine_step(g, TOP_SCHEMA, full)
-        assert all(TOP in out[n] for n in g.nodes)
-        assert out["z"] == frozenset({TOP})
+        assert set(admissible_algorithms(TOP_SCHEMA)) == set(REFINE_ALGORITHMS)
+        for algo in REFINE_ALGORITHMS:
+            out = validate_multi(g, TOP_SCHEMA, algo).typing
+            assert all(TOP in out[n] for n in g.nodes)
+            assert out["z"] == frozenset({TOP})
+        assert_algorithms_match_the_reference(g, TOP_SCHEMA)
 
     def test_class_mismatch_rejected(self, g0, s0):
-        full = {n: frozenset(s0.gamma) for n in g0.nodes}
-        with pytest.raises(ValueError):
-            refine_step(g0, s0, full, "rbe0-flow")
+        with pytest.raises(
+            ValueError, match="rbe0-refine needs a schema of symbol products"
+        ):
+            validate_multi(g0, s0, "rbe0-refine")
+        assert_algorithms_match_the_reference(g0, s0)
         g = Graph([("x", "a", "x")])
-        with pytest.raises(ValueError):
-            refine_step(g, NONDET, {"x": frozenset(NONDET.gamma)}, "det-membership")
-
-    def test_unknown_strategy(self, g0, s0):
-        with pytest.raises(ValueError):
-            refine_step(g0, s0, lift(LAM0), "magic")
-
-    def test_structure_filtered_is_no_strategy(self, g0, s0):
-        # A test that skips the label check is no strategy of its own: from
-        # a typing that has not passed the check it gives wrong answers.
-        assert "structure-filtered" not in STRATEGIES
-        with pytest.raises(ValueError, match="unknown strategy"):
-            refine_step(g0, s0, lift(LAM0), "structure-filtered")
-        with pytest.raises(ValueError, match="unknown strategy"):
-            refine_fixpoint(g0, s0, "structure-filtered")
-
-    def test_partial_typing_rejected(self, g0, s0):
-        with pytest.raises(ValueError):
-            refine_step(g0, s0, {"n0": frozenset({"t0"})})
+        with pytest.raises(
+            ValueError,
+            match="s-refine needs a deterministic single-occurrence schema",
+        ):
+            validate_multi(g, NONDET, "s-refine")
+        assert_algorithms_match_the_reference(g, NONDET)
 
 
 class TestStructureFilteredInit:
@@ -315,7 +378,9 @@ class TestStructureFilteredInit:
 
 class TestRefineFixpoint:
     def test_reference_fixpoint(self, g2, s1):
-        assert refine_fixpoint(g2, s1) == LAM2
+        assert reference_refinement(g2, s1, "refine") == (LAM2, 2)
+        for algo in REFINE_ALGORITHMS:
+            assert validate_multi(g2, s1, algo).typing == LAM2
 
     def test_init_does_not_change_fixpoint(self, g0, g1, g2, s0, s1):
         for g, s in ((g0, s0), (g1, s1), (g2, s1)):
@@ -326,12 +391,11 @@ class TestRefineFixpoint:
 
     def test_strategies_share_the_fixpoint(self, g0, g1, g2, s1):
         for g in (g0, g1, g2):
-            results = [
-                refine_fixpoint(g, s1, strategy)
-                for strategy in ("general", "rbe0-flow", "det-membership")
-            ]
-            results.append(validate_multi(g, s1, "s-refine").typing)
-            assert all(r == results[0] for r in results)
+            expected, _ = reference_refinement(g, s1, "refine")
+            for algo in REFINE_ALGORITHMS:
+                assert validate_multi(g, s1, algo).typing == expected
+            assert infer_types(g, s1) == expected
+            assert_algorithms_match_the_reference(g, s1)
 
     @pytest.mark.parametrize(
         "edges",
@@ -346,18 +410,13 @@ class TestRefineFixpoint:
         expected = infer_types(g, s)
         assert expected["x"] == frozenset()
         assert all(expected[n] == {"u"} for n in g.nodes - {"x"})
-        for strategy in STRATEGIES:
-            assert refine_fixpoint(g, s, strategy) == expected
-        for algo in ("refine", "s-refine", "rbe0-refine"):
+        for algo in REFINE_ALGORITHMS:
             assert validate_multi(g, s, algo).typing == expected
+        assert_algorithms_match_the_reference(g, s)
 
     def test_unsatisfiable_node_keeps_empty_set(self):
         g = Graph([], nodes=["x"])
-        assert refine_fixpoint(g, LOOP) == {"x": frozenset()}
-
-    def test_unknown_init(self, g0, s0):
-        with pytest.raises(ValueError):
-            refine_fixpoint(g0, s0, "everything")
+        assert infer_types(g, LOOP) == {"x": frozenset()}
 
 
 class TestInferTypes:
@@ -837,28 +896,6 @@ GRAPH_STRATEGY = st.builds(
 
 
 @settings(max_examples=60, deadline=None)
-@given(
-    g=GRAPH_STRATEGY,
-    schema_index=st.integers(min_value=0, max_value=2),
-    masks=st.tuples(
-        st.integers(min_value=0, max_value=15),
-        st.integers(min_value=0, max_value=15),
-        st.integers(min_value=0, max_value=15),
-    ),
-)
-def test_refine_step_is_monotone(g, schema_index, masks):
-    schema = (CHAIN, NONDET, S1)[schema_index]
-    gamma = sorted(schema.gamma)
-    typing = {}
-    for n, mask in zip(sorted(g.nodes), masks):
-        typing[n] = frozenset(t for i, t in enumerate(gamma) if mask >> i & 1)
-    out = refine_step(g, schema, typing)
-    assert all(out[n] <= typing[n] for n in g.nodes)
-    again = refine_step(g, schema, out)
-    assert all(again[n] <= out[n] for n in g.nodes)
-
-
-@settings(max_examples=60, deadline=None)
 @given(g=GRAPH_STRATEGY, schema_index=st.integers(min_value=0, max_value=1))
 def test_flood_single_examines_each_edge_at_most_once(g, schema_index):
     # Deterministic schemas leave nothing to backtrack over.
@@ -894,39 +931,6 @@ DRIVER_SCHEMAS = (
 )
 
 
-def admissible_strategies(schema):
-    flags = schema.class_flags
-    for strategy in STRATEGIES:
-        if strategy == "rbe0-flow" and not flags.rbe0:
-            continue
-        if strategy == "det-membership" and not (flags.deterministic and flags.sorbe):
-            continue
-        yield strategy
-
-
-def per_node_structure_filtered_init(g, schema):
-    """The structure-filtered typing, decided node by node."""
-    return {
-        n: frozenset(
-            t
-            for t, rule in schema.compiled.items()
-            if rule.projected is None or member(g.out_lab(n), rule.projected).verdict
-        )
-        for n in g.nodes
-    }
-
-
-def naive_refinement(g, schema, typing, strategy):
-    """refine_step from the initial typing until nothing changes."""
-    rounds = 0
-    while True:
-        rounds += 1
-        following = refine_step(g, schema, typing, strategy)
-        if following == typing:
-            return typing, rounds
-        typing = following
-
-
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_frontier_driver_matches_synchronous_rounds(data):
@@ -945,18 +949,7 @@ def test_frontier_driver_matches_synchronous_rounds(data):
     assert structure_filtered_init(g, schema) == per_node_structure_filtered_init(
         g, schema
     )
-    full = {n: frozenset(schema.gamma) for n in g.nodes}
-    for strategy in admissible_strategies(schema):
-        assert _RefineEngine(g, schema, strategy).from_full() == naive_refinement(
-            g, schema, full, strategy
-        )
-    flags = schema.class_flags
-    if flags.deterministic and flags.sorbe:
-        # The start of s-refine.
-        report = validate_multi(g, schema, "s-refine")
-        assert (report.typing, report.iterations) == naive_refinement(
-            g, schema, per_node_structure_filtered_init(g, schema), "det-membership"
-        )
+    assert_algorithms_match_the_reference(g, schema)
 
 
 def reference_flood_multi(g, schema, pre):
