@@ -78,11 +78,6 @@ class Graph:
             )
         return self._edges
 
-    @edges.setter
-    def edges(self, value: frozenset[tuple[str, str, str]]) -> None:
-        # Replaces what reading ``edges`` returns; the index is unchanged.
-        self._edges = value
-
     def out_lab(self, node: str) -> Bag:
         """The bag of outbound edge labels of a node."""
         return Counter(label for label, _ in self.out_lab_node(node))

@@ -1,96 +1,19 @@
-"""Regular bag expressions: intervals, syntax trees, textual syntax, core analyses."""
+"""Regular bag expressions: intervals, syntax trees, textual syntax, core analyses.
 
-from .ast import (
-    EPSILON,
-    Concat,
-    Disj,
-    Epsilon,
-    Isect,
-    Plus,
-    Rbe,
-    Star,
-    Symbol,
-    concat,
-    disj,
-    isect,
-    map_symbols,
-    opt,
-    plus,
-    split_symbol,
-    star,
-    sym,
-    typed_symbol,
-    walk,
-)
-from .bags import Bag, BagKey, bag, bag_from_key, bag_key, bag_sum
-from .intervals import (
-    ANY,
-    EMPTY,
-    ONCE,
-    OPT,
-    SOME,
-    Interval,
-    interval_add,
-    interval_intersect,
-)
-from .ops import (
-    EnumerationLimit,
-    alphabet,
-    choice_groups,
-    enumerate_language,
-    is_sorbe,
-    is_symbol_product,
-    normalize_product,
-    nullable,
-    project_sigma,
-)
-from .parse import ParseError, format_rbe, parse_rbe
+The package exports every public name of its modules.
+"""
+
+from . import ast, bags, intervals, ops, parse
+from .ast import *  # noqa: F403
+from .bags import *  # noqa: F403
+from .intervals import *  # noqa: F403
+from .ops import *  # noqa: F403
+from .parse import *  # noqa: F403
 
 __all__ = [
-    "Interval",
-    "interval_intersect",
-    "interval_add",
-    "EMPTY",
-    "ONCE",
-    "OPT",
-    "ANY",
-    "SOME",
-    "Bag",
-    "BagKey",
-    "bag",
-    "bag_key",
-    "bag_from_key",
-    "bag_sum",
-    "Rbe",
-    "Epsilon",
-    "Symbol",
-    "Disj",
-    "Concat",
-    "Star",
-    "Plus",
-    "Isect",
-    "EPSILON",
-    "sym",
-    "disj",
-    "concat",
-    "star",
-    "plus",
-    "opt",
-    "isect",
-    "walk",
-    "map_symbols",
-    "typed_symbol",
-    "split_symbol",
-    "EnumerationLimit",
-    "nullable",
-    "alphabet",
-    "is_sorbe",
-    "is_symbol_product",
-    "choice_groups",
-    "project_sigma",
-    "enumerate_language",
-    "normalize_product",
-    "ParseError",
-    "parse_rbe",
-    "format_rbe",
+    *intervals.__all__,
+    *bags.__all__,
+    *ast.__all__,
+    *ops.__all__,
+    *parse.__all__,
 ]

@@ -9,8 +9,10 @@ exactly one occurrence.
 Concatenation, choice and intersection are associative, so each node of
 these operators holds a flat tuple of two or more parts: a rule of many
 symbols is one wide node, not a deep chain.  :func:`walk` visits every
-node and :func:`map_symbols` rebuilds a tree with its symbols replaced;
-analyses that need no other structure use them instead of recursing.
+node, :func:`fold` evaluates a tree bottom-up from its parts' values, and
+:func:`map_symbols` (a fold) rebuilds a tree with its symbols replaced.
+The analyses are written over them, so none recurses on Python's stack
+and each visits every node once.
 
 Symbols are opaque strings.  A symbol of the form ``label::type`` pairs an
 edge label with the shape type required of the edge's target; helpers below
@@ -21,8 +23,11 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from typing import TypeVar
 
 from .intervals import ONCE, Interval
+
+_T = TypeVar("_T")
 
 __all__ = [
     "Rbe",
@@ -42,6 +47,7 @@ __all__ = [
     "opt",
     "isect",
     "walk",
+    "fold",
     "map_symbols",
     "typed_symbol",
     "split_symbol",
@@ -172,35 +178,59 @@ def isect(first: Rbe, *rest: Rbe) -> Rbe:
     return Isect(first, *rest) if rest else first
 
 
+def _parts(node: Rbe) -> tuple[Rbe, ...]:
+    """The operands of a node: its parts, its body, or none for a leaf."""
+    if isinstance(node, _Nary):
+        return node.parts
+    if isinstance(node, (Star, Plus)):
+        return (node.body,)
+    if isinstance(node, (Epsilon, Symbol)):
+        return ()
+    raise TypeError(f"not an expression node: {node!r}")
+
+
 def walk(e: Rbe) -> Iterator[Rbe]:
     """Every node of ``e`` in preorder, parts left to right, without recursion."""
     stack = [e]
     while stack:
         node = stack.pop()
         yield node
-        match node:
-            case Disj(parts) | Concat(parts) | Isect(parts):
-                stack.extend(reversed(parts))
-            case Star(body) | Plus(body):
-                stack.append(body)
-            case Epsilon() | Symbol():
-                pass
-            case _:
-                raise TypeError(f"not an expression node: {node!r}")
+        stack.extend(reversed(_parts(node)))
+
+
+def fold(e: Rbe, step: Callable[[Rbe, list[_T]], _T]) -> _T:
+    """``e`` evaluated bottom-up without recursion: ``step(node, values)``
+    gets each node with its parts' values (its body's for Star and Plus),
+    in the order a recursion over the parts, left to right, finishes them."""
+    # Preorder with the parts taken right to left, reversed, finishes every
+    # part before its node and the left parts first.
+    order: list[tuple[Rbe, int]] = []
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        parts = _parts(node)
+        order.append((node, len(parts)))
+        stack.extend(parts)
+    values: list[_T] = []
+    for node, count in reversed(order):
+        start = len(values) - count
+        values[start:] = [step(node, values[start:])]
+    return values[0]
 
 
 def map_symbols(e: Rbe, f: Callable[[Symbol], Rbe]) -> Rbe:
-    """``e`` rebuilt with every symbol ``s`` replaced by ``f(s)``."""
-    match e:
-        case Symbol():
-            return f(e)
-        case Disj(parts) | Concat(parts) | Isect(parts):
-            return type(e)(*(map_symbols(part, f) for part in parts))
-        case Star(body) | Plus(body):
-            return type(e)(map_symbols(body, f))
-        case Epsilon():
-            return e
-    raise TypeError(f"not an expression node: {e!r}")
+    """``e`` rebuilt with every symbol ``s`` replaced by ``f(s)``, the
+    symbols taken left to right."""
+
+    def step(node: Rbe, parts: list[Rbe]) -> Rbe:
+        match node:
+            case Symbol():
+                return f(node)
+            case Epsilon():
+                return node
+        return type(node)(*parts)
+
+    return fold(e, step)
 
 
 def typed_symbol(label: str, type_name: str) -> str:

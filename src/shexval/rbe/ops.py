@@ -13,6 +13,7 @@ from .ast import (
     Rbe,
     Star,
     Symbol,
+    fold,
     map_symbols,
     split_symbol,
     walk,
@@ -39,18 +40,19 @@ class EnumerationLimit(Exception):
 
 def nullable(e: Rbe) -> bool:
     """Whether the empty bag belongs to the language."""
-    match e:
+    return fold(e, _nullable)
+
+
+def _nullable(node: Rbe, parts: list[bool]) -> bool:
+    match node:
         case Epsilon() | Star():
             return True
         case Symbol(_, bounds):
             return 0 in bounds
-        case Disj(parts):
-            return any(nullable(part) for part in parts)
-        case Concat(parts) | Isect(parts):
-            return all(nullable(part) for part in parts)
-        case Plus(body):
-            return nullable(body)
-    raise TypeError(f"not an expression node: {e!r}")
+        case Disj():
+            return any(parts)
+    # Concat and Isect need every part, Plus its body.
+    return all(parts)
 
 
 def alphabet(e: Rbe) -> frozenset[str]:
@@ -124,7 +126,7 @@ def enumerate_language(e: Rbe, max_size: int, limit: int = 1_000_000) -> set[Bag
             acc = guard(acc | frontier)
         return acc
 
-    def go(node: Rbe) -> set[BagKey]:
+    def step(node: Rbe, parts: list[set[BagKey]]) -> set[BagKey]:
         match node:
             case Epsilon():
                 return {()}
@@ -135,19 +137,18 @@ def enumerate_language(e: Rbe, max_size: int, limit: int = 1_000_000) -> set[Bag
                 return guard(
                     {((name, c),) if c else () for c in range(bounds.lo, hi + 1)}
                 )
-            case Disj(parts):
-                return guard(set().union(*map(go, parts)))
-            case Concat(parts):
-                return functools.reduce(sums, map(go, parts))
-            case Star(body):
-                return closure(go(body))
-            case Plus(body):
-                return sums(go(body), closure(go(body)))
-            case Isect(parts):
-                return set.intersection(*map(go, parts))
-        raise TypeError(f"not an expression node: {node!r}")
+            case Disj():
+                return guard(set().union(*parts))
+            case Concat():
+                return functools.reduce(sums, parts)
+            case Star():
+                return closure(parts[0])
+            case Plus():
+                return sums(parts[0], closure(parts[0]))
+        # Isect
+        return set.intersection(*parts)
 
-    return go(e)
+    return fold(e, step)
 
 
 _ZERO = Interval(0, 0)
@@ -162,17 +163,22 @@ def normalize_product(e: Rbe) -> dict[str, Interval] | None:
     Returns None for an empty language; raises ValueError for any shape
     but eps, interval symbols, concatenation and intersection.
     """
-    match e:
+    return fold(e, _product)
+
+
+def _product(
+    node: Rbe, forms: list[dict[str, Interval] | None]
+) -> dict[str, Interval] | None:
+    match node:
         case Epsilon():
             return {}
         case Symbol(name, bounds):
             return None if bounds.is_empty else {name: bounds}
-        case Concat(parts) | Isect(parts):
-            forms = [normalize_product(part) for part in parts]
+        case Concat() | Isect():
             if None in forms:
                 return None
             merged: dict[str, Interval] = {}
-            if isinstance(e, Concat):
+            if isinstance(node, Concat):
                 for form in forms:
                     for a, iv in form.items():
                         merged[a] = interval_add(merged[a], iv) if a in merged else iv

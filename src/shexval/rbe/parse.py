@@ -27,6 +27,7 @@ from .ast import (
     Symbol,
     concat,
     disj,
+    fold,
     isect,
     opt,
     plus,
@@ -163,7 +164,10 @@ def _atom(cur: _Cursor, allow: bool) -> tuple[Rbe, bool]:
     return Symbol(tok), True
 
 
-_ISECT, _DISJ, _CONCAT = 0, 1, 2
+# How loosely each node binds, loosest first; the parts of an n-ary node
+# are written with its separator.
+_ISECT, _DISJ, _CONCAT, _ATOM = range(4)
+_OPERATORS = {Isect: (" & ", _ISECT), Disj: (" | ", _DISJ), Concat: (", ", _CONCAT)}
 
 
 def format_rbe(e: Rbe) -> str:
@@ -173,32 +177,24 @@ def format_rbe(e: Rbe) -> str:
     repetition bodies are always parenthesized, so parsing the result yields
     the same tree.
     """
-    return _fmt(e, _ISECT)
+    return fold(e, _fmt)[0]
 
 
-def _fmt(e: Rbe, level: int) -> str:
+def _fmt(e: Rbe, parts: list[tuple[str, int]]) -> tuple[str, int]:
+    """The text of ``e`` and how loosely it binds, from its parts' texts."""
     match e:
         case Epsilon():
-            return "eps"
+            return "eps", _ATOM
         case Symbol(name, bounds):
-            return name + _bounds_suffix(bounds)
-        case Isect(parts):
-            return _join(parts, " & ", _ISECT, level)
-        case Disj(parts):
-            return _join(parts, " | ", _DISJ, level)
-        case Concat(parts):
-            return _join(parts, ", ", _CONCAT, level)
-        case Star(body):
-            return f"({_fmt(body, _ISECT)})*"
-        case Plus(body):
-            return f"({_fmt(body, _ISECT)})+"
-    raise TypeError(f"not an expression node: {e!r}")
-
-
-def _join(parts: tuple[Rbe, ...], sep: str, own: int, level: int) -> str:
-    # A part never has its parent's class, so every part binds tighter.
-    s = sep.join(_fmt(part, own + 1) for part in parts)
-    return f"({s})" if level > own else s
+            return name + _bounds_suffix(bounds), _ATOM
+        case Star():
+            return f"({parts[0][0]})*", _ATOM
+        case Plus():
+            return f"({parts[0][0]})+", _ATOM
+    sep, own = _OPERATORS[type(e)]
+    # A part never has its parent's class, so only looser parts need
+    # parentheses.
+    return sep.join(s if level > own else f"({s})" for s, level in parts), own
 
 
 def _bounds_suffix(bounds: Interval) -> str:

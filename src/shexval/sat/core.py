@@ -34,6 +34,7 @@ from ..rbe import (
     Symbol,
     alphabet,
     choice_groups,
+    fold,
     normalize_product,
     split_symbol,
     walk,
@@ -76,20 +77,19 @@ def encode_phi(e: Rbe, system: LinearSystem) -> dict[str, str]:
 
 def _alphabets(e: Rbe) -> dict[int, frozenset[str]]:
     """The alphabet of every subexpression, keyed by node identity, from
-    one pass; the encoding splits counts by them at every n-ary node."""
+    one fold; the encoding splits counts by them at every n-ary node."""
     table: dict[int, frozenset[str]] = {}
-    # Reversed preorder visits every part before the nodes above it.
-    for node in reversed(list(walk(e))):
-        match node:
-            case Symbol(name, _):
-                names = frozenset((name,))
-            case Disj(parts) | Concat(parts) | Isect(parts):
-                names = frozenset().union(*[table[id(part)] for part in parts])
-            case Star(body) | Plus(body):
-                names = table[id(body)]
-            case _:
-                names = frozenset()
+
+    def step(node: Rbe, parts: list[frozenset[str]]) -> frozenset[str]:
+        names = (
+            frozenset((node.name,))
+            if isinstance(node, Symbol)
+            else frozenset().union(*parts)
+        )
         table[id(node)] = names
+        return names
+
+    fold(e, step)
     return table
 
 
@@ -135,20 +135,15 @@ def _phi(
             for part, px in zip(parts, split):
                 _phi(part, px, n, system, alphabets, under_repeat)
             return
-        case Star(body):
+        case Star(body) | Plus(body):
             zero = [system.make_eq({n: 1}, 0)]
             zero.extend(system.make_eq({x: 1}, 0) for x in xvars.values())
             system.case(zero, [system.make_ge({n: 1}, 1)])
             inner = system.fresh_var("n")
+            if isinstance(e, Plus):
+                # n non-empty runs of the body are k >= n bags of it.
+                system.ge({inner: 1, n: -1}, 0)
             _phi(body, xvars, inner, system, alphabets, under_repeat=True)
-            return
-        case Plus(body):
-            # Encoded as Concat(body, Star(body)), whose operands share the
-            # body's alphabet.
-            names = alphabets[id(body)]
-            lx, rx = _split(xvars, [names, names], system)
-            _phi(body, lx, n, system, alphabets, under_repeat)
-            _phi(Star(body), rx, n, system, alphabets, under_repeat)
             return
         case Isect(parts):
             if under_repeat:
@@ -287,28 +282,29 @@ def normal_form_isect(e1: Rbe, e2: Rbe) -> dict[str, Interval] | None:
 
 def _structurally_nonempty(e: Rbe) -> Counter[str] | None:
     """A smallest member of an intersection-free expression, or None."""
-    match e:
-        case Epsilon() | Star(_):
+    return fold(e, _smallest)
+
+
+def _smallest(node: Rbe, parts: list[Counter[str] | None]) -> Counter[str] | None:
+    match node:
+        case Epsilon() | Star():
             return Counter()
         case Symbol(name, bounds):
             if bounds.is_empty:
                 return None
             return Counter({name: bounds.lo}) if bounds.lo else Counter()
-        case Disj(parts):
-            return next(
-                (w for w in map(_structurally_nonempty, parts) if w is not None), None
-            )
-        case Concat(parts):
+        case Disj():
+            return next((w for w in parts if w is not None), None)
+        case Concat():
+            if None in parts:
+                return None
             total: Counter[str] = Counter()
-            for part in parts:
-                w = _structurally_nonempty(part)
-                if w is None:
-                    return None
+            for w in parts:
                 total.update(w)
             return total
-        case Plus(body):
-            return _structurally_nonempty(body)
-    raise TypeError(f"not an expression node: {e!r}")
+        case Plus():
+            return parts[0]
+    raise ValueError("intersection has no structural witness")
 
 
 def _has_isect(e: Rbe) -> bool:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from shexval.membership import compile_rule
 from shexval.rbe import (
     ANY,
     EMPTY,
@@ -23,6 +24,7 @@ from shexval.rbe import (
     alphabet,
     choice_groups,
     enumerate_language,
+    fold,
     format_rbe,
     interval_add,
     interval_intersect,
@@ -36,7 +38,9 @@ from shexval.rbe import (
     project_sigma,
     split_symbol,
     typed_symbol,
+    walk,
 )
+from shexval.sat import rbe_satisfiable
 
 
 def k(*pairs):
@@ -354,6 +358,79 @@ def test_wide_flat_nodes_need_no_deep_recursion(op):
     else:
         with pytest.raises(ValueError):
             normalize_product(e)
+
+
+def reference_parts(e):
+    if isinstance(e, (Concat, Disj, Isect)):
+        return e.parts
+    return (e.body,) if isinstance(e, (Star, Plus)) else ()
+
+
+def reference_postorder(e):
+    """The nodes of ``e`` in the order a recursion over the parts, left to
+    right, finishes them."""
+    return [n for part in reference_parts(e) for n in reference_postorder(part)] + [e]
+
+
+@given(st.one_of(trees_st, product_trees_st))
+def test_fold_finishes_nodes_like_a_recursion(tree):
+    finished = []
+
+    def step(node, values):
+        # Each part's value is the part itself, so the values must be the
+        # node's parts in order.
+        assert [id(v) for v in values] == [id(p) for p in reference_parts(node)]
+        finished.append(node)
+        return node
+
+    assert fold(tree, step) is tree
+    assert [id(n) for n in finished] == [id(n) for n in reference_postorder(tree)]
+
+
+def test_fold_and_walk_reject_non_nodes():
+    e = Concat(Symbol("a"), Star("b"))
+    with pytest.raises(TypeError, match="not an expression node: 'b'"):
+        fold(e, lambda node, values: None)
+    with pytest.raises(TypeError, match="not an expression node: 'b'"):
+        list(walk(e))
+
+
+DEEP = 5000
+
+
+def deep_star_tree():
+    """``((...(a0::t)*, a1::t)*, ...)*``, ``DEEP`` nodes deep."""
+    e = Symbol("a0::t")
+    for i in range(1, DEEP // 2 + 1):
+        e = Star(Concat(e, Symbol(f"a{i}::t")))
+    return e
+
+
+def deep_product_tree():
+    """``a::t`` concatenated and intersected in turn, ``DEEP`` nodes deep;
+    its language is one bag of ``DEEP // 2 + 1`` copies of ``a::t``."""
+    e = Symbol("a::t")
+    for i in range(DEEP):
+        e = Concat(e, Symbol("a::t")) if i % 2 else Isect(e, Symbol("a::t", ANY))
+    return e
+
+
+def test_deep_trees_need_no_deep_recursion():
+    star_tree, product_tree = deep_star_tree(), deep_product_tree()
+    n = DEEP // 2
+    for e in (star_tree, product_tree):
+        compile_rule(e)
+        assert len(list(walk(project_sigma(e)))) == len(list(walk(e)))
+    text = format_rbe(star_tree)
+    assert text.startswith("(" * n + "a0::t") and text.endswith(f", a{n}::t)*")
+    assert format_rbe(product_tree).count("a::t") == DEEP + 1
+    assert enumerate_language(star_tree, 0) == {k()}
+    assert enumerate_language(product_tree, 0) == set()
+    with pytest.raises(ValueError):
+        normalize_product(star_tree)
+    assert normalize_product(product_tree) == {"a::t": Interval(n + 1, n + 1)}
+    assert rbe_satisfiable(star_tree).witness == {}
+    assert rbe_satisfiable(product_tree).witness == {"a::t": n + 1}
 
 
 def test_nested_operators_splice_into_one_node():

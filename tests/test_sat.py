@@ -16,6 +16,7 @@ from shexval.rbe import (
     Plus,
     Star,
     bag_key,
+    bag_sum,
     concat,
     disj,
     enumerate_language,
@@ -153,6 +154,55 @@ class TestEncodePhi:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+def nested_plus(depth):
+    """``((...(a)+...)+, a``, with ``depth`` nested ``+``: bags of two or more a."""
+    return rbe("(" * depth + "a" + ")+" * depth + ", a")
+
+
+def grows_linearly(sizes):
+    """Whether counts at depths 3, 6 and 12 lie on one line."""
+    return sizes[12] - sizes[6] == 2 * (sizes[6] - sizes[3])
+
+
+def test_nested_plus_encodes_in_linear_size():
+    unknowns, rows = {}, {}
+    for depth in (3, 6, 12):
+        e = nested_plus(depth)
+        assert isinstance(e.parts[0], Plus)
+        system = LinearSystem()
+        encode_phi(e, system)
+        unknowns[depth] = system.fresh
+        rows[depth] = len(system.equations) + sum(
+            len(block) for case in system.cases for block in case
+        )
+        assert [member_by_phi(e, {"a": c}) for c in range(4)] == [
+            False,
+            False,
+            True,
+            True,
+        ]
+    assert grows_linearly(unknowns) and grows_linearly(rows)
+
+
+def test_nested_plus_enumerates_in_linear_time(monkeypatch):
+    calls = []
+
+    def counted(*bags):
+        calls.append(bags)
+        return bag_sum(*bags)
+
+    monkeypatch.setattr("shexval.rbe.ops.bag_sum", counted)
+    sums = {}
+    for depth in (3, 6, 12):
+        calls.clear()
+        assert enumerate_language(nested_plus(depth), 3) == {
+            (("a", 2),),
+            (("a", 3),),
+        }
+        sums[depth] = len(calls)
+    assert grows_linearly(sums)
 
 
 class TestInter1:
@@ -339,6 +389,7 @@ def plain_trees(symbols):
             st.builds(disj, inner, inner),
             st.builds(concat, inner, inner),
             st.builds(star, inner),
+            st.builds(Plus, inner),
         ),
         max_leaves=4,
     )

@@ -73,6 +73,11 @@ class TestParse:
         with pytest.raises(ParseError, match="label::type"):
             parse_schema("t -> a::\n")
 
+    def test_the_first_bad_symbol_is_named(self):
+        # Symbols are checked left to right, as written.
+        with pytest.raises(ParseError, match="'bad1'"):
+            parse_schema("t -> bad1 , a::t , bad2")
+
     def test_bad_expression_reports_line(self):
         with pytest.raises(ParseError, match="line 2"):
             parse_schema("t -> a::u\nv -> (a::u\n")
