@@ -35,7 +35,7 @@ class Graph:
     see a node only through its label bag once per class of that index.
     """
 
-    __slots__ = ("nodes", "_succ", "_edges", "_classes", "_class_of")
+    __slots__ = ("nodes", "_succ", "_edges", "_classes")
 
     def __init__(self, edges=(), nodes=()):
         self._index(
@@ -66,7 +66,6 @@ class Graph:
         self._succ = {n: frozenset(pairs) for n, pairs in succ.items()}
         self._edges: frozenset[tuple[str, str, str]] | None = None
         self._classes: dict[tuple, tuple[str, ...]] | None = None
-        self._class_of: dict[str, tuple] = {}
 
     @property
     def edges(self) -> frozenset[tuple[str, str, str]]:
@@ -102,34 +101,17 @@ class Graph:
         nodes.  Callers must not modify the result.
         """
         if self._classes is None:
-            self._index_label_bags()
+            members: dict[tuple, list[str]] = {}
+            succ = self._succ
+            for n in self.nodes:
+                members.setdefault(_label_key(succ.get(n)), []).append(n)
+            self._classes = {key: tuple(nodes) for key, nodes in members.items()}
         return self._classes
 
     def label_key(self, node: str) -> tuple[tuple[str, int], ...]:
         """The key of the node's label-bag class: its outbound label bag
         as sorted (label, count) pairs."""
-        if self._classes is None:
-            self._index_label_bags()
-        return self._class_of[node]
-
-    def _index_label_bags(self) -> None:
-        members: dict[tuple, list[str]] = {}
-        class_of: dict[str, tuple] = {}
-        succ = self._succ
-        for n in self.nodes:
-            pairs = succ.get(n)
-            key = tuple(sorted(Counter([a for a, _ in pairs]).items())) if pairs else ()
-            nodes = members.get(key)
-            if nodes is None:
-                members[key] = [n]
-            else:
-                # Every node of a class holds the one key object of its
-                # first node, so the index stores each key once.
-                key = class_of[nodes[0]]
-                nodes.append(n)
-            class_of[n] = key
-        self._classes = {key: tuple(nodes) for key, nodes in members.items()}
-        self._class_of = class_of
+        return _label_key(self.out_lab_node(node))
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
@@ -142,6 +124,10 @@ class Graph:
     def __repr__(self):
         n_edges = sum(map(len, self._succ.values()))
         return f"Graph({len(self.nodes)} nodes, {n_edges} edges)"
+
+
+def _label_key(pairs) -> tuple[tuple[str, int], ...]:
+    return tuple(sorted(Counter([a for a, _ in pairs]).items())) if pairs else ()
 
 
 @dataclass(frozen=True)

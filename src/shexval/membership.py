@@ -37,7 +37,6 @@ from .rbe import (
     is_sorbe,
     is_symbol_product,
     normalize_product,
-    nullable,
     project_sigma,
     split_symbol,
 )
@@ -147,20 +146,16 @@ def _tile(w: Counter[str], e: Rbe) -> Interval:
             return functools.reduce(
                 interval_intersect, [_tile(w, part) for part in parts]
             )
-        case Star(body):
-            if not _touches(w, body):
-                return ANY
-            return EMPTY if _tile(w, body).is_empty else SOME
-        case Plus(body):
-            if nullable(body):
-                # One-or-more over a nullable body repeats like a star.
-                if not _touches(w, body):
-                    return ANY
-                return EMPTY if _tile(w, body).is_empty else SOME
-            if not _touches(w, body):
-                return Interval(0, 0)
+        case Star(body) | Plus(body):
             inner = _tile(w, body)
-            return EMPTY if inner.is_empty else Interval(1, inner.hi)
+            if 0 in inner:
+                # Only a bag holding none of the body's symbols tiles with
+                # zero repetitions: the star skips it, and the plus repeats
+                # a nullable body or fails on any other.
+                return ANY if isinstance(e, Star) else inner
+            if inner.is_empty:
+                return EMPTY
+            return SOME if isinstance(e, Star) else Interval(1, inner.hi)
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -178,10 +173,6 @@ def _symbol_tiling(count: int, bounds: Interval) -> Interval:
         lo = -(-count // bounds.hi)
     hi = None if bounds.lo == 0 else count // bounds.lo
     return Interval(lo, hi)
-
-
-def _touches(w: Counter[str], e: Rbe) -> bool:
-    return any(w[a] for a in alphabet(e))
 
 
 def sorbe_member(w: Bag, e: Rbe | CompiledRule) -> bool:

@@ -1,44 +1,11 @@
-"""Bag-language satisfiability: linear-system solver, circulations, probes."""
+"""Bag-language satisfiability: linear-system solver, circulations, probes.
 
-from .core import (
-    AmbiguityResult,
-    RuleEncoding,
-    SatResult,
-    encode_phi,
-    inter1,
-    inter1_groups,
-    is_unambiguous,
-    normal_form_isect,
-    rbe_satisfiable,
-)
-from .flow import FlowNetwork, build_flow_network, circulation_exists, max_flow
-from .ilp import (
-    DEFAULT_CAP,
-    IlpResult,
-    LinearSystem,
-    SolverCapped,
-    ilp_feasible,
-    solver_cap,
-)
+The package exports every public name of its modules.
+"""
 
-__all__ = [
-    "AmbiguityResult",
-    "RuleEncoding",
-    "SatResult",
-    "encode_phi",
-    "inter1",
-    "inter1_groups",
-    "is_unambiguous",
-    "normal_form_isect",
-    "rbe_satisfiable",
-    "FlowNetwork",
-    "build_flow_network",
-    "circulation_exists",
-    "max_flow",
-    "DEFAULT_CAP",
-    "IlpResult",
-    "LinearSystem",
-    "SolverCapped",
-    "ilp_feasible",
-    "solver_cap",
-]
+from . import core, flow, ilp
+from .core import *  # noqa: F403
+from .flow import *  # noqa: F403
+from .ilp import *  # noqa: F403
+
+__all__ = [*core.__all__, *flow.__all__, *ilp.__all__]

@@ -47,9 +47,8 @@ the manner of partition refinement (Paige and Tarjan, SIAM J. Comput.
 1987): the types that admit a label bag, cached on the schema per bag and
 read by both the structure-filtered initial typing and the shortcut's
 label check, and round 1 of refinement from the full typing, under which
-every successor carries every type.
-Multi-mode flooding checks each (type, label bag) once per call, since a
-deterministic rule turns a label bag into one typed bag.
+every successor carries every type.  Multi-mode flooding reads the same
+verdicts, since a deterministic rule turns a label bag into one typed bag.
 """
 
 from __future__ import annotations
@@ -58,7 +57,6 @@ import itertools
 from collections import Counter, deque
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
-from operator import itemgetter
 
 from .graph import Graph
 from .membership import member
@@ -478,8 +476,8 @@ def _admitted(s: Schema, bag: tuple[tuple[str, int], ...]) -> frozenset[str]:
     """The types whose rule admits the label bag given as sorted (label,
     count) pairs: the universal type, predicate rules, and the expression
     rules whose label projection holds the bag.  Cached on the schema per
-    bag; a rule that uses no symbol with some label of the bag is dropped
-    without a membership test."""
+    bag, for refinement and multi-mode flooding; a rule that uses no symbol
+    with some label of the bag is dropped without a membership test."""
     cache: dict[tuple, frozenset[str]] = s._derived.setdefault("refine:init", {})
     types = cache.get(bag)
     if types is None:
@@ -712,9 +710,6 @@ def _freeze(typing: Mapping[str, set[str]]) -> dict[str, frozenset[str]]:
     return {n: frozenset(ts) for n, ts in typing.items()}
 
 
-_label = itemgetter(0)
-
-
 def _flood_multi(g: Graph, s: Schema, pre: Mapping[str, frozenset[str]]) -> tuple:
     typing: dict[str, set[str]] = {}
     queue: deque[tuple[str, str]] = deque()
@@ -724,11 +719,11 @@ def _flood_multi(g: Graph, s: Schema, pre: Mapping[str, frozenset[str]]) -> tupl
             queue.append((n, t))
             seen.add((n, t))
     # A deterministic rule sends each label to one type, so the typed bag
-    # of a node, and with it the verdict, follows from its label bag: each
-    # (type, label bag) is checked once per call.  The labels of the sorted
-    # neighborhood spell the bag, so the graph's label-bag index, which
-    # costs a pass over every node, is not needed here.
-    reasons: dict[tuple, str | None] = {}
+    # of a node, and with it the verdict, follows from its label bag: the
+    # schema's label-bag verdicts (:func:`_admitted`) decide.  The labels of
+    # the sorted neighborhood spell the bag, so the graph's label-bag index,
+    # which costs a pass over every node, is not needed here.
+    admitted: dict[tuple[str, ...], frozenset[str]] = {}
     examined = 0
     processed = 0
     while queue:
@@ -739,13 +734,13 @@ def _flood_multi(g: Graph, s: Schema, pre: Mapping[str, frozenset[str]]) -> tupl
             continue
         neighborhood = sorted(g.out_lab_node(n))
         examined += len(neighborhood)
+        labels = tuple([a for a, _ in neighborhood])
+        types = admitted.get(labels)
+        if types is None:
+            types = admitted[labels] = _admitted(s, tuple(Counter(labels).items()))
         targets = s.compiled[t].targets
-        key = (t, tuple(map(_label, neighborhood)))
-        if key in reasons:
-            reason = reasons[key]
-        else:
-            reason = reasons[key] = _flood_failure(s, t, targets, neighborhood)
-        if reason is not None:
+        if t not in types:
+            reason = _rejection(targets, neighborhood)
             return _freeze(typing), ((n, t, reason),), processed, examined
         typing.setdefault(n, set()).add(t)
         for a, m in neighborhood:
@@ -756,121 +751,95 @@ def _flood_multi(g: Graph, s: Schema, pre: Mapping[str, frozenset[str]]) -> tupl
     return _freeze(typing), (), processed, examined
 
 
-def _flood_failure(
-    s: Schema,
-    t: str,
-    targets: Mapping[str, tuple[str, ...]],
-    neighborhood: list[tuple[str, str]],
-) -> str | None:
-    """Why a node with this sorted neighborhood cannot carry the
-    deterministic type ``t``, or None when it can."""
-    w: Counter[str] = Counter()
+def _rejection(
+    targets: Mapping[str, tuple[str, ...]], neighborhood: list[tuple[str, str]]
+) -> str:
+    """Why a rule rejects a sorted neighborhood: the first label it does
+    not use, else the bag as a whole."""
     for a, _ in neighborhood:
         if a not in targets:
             return f"the rule uses no symbol with label {a}"
-        w[typed_symbol(a, targets[a][0])] += 1
-    if not rule_member(s, w, t):
-        return "outbound neighborhood does not match the rule"
-    return None
+    return "outbound neighborhood does not match the rule"
 
 
 def _flood_single(g: Graph, s: Schema, pre: Mapping[str, frozenset[str]]) -> tuple:
-    agenda: list[tuple[str, str]] = [
-        (n, t) for n in sorted(pre) for t in sorted(pre[n])
-    ]
+    # A chronological backtracking search over the agenda of obligations,
+    # with an explicit stack so that long chains cannot exhaust the
+    # interpreter's.  frames[i] says how agenda item i was settled: None
+    # when its node already had the type, the node when it took the
+    # universal type, or the choice point (node, type, neighborhood,
+    # remaining picks, agenda length before the pick's obligations).  Each
+    # edge picks among the types the rule uses its label with;
+    # deterministic rules make the search straight-line.
+    agenda = [(n, t) for n in sorted(pre) for t in sorted(pre[n])]
+    typing: dict[str, str] = {}
+    frames: list = []
+    failure = None  # the typing at the first failure, and that failure
+    point = None  # the choice point whose next pick is due
     examined = 0
     processed = 0
-    first_failure: list[tuple[str, str, str]] = []
-    failure_typing: dict[str, str] = {}
-
-    def fail(n: str, t: str, reason: str, lam: dict[str, str]) -> None:
-        if not first_failure:
-            first_failure.append((n, t, reason))
-            failure_typing.update(lam)
-
-    # A depth-first search over the agenda with an explicit stack, so long
-    # chains of obligations cannot exhaust the interpreter's.  trail[i]
-    # says how agenda item i was settled: None when its node already had
-    # the type, the node when it took the universal type, or the choice
-    # point [node, type, neighborhood, remaining picks, agenda length
-    # before the pick's obligations, whether some pick matched the rule].
-    lam: dict[str, str] | None = {}
-    trail: list = []
-    point: list | None = None  # the choice point whose next pick is due
     while True:
         if point is None:
-            i = len(trail)
-            if i == len(agenda):
-                break
-            n, t = agenda[i]
+            if len(frames) == len(agenda):
+                return typing, (), processed, examined
+            n, t = agenda[len(frames)]
             processed += 1
-            if n in lam:
-                if lam[n] == t:
-                    trail.append(None)
+            if n in typing:
+                if typing[n] == t:
+                    frames.append(None)
                     continue
-                fail(n, t, f"node already typed {lam[n]}", lam)
+                reason = f"node already typed {typing[n]}"
             elif t == TOP:
-                lam[n] = t
-                trail.append(n)
+                typing[n] = t
+                frames.append(n)
                 continue
             else:
                 neighborhood = sorted(g.out_lab_node(n))
                 examined += len(neighborhood)
-                # Each edge picks among the types the rule uses its label
-                # with; deterministic rules make the search straight-line.
                 targets = s.compiled[t].targets
-                per_edge = [targets.get(a) for a, _ in neighborhood]
-                unused = [
-                    a
-                    for (a, _), options in zip(neighborhood, per_edge)
-                    if options is None
-                ]
-                if unused:
-                    fail(n, t, f"the rule uses no symbol with label {unused[0]}", lam)
+                if all(a in targets for a, _ in neighborhood):
+                    typing[n] = t
+                    picks = itertools.product(*[targets[a] for a, _ in neighborhood])
+                    point = (n, t, neighborhood, picks, len(agenda))
                 else:
-                    lam[n] = t
-                    point = [
-                        n, t, neighborhood, itertools.product(*per_edge),
-                        len(agenda), False,
-                    ]
+                    reason = _rejection(targets, neighborhood)
         if point is not None:
-            n, t, neighborhood, picks, base, _ = point
+            n, t, neighborhood, picks, base = point
             del agenda[base:]
-            for pick in picks:
-                w = Counter(
-                    typed_symbol(a, u) for (a, _), u in zip(neighborhood, pick)
+            pick = _matching_pick(s, t, neighborhood, picks)
+            if pick is not None:
+                agenda.extend(
+                    (m, u) for (_, m), u in zip(neighborhood, pick) if u != TOP
                 )
-                if rule_member(s, w, t):
-                    point[5] = True
-                    agenda.extend(
-                        (m, u) for (_, m), u in zip(neighborhood, pick) if u != TOP
-                    )
-                    trail.append(point)
-                    point = None
-                    break
-            else:
-                del lam[n]
-                if point[5]:
-                    fail(n, t, "no consistent typing of the successors", lam)
-                else:
-                    fail(n, t, "outbound neighborhood does not match the rule", lam)
-            if point is None:
+                frames.append(point)
+                point = None
                 continue
-        # Settling failed: undo back to the innermost choice point.
+            # Out of picks.  Only a point's first try can be the first
+            # failure, and then no pick matched the rule.
+            del typing[n]
+            reason = _rejection(s.compiled[t].targets, neighborhood)
+        if failure is None:
+            failure = dict(typing), ((n, t, reason),)
+        # Undo back to the innermost choice point and resume it.
         point = None
-        while trail and point is None:
-            entry = trail.pop()
-            if isinstance(entry, list):
-                point = entry
-            elif entry is not None:
-                del lam[entry]
+        while frames and point is None:
+            frame = frames.pop()
+            if isinstance(frame, tuple):
+                point = frame
+            elif frame is not None:
+                del typing[frame]
         if point is None:
-            lam = None
-            break
+            return *failure, processed, examined
 
-    if lam is None:
-        return failure_typing, tuple(first_failure), processed, examined
-    return lam, (), processed, examined
+
+def _matching_pick(s: Schema, t: str, neighborhood, picks) -> tuple | None:
+    """The next of ``picks``, one type per edge of the sorted neighborhood,
+    under which the typed bag matches ``t``'s rule, or None."""
+    for pick in picks:
+        w = Counter(typed_symbol(a, u) for (a, _), u in zip(neighborhood, pick))
+        if rule_member(s, w, t):
+            return pick
+    return None
 
 
 def brute_force_single(

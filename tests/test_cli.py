@@ -1,15 +1,19 @@
+import contextlib
+import io
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FIG2_TEXT, S0_TEXT, S1_TEXT
 from shexval.cli import main
 from shexval.graph import format_graph, parse_graph, relabel_wildcards
 from shexval.schema import parse_schema
-from shexval.validate import infer_types, validate_multi
+from shexval.validate import ALGORITHMS, infer_types, validate_multi
 
 WILDCARD_TEXT = """\
 wildcard P = prefix "x"
@@ -764,3 +768,74 @@ def test_module_entry_point_runs_in_a_subprocess(tmp_path, g1):
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines() == ["valid"]
+
+
+TYPE_NAMES = ("t", "u", "v")
+SYMBOLS = tuple(f"{a}::{t}" for a in ("a", "b") for t in (*TYPE_NAMES, "TOP"))
+EXPRESSIONS = st.recursive(
+    st.one_of(
+        st.just("eps"),
+        st.builds(
+            lambda s, mark: s + mark,
+            st.sampled_from(SYMBOLS),
+            st.sampled_from(("", "?", "*", "+", "[1;2]", "[0;0]", "[2;*]")),
+        ),
+    ),
+    lambda inner: st.one_of(
+        st.builds(lambda x, y: f"({x} | {y})", inner, inner),
+        st.builds(lambda x, y: f"({x} , {y})", inner, inner),
+        st.builds(lambda x, mark: f"({x}){mark}", inner, st.sampled_from("?*+")),
+    ),
+    max_leaves=4,
+)
+NODE_NAMES = ("n0", "n1", "n2")
+SCHEMA_TEXTS = st.dictionaries(
+    st.sampled_from(TYPE_NAMES), EXPRESSIONS, min_size=1, max_size=3
+).map(lambda rules: "".join(f"{t} -> {e}\n" for t, e in rules.items()))
+GRAPH_TEXTS = st.lists(
+    st.tuples(
+        st.sampled_from(NODE_NAMES),
+        st.sampled_from(("a", "b", "stray")),
+        st.sampled_from(NODE_NAMES),
+    ),
+    max_size=5,
+).map(
+    lambda edges: "".join(f"{s}\t{a}\t{m}\n" for s, a, m in edges)
+    + "".join(f"node\t{n}\n" for n in NODE_NAMES)
+)
+PRETYPINGS = st.one_of(
+    st.none(),
+    st.lists(
+        st.tuples(st.sampled_from(NODE_NAMES), st.sampled_from((*TYPE_NAMES, "TOP"))),
+        max_size=3,
+    ).map(lambda pairs: "".join(f"{n}\t{t}\n" for n, t in pairs)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(schema_text=SCHEMA_TEXTS, graph_text=GRAPH_TEXTS, pre_text=PRETYPINGS)
+def test_no_exception_escapes_main(tmp_path_factory, schema_text, graph_text, pre_text):
+    # Every input the parsers accept gets a verdict or a usage, parse or cap
+    # exit code, under every mode and algorithm.
+    folder = tmp_path_factory.mktemp("fuzz")
+    schema = write(folder, "s.shex", schema_text)
+    graph = write(folder, "g.tsv", graph_text)
+    files = ["--schema", schema, "--graph", graph]
+    if pre_text is not None:
+        files += ["--pretyping", write(folder, "pre.tsv", pre_text)]
+    runs = [
+        ["validate", *files, "--mode", mode, "--algo", algo,
+         "--emit-typing", "--report-remaining"]
+        for mode in ("single", "multi")
+        for algo in ALGORITHMS
+    ]
+    runs += [
+        ["find-types", "--schema", schema, "--graph", graph],
+        ["check", "--schema", schema, "--sat", "--unambiguity"],
+    ]
+    for argv in runs:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+            io.StringIO()
+        ):
+            code = main(argv)
+        assert code in (0, 1, 2, 3), argv

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shexval import membership as membership_module
 from shexval.membership import (
     compile_rule,
     member,
@@ -280,3 +281,23 @@ def test_wide_flat_rules_compile_and_decide(op):
     assert member(Counter(["a0::t", "a4999::t"]), rule).verdict == (op is Concat)
     assert member(Counter(["a4999::t"]), rule).verdict
     assert not member(Counter(["b::t"]), rule).verdict
+
+
+def test_nested_repetitions_decide_without_walking_their_bodies(monkeypatch):
+    # ((…(a0 , a1)*…) , a99)*: a walk of each repetition's body per call
+    # made membership quadratic in the nesting.
+    e = Star(Concat(sym("a0"), sym("a1")))
+    for i in range(2, 100):
+        e = Star(Concat(e, sym(f"a{i}")))
+    rule = compile_rule(e, typed=False)
+    calls = Counter()
+    original = membership_module.alphabet
+
+    def counted(*args):
+        calls["alphabet"] += 1
+        return original(*args)
+
+    monkeypatch.setattr(membership_module, "alphabet", counted)
+    assert member(Counter({f"a{i}": 2 for i in range(100)}), rule).verdict
+    assert not member(Counter({"a0": 1}), rule).verdict
+    assert calls["alphabet"] == 0

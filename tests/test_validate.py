@@ -1039,6 +1039,158 @@ def test_flood_matches_per_obligation_reference(data):
     assert flood_extension(g, schema, pre, mode="multi") == expected
 
 
+def reference_flood_single(g, schema, pre):
+    """Single-mode flooding as a depth-first search that records its first
+    failure through a closure and marks a search without success by a
+    None typing."""
+    agenda = [(n, t) for n in sorted(pre) for t in sorted(pre[n])]
+    examined = 0
+    processed = 0
+    first_failure = []
+    failure_typing = {}
+
+    def fail(n, t, reason, lam):
+        if not first_failure:
+            first_failure.append((n, t, reason))
+            failure_typing.update(lam)
+
+    # trail[i] says how agenda item i was settled: None when its node
+    # already had the type, the node when it took the universal type, or
+    # the choice point [node, type, neighborhood, remaining picks, agenda
+    # length before the pick's obligations, whether some pick matched].
+    lam = {}
+    trail = []
+    point = None
+    while True:
+        if point is None:
+            i = len(trail)
+            if i == len(agenda):
+                break
+            n, t = agenda[i]
+            processed += 1
+            if n in lam:
+                if lam[n] == t:
+                    trail.append(None)
+                    continue
+                fail(n, t, f"node already typed {lam[n]}", lam)
+            elif t == TOP:
+                lam[n] = t
+                trail.append(n)
+                continue
+            else:
+                neighborhood = sorted(g.out_lab_node(n))
+                examined += len(neighborhood)
+                targets = schema.compiled[t].targets
+                per_edge = [targets.get(a) for a, _ in neighborhood]
+                unused = [
+                    a
+                    for (a, _), options in zip(neighborhood, per_edge)
+                    if options is None
+                ]
+                if unused:
+                    fail(n, t, f"the rule uses no symbol with label {unused[0]}", lam)
+                else:
+                    lam[n] = t
+                    point = [
+                        n, t, neighborhood, itertools.product(*per_edge),
+                        len(agenda), False,
+                    ]
+        if point is not None:
+            n, t, neighborhood, picks, base, _ = point
+            del agenda[base:]
+            for pick in picks:
+                w = Counter(
+                    typed_symbol(a, u) for (a, _), u in zip(neighborhood, pick)
+                )
+                if rule_member(schema, w, t):
+                    point[5] = True
+                    agenda.extend(
+                        (m, u) for (_, m), u in zip(neighborhood, pick) if u != TOP
+                    )
+                    trail.append(point)
+                    point = None
+                    break
+            else:
+                del lam[n]
+                if point[5]:
+                    fail(n, t, "no consistent typing of the successors", lam)
+                else:
+                    fail(n, t, "outbound neighborhood does not match the rule", lam)
+            if point is None:
+                continue
+        point = None
+        while trail and point is None:
+            entry = trail.pop()
+            if isinstance(entry, list):
+                point = entry
+            elif entry is not None:
+                del lam[entry]
+        if point is None:
+            lam = None
+            break
+
+    if lam is None:
+        typing, failures = failure_typing, tuple(first_failure)
+    else:
+        typing, failures = lam, ()
+    report = ValidationReport(
+        valid=not failures,
+        typing=typing,
+        failures=failures,
+        iterations=processed,
+        algorithm="flood-single",
+        edges_examined=examined,
+    )
+    return replace(report, remaining_edges=remaining_edges(g, report))
+
+
+SINGLE_FLOOD_SCHEMAS = tuple(s for s in DRIVER_SCHEMAS if s.class_flags.sorbe)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_flood_single_matches_the_reference(data):
+    # EXACT_COVER is nondeterministic, so the search backtracks there.
+    schema = data.draw(st.sampled_from(SINGLE_FLOOD_SCHEMAS))
+    labels = sorted(schema.sigma) or ["a", "b"]
+    nodes = [f"y{i}" for i in range(data.draw(st.integers(1, 5)))]
+    edges = data.draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(nodes), st.sampled_from(labels), st.sampled_from(nodes)
+            ),
+            max_size=12,
+        )
+    )
+    original = data.draw(st.sampled_from(nodes))
+    edges += [("twin", a, m) for n, a, m in edges if n == original]
+    g = Graph(edges, nodes + ["twin"])
+    pre = data.draw(
+        st.dictionaries(
+            st.sampled_from(nodes + ["twin"]),
+            st.sets(st.sampled_from(sorted(schema.gamma)), max_size=2),
+            max_size=3,
+        )
+    )
+    expected = reference_flood_single(
+        g, schema, {n: frozenset(ts) for n, ts in pre.items() if ts}
+    )
+    assert flood_extension(g, schema, pre, mode="single") == expected
+
+
+def test_flood_single_reference_backtracks_on_the_cover_gadget(
+    exact_cover_graph, exact_cover_schema
+):
+    # The gadget forces the search to undo picks before it finds the cover.
+    pre = {"r": {"t0"}}
+    report = flood_extension(exact_cover_graph, exact_cover_schema, pre, mode="single")
+    assert report == reference_flood_single(
+        exact_cover_graph, exact_cover_schema, {"r": frozenset({"t0"})}
+    )
+    assert report.valid
+    assert report.iterations > len(report.typing)
+
+
 def test_flood_decides_a_shared_label_bag_once_when_one_node_is_reached():
     # x and z have the same label bag; only x is reached, and it fails.
     g = Graph([("x", "a", "y"), ("x", "a", "w"), ("z", "a", "y"), ("z", "a", "w")])
@@ -1066,7 +1218,8 @@ def test_flooding_checks_each_label_bag_once_per_type(monkeypatch):
         calls["member"] += 1
         return original(*args)
 
-    monkeypatch.setattr(schema_module, "member", counted)
+    for module in (validate_module, schema_module):
+        monkeypatch.setattr(module, "member", counted)
     report = flood_extension(g, s, pre)
     assert report.valid
     # One membership test per obligation would exceed the bound.
