@@ -87,9 +87,9 @@ def _emit_report(report: ValidationReport, args) -> int:
         print(verdict)
     if not args.emit_typing:
         report = dataclasses.replace(report, typing={})
+    if not args.report_remaining:
+        report = dataclasses.replace(report, remaining_edges=frozenset())
     for line in report_lines(report):
-        if line.startswith("REMAINING\t") and not args.report_remaining:
-            continue
         print(line)
     return 0 if report.valid else 1
 

@@ -101,17 +101,17 @@ class Graph:
         nodes.  Callers must not modify the result.
         """
         if self._classes is None:
-            members: dict[tuple, list[str]] = {}
-            succ = self._succ
+            members: dict[tuple[str, ...], list[str]] = {}
             for n in self.nodes:
-                members.setdefault(_label_key(succ.get(n)), []).append(n)
-            self._classes = {key: tuple(nodes) for key, nodes in members.items()}
+                labels = tuple(sorted([a for a, _ in self._succ.get(n, ())]))
+                members.setdefault(labels, []).append(n)
+            self._classes = {_label_key(k): tuple(v) for k, v in members.items()}
         return self._classes
 
     def label_key(self, node: str) -> tuple[tuple[str, int], ...]:
         """The key of the node's label-bag class: its outbound label bag
         as sorted (label, count) pairs."""
-        return _label_key(self.out_lab_node(node))
+        return _label_key(sorted([a for a, _ in self.out_lab_node(node)]))
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
@@ -126,8 +126,9 @@ class Graph:
         return f"Graph({len(self.nodes)} nodes, {n_edges} edges)"
 
 
-def _label_key(pairs) -> tuple[tuple[str, int], ...]:
-    return tuple(sorted(Counter([a for a, _ in pairs]).items())) if pairs else ()
+def _label_key(labels) -> tuple[tuple[str, int], ...]:
+    # Counting sorted labels keeps them in order.
+    return tuple(Counter(labels).items())
 
 
 @dataclass(frozen=True)

@@ -148,12 +148,6 @@ def out_lab_type_m(
     return Counter((a, frozenset(typing[m])) for a, m in g.out_lab_node(n))
 
 
-def _neighborhood_key(neighborhood: Counter) -> tuple:
-    return tuple(
-        sorted((a, tuple(sorted(types)), c) for (a, types), c in neighborhood.items())
-    )
-
-
 def flatten(neighborhood: Counter[tuple[str, frozenset[str]]]) -> Rbe:
     """The choice-group expression of a bag of labeled type sets.
 
@@ -241,35 +235,33 @@ def _some_flattening_member(
 class _RefineEngine:
     """Refinement rounds of one algorithm against a fixed graph and schema.
 
-    The algorithm and the schema's class pick the local test once, at
-    construction:
+    The algorithm and the schema's class pick the start and the local test
+    once, at construction:
 
     * ``refine`` on a deterministic single-occurrence schema, and
       ``s-refine``, which needs one, use the deterministic test: the rule
       admits the node's label bag (:func:`_admitted`, one verdict per bag)
       and every successor still carries the one type the rule requires
       under the edge's label.  A node's label bag never changes, so after
-      the first round only the successors are checked;
+      the label check only the successors are checked;
     * ``refine`` on any other schema asks whether some flattening of the
-      neighborhood satisfies the rule, memoized by neighborhood shape,
-      which collapses the many identically-shaped nodes of large graphs
-      into a handful of tests;
+      neighborhood satisfies the rule, memoized per (type, neighborhood
+      bag), which collapses the many identically-shaped nodes of large
+      graphs into a handful of tests;
     * ``rbe0-refine`` needs a schema of symbol products and runs that
       flattening test per node, which there is the circulation.  It has
       no memo on purpose: with one it is about as fast as the
       deterministic test, so which of the two wins would be left to noise.
 
-    Types with a universal rule always survive and are never tested.
-    Every test reads the rules as the schema compiled them (label maps,
-    label projections, interval products).  The verdict memos live on the
-    schema, so engines over the same schema share them and repeat
-    validations start warm.
-
-    :meth:`from_full` and :meth:`from_filtered` run the frontier driver
-    of the module docstring from its two starts; each yields the typing
-    and the number of the synchronous rounds.  ``local_tests`` counts the
-    pairs tested; a class decided by one representative counts that
-    representative's pairs.
+    ``s-refine`` starts from :func:`structure_filtered_init`, which has
+    made the label check; ``refine`` and ``rbe0-refine`` start from the
+    full typing.  Types with a universal rule always survive and are never
+    tested.  Every test reads the rules as the schema compiled them (label
+    maps, label projections, interval products).  The verdict memos live
+    on the schema, so engines over the same schema share them and repeat
+    validations start warm.  ``local_tests`` counts the pairs tested; a
+    class decided by one representative counts that representative's
+    pairs.
     """
 
     def __init__(self, g: Graph, s: Schema, algo: str):
@@ -283,50 +275,29 @@ class _RefineEngine:
             raise ValueError("rbe0-refine needs a schema of symbol products")
         self.g = g
         self.s = s
+        self.algo = algo
         self.rules = s.compiled
-        # The local tests are kept as plain functions and called with the
-        # engine: a bound method kept on the engine would be a reference
-        # cycle, holding the engine, its graph and schema until a collection.
-        # _first is round 1 from the full typing; _retest is every other.
+        self.deterministic = deterministic and algo != "rbe0-refine"
         self._memo: dict[tuple, bool] | None = None
-        if deterministic and algo != "rbe0-refine":
-            self._first = _RefineEngine._lost_label_bag
-            self._retest = _RefineEngine._lost_successors
-        else:
-            self._first = self._retest = _RefineEngine._lost_general
-            if algo != "rbe0-refine":
-                # The memo depends only on the schema, so engines over the
-                # same schema share it.
-                self._memo = s._derived.setdefault("refine:memo:general", {})
+        if algo == "refine" and not self.deterministic:
+            self._memo = s._derived.setdefault("refine:memo:general", {})
         self.testable = frozenset(
             t for t, rule in self.rules.items() if not rule.universal
         )
         self.local_tests = 0
 
-    def from_full(self) -> tuple[dict[str, frozenset[str]], int]:
-        """The fixpoint below the full typing and its number of rounds.
-
-        Every node starts with every type, so round 1 sees a node only
-        through its label bag: it tests one node per label-bag class and
-        gives its verdicts to the whole class.
-        """
-        full = frozenset(self.s.gamma)
-        current = dict.fromkeys(self.g.nodes, full)
-        return current, self._settle(current, self._first_round_by_class(current))
-
-    def from_filtered(self) -> tuple[dict[str, frozenset[str]], int]:
-        """The fixpoint below :func:`structure_filtered_init` and its number
-        of rounds; round 1 skips the label check the filter has made."""
-        current = structure_filtered_init(self.g, self.s)
-        lost = self._test(current, current, self._retest)
-        for n, types in lost.items():
-            current[n] = _without(current[n], types)
-        return current, self._settle(current, lost)
-
-    def _settle(self, current: dict[str, frozenset[str]], lost) -> int:
-        """Refine ``current`` in place after a first round that removed
-        ``lost``; returns the number of rounds, counting the first and the
-        last one, which removes nothing."""
+    def run(self) -> tuple[dict[str, frozenset[str]], int]:
+        """The fixpoint below the algorithm's start and its number of
+        rounds, counting the first and the last one, which removes
+        nothing."""
+        if self.algo == "s-refine":
+            current = structure_filtered_init(self.g, self.s)
+            lost = self._test(current, current)
+            for n, types in lost.items():
+                current[n] = _without(current[n], types)
+        else:
+            current = dict.fromkeys(self.g.nodes, frozenset(self.s.gamma))
+            lost = self._first_round_by_class(current)
         rounds = 1
         preds: dict[str, list[tuple[str, str]]] | None = None
         while lost:
@@ -351,19 +322,21 @@ class _RefineEngine:
                         if affected:
                             work.setdefault(n, set()).update(affected)
             rounds += 1
-            lost = self._test(work, current, self._retest)
+            lost = self._test(work, current)
             for n, types in lost.items():
                 current[n] = _without(current[n], types)
-        return rounds
+        return current, rounds
 
     def _first_round_by_class(
         self, current: dict[str, frozenset[str]]
     ) -> dict[str, list[str]]:
-        """Round 1 from the full typing, one local test per label-bag class;
-        updates ``current`` and returns the types each node lost."""
+        """Round 1 from the full typing, under which every successor carries
+        every type, so a node is seen only through its label bag: one local
+        test per label-bag class.  Updates ``current`` and returns the
+        types each node lost."""
         classes = self.g.label_classes().values()
         failed = self._test(
-            {nodes[0]: current[nodes[0]] for nodes in classes}, current, self._first
+            {nodes[0]: current[nodes[0]] for nodes in classes}, current, True
         )
         lost = {}
         for nodes in classes:
@@ -379,16 +352,21 @@ class _RefineEngine:
         self,
         work: Mapping[str, Iterable[str]],
         typing: Mapping[str, frozenset[str]],
-        local_test,
+        full: bool = False,
     ) -> dict[str, list[str]]:
-        """The types of ``work`` (node to types) that fail ``local_test``
-        under ``typing``."""
+        """The types of ``work`` (node to types) that fail the local test
+        under ``typing``; ``full`` says that ``typing`` is the full one."""
         lost = {}
         for n, types in work.items():
             types = self.testable.intersection(types)
             if types:
                 self.local_tests += len(types)
-                failed = local_test(self, n, types, typing)
+                if not self.deterministic:
+                    failed = self._lost_general(n, types, typing)
+                elif full:
+                    failed = self._lost_label_bag(n, types)
+                else:
+                    failed = self._lost_successors(n, types, typing)
                 if failed:
                     lost[n] = failed
         return lost
@@ -400,7 +378,7 @@ class _RefineEngine:
                 t for t in types
                 if not _some_flattening_member(self.s, neighborhood, t)
             ]
-        shape = _neighborhood_key(neighborhood)
+        shape = frozenset(neighborhood.items())
         lost = []
         for t in types:
             key = (t, shape)
@@ -427,7 +405,7 @@ class _RefineEngine:
                     break
         return lost
 
-    def _lost_label_bag(self, n, types, typing) -> list[str]:
+    def _lost_label_bag(self, n, types) -> list[str]:
         # Under the full typing every successor carries every type, so the
         # deterministic test reduces to the label check.
         admitted = _admitted(self.s, self.g.label_key(n))
@@ -519,7 +497,7 @@ def infer_types(g: Graph, s: Schema) -> dict[str, frozenset[str]]:
     at most |nodes|·|types| + 1, but each round costs only the pairs it
     can change (see :class:`_RefineEngine`).
     """
-    typing, _ = _RefineEngine(g, s, "refine").from_full()
+    typing, _ = _RefineEngine(g, s, "refine").run()
     return typing
 
 
@@ -585,10 +563,7 @@ def validate_multi(
     """
     if algo in ("refine", "s-refine", "rbe0-refine"):
         engine = _RefineEngine(g, s, algo)
-        if algo == "s-refine":
-            typing, rounds = engine.from_filtered()
-        else:
-            typing, rounds = engine.from_full()
+        typing, rounds = engine.run()
         failures = tuple(
             (n, "-", "no type survives refinement")
             for n in sorted(n for n, types in typing.items() if not types)
@@ -887,15 +862,15 @@ def brute_force_multi(
     space = len(subsets) ** len(nodes)
     if space > cap:
         raise BruteCapExceeded(f"{space} assignments exceed the cap of {cap}")
-    memo: dict[tuple[str, tuple], bool] = {}
+    memo: dict[tuple[str, frozenset], bool] = {}
     for combo in itertools.product(subsets, repeat=len(nodes)):
         typing = dict(zip(nodes, combo))
         ok = True
         for n in nodes:
             neighborhood = out_lab_type_m(g, typing, n)
-            key_base = _neighborhood_key(neighborhood)
+            shape = frozenset(neighborhood.items())
             for t in typing[n]:
-                key = (t, key_base)
+                key = (t, shape)
                 if key not in memo:
                     memo[key] = _some_flattening_member(s, neighborhood, t)
                 if not memo[key]:

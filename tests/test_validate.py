@@ -1525,3 +1525,133 @@ def test_validating_a_parsed_graph_never_builds_its_edge_set(monkeypatch, case):
     of_parsed = reports(parsed)
     assert reads == []
     assert of_parsed == reports(built)
+
+
+# Families for the counted bounds of refinement and flooding.  Each builds
+# (schema text, graph, pre-typing) at a size given in edges (nodes for the
+# distinct label bags); the pre-typing is None where no flood applies.
+HUB_TEXT = "t -> a::u*\nu -> a::t\n"
+K_STAR_TEXT = "t -> (a::u | a::v)* , a::u\nu -> eps\nv -> eps\n"
+# Deterministic single-occurrence symbol products over twelve labels.  t
+# admits every label bag; u does not use l11, so the nodes with an l11-edge
+# lose u, then their predecessors, round after round.
+DISTINCT_TEXT = (
+    "t -> " + " , ".join(f"l{i}::t?" for i in range(12)) + "\n"
+    "u -> " + " , ".join(f"l{i}::u?" for i in range(11)) + "\n"
+)
+
+
+def chain_family(size):
+    edges = [(f"v{i}", "a", f"v{i + 1}") for i in range(size)]
+    return "t -> a::t\n", Graph(edges), {"v0": {"t"}}
+
+
+def out_hub_family(size):
+    return HUB_TEXT, Graph([("h", "a", f"m{i}") for i in range(size)]), {"h": {"t"}}
+
+
+def in_hub_family(size):
+    g = Graph([(f"m{i}", "a", "h") for i in range(size)])
+    return HUB_TEXT, g, {f"m{i}": {"u"} for i in range(size)}
+
+
+def k_star_family(size):
+    return K_STAR_TEXT, Graph([("h", "a", f"m{i}") for i in range(size)]), None
+
+
+def distinct_bags_family(size):
+    # Odd multipliers permute the 4096 label subsets, so no two of the
+    # nodes share a label bag.
+    rng = random.Random(size)
+    edges = [
+        (f"n{i}", f"l{j}", f"n{rng.randrange(size)}")
+        for i in range(size)
+        for j in range(12)
+        if (i * 1597) % 4096 >> j & 1
+    ]
+    return DISTINCT_TEXT, Graph(edges, [f"n{i}" for i in range(size)]), {"n1": {"t"}}
+
+
+BOUND_CASES = [
+    pytest.param(family, size, id=f"{family.__name__[:-7]}-{size}")
+    for family, sizes in [
+        (chain_family, (100, 400, 1600)),
+        (out_hub_family, (100, 400, 1600)),
+        (in_hub_family, (100, 400, 1600)),
+        (k_star_family, (10, 40, 160)),
+        (distinct_bags_family, (200, 800, 3200)),
+    ]
+    for size in sizes
+]
+FLOOD_BOUND_CASES = [case for case in BOUND_CASES if case.values[0] is not k_star_family]
+
+
+@pytest.mark.parametrize("family, size", BOUND_CASES)
+def test_refinement_stays_within_its_counted_bounds(family, size):
+    # Round 1 tests every type of one node per label-bag class (s-refine:
+    # of every node); a later test of (n, t) follows the loss of a type u
+    # at a successor of n, and each (successor, u) is lost once.
+    text, g, _ = family(size)
+    s = parse_schema(text)
+    n_types, n_edges = len(s.gamma), len(g.edges)
+    for algo in admissible_algorithms(s):
+        report = validate_multi(g, s, algo)
+        first = len(g.nodes) if algo == "s-refine" else len(g.label_classes())
+        assert report.iterations <= len(g.nodes) * n_types + 1
+        assert report.local_tests <= n_types * first + n_types**2 * n_edges
+
+
+@pytest.mark.parametrize("family, size", FLOOD_BOUND_CASES)
+def test_flooding_stays_within_its_counted_bounds(monkeypatch, family, size):
+    # Multi mode scans a node's edges once per type it takes and decides
+    # each label bag once per type; single mode on a deterministic
+    # single-occurrence schema makes no choice, so it scans each edge once.
+    text, g, pre = family(size)
+    s = parse_schema(text)
+    assert s.class_flags.deterministic and s.class_flags.sorbe
+    calls = Counter()
+    original = schema_module.member
+
+    def counted(*args):
+        calls["member"] += 1
+        return original(*args)
+
+    for module in (validate_module, schema_module):
+        monkeypatch.setattr(module, "member", counted)
+    report = flood_extension(g, s, pre, mode="multi")
+    assert 0 < report.edges_examined <= len(s.gamma) * len(g.edges)
+    assert 0 < calls["member"] <= len(s.gamma) * len(g.label_classes())
+    report = flood_extension(g, s, pre, mode="single")
+    assert 0 < report.edges_examined <= len(g.edges)
+
+
+def reference_key(neighborhood):
+    """A key of the neighborhood bag that ignores the order in which its
+    edges were listed: its entries as sorted tuples."""
+    return tuple(
+        sorted((a, tuple(sorted(types)), c) for (a, types), c in neighborhood.items())
+    )
+
+
+def test_refine_decides_each_type_and_neighborhood_bag_once(monkeypatch):
+    # A node's neighborhood lists its edges in the order of its successor
+    # set, so equal bags reach the test in different orders.
+    s = parse_schema("t -> (a::t | a::u)* , b::u*\nu -> a::t?\n")
+    rng = random.Random(5)
+    g = Graph(
+        (f"n{i}", rng.choice("ab"), f"n{rng.randrange(300)}")
+        for i in range(300)
+        for _ in range(rng.randint(0, 4))
+    )
+    decided = []
+    original = validate_module._some_flattening_member
+
+    def recorded(schema, neighborhood, t):
+        decided.append((t, reference_key(neighborhood)))
+        return original(schema, neighborhood, t)
+
+    monkeypatch.setattr(validate_module, "_some_flattening_member", recorded)
+    report = validate_multi(g, s, "refine")
+    assert report.iterations > 2
+    assert len(decided) == len(set(decided)) > 50
+    assert len(s._derived["refine:memo:general"]) == len(decided)

@@ -1,0 +1,80 @@
+"""Print the answers of every benchmark operation of a checkout, untimed.
+
+Run from anywhere, naming the root of a checkout:
+
+    python3 tools/same_answers.py path/to/checkout > answers.json
+
+For each workload of ``perfbench/bench.py`` at seeds 7 and 11, every
+operation runs cold (a freshly parsed schema) and then warm (the same
+schema again), as the benchmark runs them.  Per run the output gives the
+verdict, the counters of the report, its algorithm, its failure count,
+the SHA-256 of its rendered ``report_lines`` and the entries of each
+refinement memo of the schema.  Two checkouts give the same answers
+exactly when their outputs are equal, e.g. ``cmp`` of the two files.
+
+The workloads, inputs and operations are the benchmark's own
+(``WORKLOADS``, ``build_inputs``, ``setup``); nothing is timed.  The
+package is imported from the checkout's ``src/``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+SEEDS = (7, 11)
+
+
+def _answers(checkout: Path) -> dict:
+    sys.path[:0] = [str(checkout / "src"), str(checkout / "perfbench")]
+    import bench
+    import shexval
+    from shexval.schema import parse_schema
+    from shexval.validate import report_lines
+
+    if not Path(shexval.__file__).resolve().is_relative_to(checkout / "src"):
+        raise SystemExit(f"error: shexval was imported from {shexval.__file__}")
+    out = {}
+    for workload, spec in bench.WORKLOADS.items():
+        for seed in SEEDS:
+            inputs = bench.build_inputs(workload, seed)
+            graphs = bench.setup(inputs)
+            for op, name in spec.ops:
+                inp, g = inputs[name], graphs[name]
+                s = parse_schema(inp.schema_text)
+                for phase in bench.PHASES:
+                    report = bench._call(op, g, s, inp)
+                    lines = "\n".join(report_lines(report)).encode()
+                    out[f"{workload}/{seed}/{op}/{phase}"] = {
+                        "valid": report.valid,
+                        "iterations": report.iterations,
+                        "local_tests": report.local_tests,
+                        "edges_examined": report.edges_examined,
+                        "algorithm": report.algorithm,
+                        "failures": len(report.failures),
+                        "report_lines_sha256": hashlib.sha256(lines).hexdigest(),
+                        "memo_entries": {
+                            key: len(memo)
+                            for key, memo in sorted(s._derived.items())
+                            if key.startswith("refine:")
+                        },
+                    }
+    return out
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: same_answers.py <checkout>", file=sys.stderr)
+        return 2
+    checkout = Path(argv[0]).resolve()
+    if not (checkout / "perfbench" / "bench.py").is_file():
+        print(f"error: no perfbench/bench.py under {checkout}", file=sys.stderr)
+        return 2
+    print(json.dumps(_answers(checkout), indent=1, sort_keys=True))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
