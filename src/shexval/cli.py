@@ -116,9 +116,6 @@ def _cmd_check(args) -> int:
         if t == TOP:
             continue
         rule = schema.compiled[t]
-        if rule.predicate is not None:
-            print(f"type\t{t}\tpredicate")
-            continue
         parts = [
             f"deterministic={_yesno(rule.deterministic)}",
             f"sorbe={_yesno(rule.sorbe)}",

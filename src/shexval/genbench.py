@@ -36,7 +36,7 @@ from .rbe import (
     Symbol,
     split_symbol,
 )
-from .schema import TOP, Schema, SemanticLanguage
+from .schema import TOP, Schema
 from .validate import ValidationReport, flood_extension, validate_multi
 
 __all__ = [
@@ -170,20 +170,18 @@ class _Generator:
             for t, rule in self.schema.delta.items()
             if isinstance(rule, Epsilon)
         }
-        semantic = {
-            t
-            for t, rule in self.schema.delta.items()
-            if isinstance(rule, SemanticLanguage)
+        universal = {
+            t for t, rule in self.schema.compiled.items() if rule.universal
         }
         shape_types = [
             t
             for t in sorted(self.schema.gamma)
-            if t not in semantic and t not in self.leaf_types
+            if t not in universal and t not in self.leaf_types
         ]
         # A schema of nothing but empty content models still generates:
         # isolated nodes typed uniformly.
         self.shape_types = shape_types or sorted(
-            t for t in self.schema.gamma if t not in semantic
+            t for t in self.schema.gamma if t not in universal
         )
         self.edges: list[tuple[str, str, str]] = []
         self.leaf_count = 0

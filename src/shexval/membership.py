@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 from collections import Counter
-from collections.abc import Callable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from .rbe import (
@@ -62,14 +62,12 @@ class CompiledRule:
     the rule is deterministic when every label has one type.  ``intervals``
     is the interval product of a symbol-product rule, or None when the rule
     is no symbol product or its language is empty.  ``projected`` is the
-    compiled label projection.  A rule given as a membership predicate has
-    ``predicate`` instead of ``expr`` and fails every syntactic test;
-    ``universal`` marks the universal type's rule.  ``encoding`` is built
-    on first use.
+    compiled label projection.  ``universal`` marks the universal rule,
+    which has no expression and admits every bag.  ``encoding`` is built on
+    first use.
     """
 
     expr: Rbe | None = None
-    predicate: Callable[[Bag], bool] | None = None
     universal: bool = False
     alphabet: frozenset[str] = frozenset()
     targets: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
@@ -84,9 +82,7 @@ class CompiledRule:
 
     @property
     def deterministic(self) -> bool:
-        return self.predicate is None and all(
-            len(types) == 1 for types in self.targets.values()
-        )
+        return all(len(types) == 1 for types in self.targets.values())
 
 
 def compile_rule(e: Rbe, *, typed: bool = True) -> CompiledRule:

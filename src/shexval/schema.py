@@ -13,15 +13,15 @@ explicit set, or as the rest of the vocabulary.  Rules reference them as
 ``Schema.wildcard_family()`` so its edge labels line up with the rules.
 
 The algebra constructions (intersection, powerset, homomorphism) build
-schemas whose rules may be membership predicates rather than expressions;
-they validate like any other schema but cannot be serialized.
+schemas whose rules are expressions too, so they are analysed, validated
+and written out like any other schema.  Only ``TOP`` and the product and
+powerset types made of ``TOP`` alone hold the universal rule.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter
-from collections.abc import Callable, Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 from .graph import Graph, WildcardDecl, check_wildcards_disjoint
@@ -34,10 +34,14 @@ from .rbe import (
     Rbe,
     Symbol,
     concat,
+    disj,
     format_rbe,
+    isect,
     map_symbols,
+    opt,
     parse_rbe,
     split_symbol,
+    star,
     typed_symbol,
 )
 from .rbe.parse import RESERVED
@@ -45,15 +49,12 @@ from .rbe.parse import RESERVED
 __all__ = [
     "TOP",
     "UNIVERSAL",
-    "SemanticLanguage",
     "ClassFlags",
     "Schema",
-    "universal_language_member",
     "rule_member",
     "check_deterministic",
     "nondeterministic_labels",
     "classify",
-    "flattenings",
     "parse_schema",
     "format_schema",
     "intersect_schemas",
@@ -63,26 +64,10 @@ __all__ = [
 
 TOP = "TOP"
 
-
-def universal_language_member(w: Bag) -> bool:
-    """The universal type's content model: every bag belongs."""
-    return True
-
-
-@dataclass(frozen=True)
-class SemanticLanguage:
-    """A content model given by a membership predicate instead of an expression.
-
-    ``carrier`` names the component types the predicate was assembled from,
-    for introspection; it does not affect membership.
-    """
-
-    member: Callable[[Bag], bool]
-    description: str = ""
-    carrier: tuple[str, ...] = ()
-
-
-UNIVERSAL = SemanticLanguage(universal_language_member, "every bag")
+# The universal rule: every bag, over any labels.  No expression over a
+# finite alphabet denotes it, so it is given as an analysed rule with no
+# expression, which every consumer tells by its ``universal`` flag.
+UNIVERSAL = CompiledRule(universal=True)
 
 
 @dataclass(frozen=True)
@@ -95,10 +80,11 @@ class ClassFlags:
 class Schema:
     """An immutable map from type names to content models.
 
-    ``rules`` gives the declared rules.  Every type referenced inside an
-    expression rule joins the type set; referenced-but-undeclared types get
-    the empty content model, except ``TOP`` which gets the universal one.
-    Declaring a rule for ``TOP`` itself is an error.
+    ``rules`` gives the declared rules: expressions, or ``UNIVERSAL``.
+    Every type referenced inside a rule joins the type set;
+    referenced-but-undeclared types get the empty content model, except
+    ``TOP`` which gets the universal one.  Declaring a rule for ``TOP``
+    itself is an error.
 
     ``compiled`` holds each type's rule analysed once, at construction
     (see :class:`~shexval.membership.CompiledRule`), and ``class_flags``
@@ -114,17 +100,15 @@ class Schema:
     def __init__(self, rules, wildcards=()):
         if TOP in rules:
             raise ValueError(f"the type name {TOP!r} is reserved for the universal type")
-        delta: dict[str, Rbe | SemanticLanguage] = {}
+        delta: dict[str, Rbe | CompiledRule] = {}
         compiled: dict[str, CompiledRule] = {}
         labels: set[str] = set()
         referenced: set[str] = set()
         for name, rule in rules.items():
             if not name:
                 raise ValueError("empty type name")
-            if not isinstance(rule, (Rbe, SemanticLanguage)):
-                raise TypeError(
-                    f"rule for {name!r} must be an expression or a SemanticLanguage"
-                )
+            if not (isinstance(rule, Rbe) or rule is UNIVERSAL):
+                raise TypeError(f"rule for {name!r} must be an expression or UNIVERSAL")
             delta[name] = rule
             compiled[name] = _compile(rule)
             for symbol in compiled[name].alphabet:
@@ -170,34 +154,26 @@ class Schema:
         return f"Schema({len(self.gamma)} types, {len(self.wildcards)} wildcards)"
 
 
-def _compile(rule: Rbe | SemanticLanguage) -> CompiledRule:
-    if isinstance(rule, SemanticLanguage):
-        return CompiledRule(
-            predicate=rule.member,
-            universal=rule.member is universal_language_member,
-        )
-    return compile_rule(rule)
+def _compile(rule: Rbe | CompiledRule) -> CompiledRule:
+    return rule if rule is UNIVERSAL else compile_rule(rule)
 
 
 def rule_member(schema: Schema, w: Bag, t: str) -> bool:
     """Whether bag w satisfies type t's content model."""
     rule = schema.compiled[t]
-    if rule.predicate is not None:
-        return rule.predicate(w)
-    return member(w, rule).verdict
+    return rule.universal or member(w, rule).verdict
 
 
 def _checked_rules(schema: Schema) -> list[tuple[str, CompiledRule]]:
-    # The universal type is exempt from every syntactic test.
-    return [(t, rule) for t, rule in schema.compiled.items() if t != TOP]
+    # Universal rules are exempt from every syntactic test.
+    return [(t, rule) for t, rule in schema.compiled.items() if not rule.universal]
 
 
 def check_deterministic(schema: Schema) -> tuple[bool, dict[tuple[str, str], str] | None]:
     """Whether every rule uses each label with at most one type.
 
     On success also returns the successor map from (type, label) to the
-    unique target type.  Predicate rules cannot be certified and fail the
-    check, except the universal type, which is exempt.
+    unique target type.  Universal rules are exempt.
     """
     if not schema.class_flags.deterministic:
         return False, None
@@ -219,7 +195,7 @@ def nondeterministic_labels(schema: Schema) -> list[tuple[str, str]]:
 
 
 def classify(schema: Schema) -> ClassFlags:
-    """Syntactic class flags; the universal type is exempt, predicate rules fail all three."""
+    """Syntactic class flags; universal rules are exempt."""
     rules = [rule for _, rule in _checked_rules(schema)]
     return ClassFlags(
         deterministic=all(rule.deterministic for rule in rules),
@@ -325,16 +301,16 @@ def _resolve(lineno: int, e: Rbe, wildcard_names: set[str]) -> Rbe:
 def format_schema(schema: Schema) -> str:
     """Render a schema in the rule syntax; inverse of parse_schema on its rules.
 
-    The universal type is omitted (references recreate it); predicate rules
-    cannot be rendered and raise ValueError.
+    The universal type is omitted (references recreate it); a universal
+    rule under any other name has no text and raises ValueError.
     """
     names = {decl.name for decl in schema.wildcards}
     lines = [_format_wildcard(decl) for decl in schema.wildcards]
     for t, rule in schema.delta.items():
-        if t == TOP:
+        if rule is UNIVERSAL:
+            if t != TOP:
+                raise ValueError(f"rule for {t!r} is universal; only {TOP} can hold it")
             continue
-        if isinstance(rule, SemanticLanguage):
-            raise ValueError(f"rule for {t!r} is a membership predicate; not serializable")
         lines.append(f"{t} -> {format_rbe(_unresolve(rule, names))}")
     return "\n".join(lines) + "\n" if lines else ""
 
@@ -373,24 +349,40 @@ def _subset_name(types) -> str:
     return "{" + ",".join(sorted(types)) + "}"
 
 
-def _project(
-    w: Bag, pairs: Mapping[str, tuple[str, str]]
-) -> tuple[Bag, Bag] | None:
-    """Both aggregating projections of a bag over pair-typed symbols.
+def _lifted(schema: Schema, t: str, images: Callable[[str], list[str]]) -> Rbe | None:
+    """t's rule with each symbol ``a::u[lo;hi]`` replaced by lo to hi
+    picks, each one of the symbols ``a::v`` for v in ``images(u)``; None
+    for a universal rule.
 
-    Returns None when some symbol's type is not a known pair, in which case
-    the bag is outside the product vocabulary.
+    A pick among k > 1 symbols is their choice, written lo times and then
+    hi - lo times as optional, or once starred when hi is unbounded.  So
+    the image of one symbol holds at most hi * k symbols (lo + 1 times k
+    when unbounded): the lifted rule grows linearly with interval bounds.
     """
-    left: Counter[str] = Counter()
-    right: Counter[str] = Counter()
-    for symbol, count in w.items():
-        label, target = split_symbol(symbol)
-        if target is None or target not in pairs:
-            return None
-        t1, t2 = pairs[target]
-        left[typed_symbol(label, t1)] += count
-        right[typed_symbol(label, t2)] += count
-    return left, right
+    if schema.compiled[t].universal:
+        return None
+
+    def lift(node: Symbol) -> Rbe:
+        label, target = split_symbol(node.name)
+        names = [typed_symbol(label, v) for v in images(target)]
+        bounds = node.bounds
+        if len(names) == 1 or bounds.is_empty:
+            return Symbol(names[0], bounds)
+        choice = disj(*(Symbol(name) for name in names))
+        if bounds.hi is None:
+            tail = [star(choice)]
+        else:
+            tail = [opt(choice)] * (bounds.hi - bounds.lo)
+        return concat(*[choice] * bounds.lo, *tail)
+
+    return map_symbols(schema.delta[t], lift)
+
+
+def _meet(parts: Iterable[Rbe | None]) -> Rbe | CompiledRule:
+    """The intersection of the lifted rules; universal ones add no
+    conjunct, and with none left the meet is universal."""
+    kept = [part for part in parts if part is not None]
+    return isect(*kept) if kept else UNIVERSAL
 
 
 def intersect_schemas(s1: Schema, s2: Schema) -> Schema:
@@ -399,28 +391,28 @@ def intersect_schemas(s1: Schema, s2: Schema) -> Schema:
     A bag over ``label::pair`` symbols satisfies the pair (t1, t2) when its
     aggregating projections, replacing every pair type by its first or
     second component and merging counts, satisfy t1 in s1 and t2 in s2.
+    The rule says so as an expression, ``σ1(e1) & σ2(e2)``: σ1 lifts t1's
+    rule by letting ``a::u`` pick any ``a::(u,v)`` with v in s2, and σ2
+    lifts t2's rule the same way (see :func:`_lifted` for intervals).
     """
     _require_plain(s1, "intersect_schemas")
     _require_plain(s2, "intersect_schemas")
-    pairs = {
-        _pair_name(t1, t2): (t1, t2)
-        for t1 in sorted(s1.gamma)
-        for t2 in sorted(s2.gamma)
+    gamma1, gamma2 = sorted(s1.gamma), sorted(s2.gamma)
+    left = {
+        t1: _lifted(s1, t1, lambda u: [_pair_name(u, v) for v in gamma2])
+        for t1 in gamma1
     }
-    rules: dict[str, SemanticLanguage] = {}
-    for name, (t1, t2) in pairs.items():
-
-        def join_member(w: Bag, t1: str = t1, t2: str = t2) -> bool:
-            projected = _project(w, pairs)
-            if projected is None:
-                return False
-            left, right = projected
-            return rule_member(s1, left, t1) and rule_member(s2, right, t2)
-
-        rules[name] = SemanticLanguage(
-            join_member, description=f"join of {t1} and {t2}", carrier=(t1, t2)
-        )
-    return Schema(rules)
+    right = {
+        t2: _lifted(s2, t2, lambda v: [_pair_name(u, v) for u in gamma1])
+        for t2 in gamma2
+    }
+    return Schema(
+        {
+            _pair_name(t1, t2): _meet((left[t1], right[t2]))
+            for t1 in gamma1
+            for t2 in gamma2
+        }
+    )
 
 
 def powerset_schema(schema: Schema, *, bound: int = 10) -> Schema:
@@ -428,59 +420,28 @@ def powerset_schema(schema: Schema, *, bound: int = 10) -> Schema:
 
     A bag over ``label::subset`` symbols satisfies subset T when for every
     t in T each bag element can pick one type out of its own subset so that
-    the picked projection satisfies t.  The carrier doubles per type, so
-    the type count is capped at ``bound``.
+    the picked projection satisfies t.  The rule says so as an expression,
+    the intersection over t in T of σ(t's rule), where σ lets ``a::u`` pick
+    any ``a::S`` with u in S (see :func:`_lifted` for intervals).  The
+    subsets double per type, and so does each symbol's choice, so the type
+    count is capped at ``bound``.
     """
     _require_plain(schema, "powerset_schema")
     if len(schema.gamma) > bound:
         raise ValueError(f"{len(schema.gamma)} types exceed the powerset bound of {bound}")
     members = sorted(schema.gamma)
-    subsets: dict[str, frozenset[str]] = {}
-    for size in range(1, len(members) + 1):
-        for combo in itertools.combinations(members, size):
-            subsets[_subset_name(combo)] = frozenset(combo)
-    rules: dict[str, SemanticLanguage] = {}
-    for name, types in subsets.items():
-
-        def subset_member(w: Bag, types: frozenset[str] = types) -> bool:
-            return all(_coordinate_member(schema, w, subsets, t) for t in sorted(types))
-
-        rules[name] = SemanticLanguage(
-            subset_member, description=f"all of {name}", carrier=tuple(sorted(types))
-        )
-    return Schema(rules)
-
-
-def _coordinate_member(
-    schema: Schema, w: Bag, subsets: Mapping[str, frozenset[str]], t: str
-) -> bool:
-    """Can each element pick a type from its subset so the picks satisfy t?"""
-    items = []
-    for symbol, count in sorted(w.items()):
-        label, target = split_symbol(symbol)
-        if target is None or target not in subsets:
-            return False
-        items.append((label, subsets[target], count))
-    return any(rule_member(schema, picked, t) for picked in flattenings(items))
-
-
-def flattenings(items: Iterable[tuple[str, Iterable[str], int]]) -> Iterator[Bag]:
-    """Every bag that picks one type per occurrence of (label, types, count).
-
-    Occurrences of one item are interchangeable, so unordered picks suffice.
-    """
-    per_item = [
-        [
-            Counter(typed_symbol(label, pick) for pick in picks)
-            for picks in itertools.combinations_with_replacement(sorted(types), count)
-        ]
-        for label, types, count in items
+    subsets = [
+        combo
+        for size in range(1, len(members) + 1)
+        for combo in itertools.combinations(members, size)
     ]
-    for assignment in itertools.product(*per_item):
-        total: Counter[str] = Counter()
-        for part in assignment:
-            total.update(part)
-        yield total
+    containing = {
+        u: [_subset_name(combo) for combo in subsets if u in combo] for u in members
+    }
+    lifted = {t: _lifted(schema, t, containing.__getitem__) for t in members}
+    return Schema(
+        {_subset_name(combo): _meet(lifted[t] for t in combo) for combo in subsets}
+    )
 
 
 def homomorphism_schema(h: Graph) -> Schema:

@@ -36,10 +36,10 @@ an a-edge into a node m that lost a type u in the round before and the
 rule of t mentions ``a::u``.  The local verdict of (n, t) depends on each
 successor m only through the types of m that t's rule mentions under the
 edge's label: a flattening that picks an unmentioned symbol lies outside
-the rule's language.  Rules given as opaque predicates count as
-mentioning every symbol.  So a pair off the frontier keeps the verdict it
-had a round earlier, and every round removes exactly the pairs the
-synchronous round removes.
+the rule's language.  Every rule but the universal one is an expression,
+product and powerset rules included, so this holds for every schema.  So
+a pair off the frontier keeps the verdict it had a round earlier, and
+every round removes exactly the pairs the synchronous round removes.
 
 Tests that see a node only through its outbound label bag are decided
 once per label-bag class of the graph (:meth:`Graph.label_classes`), in
@@ -47,8 +47,9 @@ the manner of partition refinement (Paige and Tarjan, SIAM J. Comput.
 1987): the types that admit a label bag, cached on the schema per bag and
 read by both the structure-filtered initial typing and the shortcut's
 label check, and round 1 of refinement from the full typing, under which
-every successor carries every type.  Multi-mode flooding reads the same
-verdicts, since a deterministic rule turns a label bag into one typed bag.
+every successor carries every type.  Flooding reads the same verdicts on
+deterministic schemas, since a deterministic rule turns a label bag into
+one typed bag.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ from .membership import member
 from .rbe import Bag, ParseError, Rbe, Symbol, concat, disj, typed_symbol
 # perfbench/spans.py wraps the inter1 attribute of this module.
 from .sat import inter1, inter1_groups  # noqa: F401
-from .schema import TOP, Schema, flattenings, rule_member
+from .schema import TOP, Schema, rule_member
 
 __all__ = [
     "ALGORITHMS",
@@ -211,14 +212,6 @@ def _some_flattening_member(
     rule = s.compiled[t]
     if rule.universal:
         return True
-    if rule.predicate is not None:
-        # Opaque languages admit no intersection test; try the flattenings
-        # one by one.
-        items = sorted(neighborhood.items(), key=_flatten_key)
-        return any(
-            rule.predicate(w)
-            for w in flattenings((a, types, count) for (a, types), count in items)
-        )
     if any(not types for (_, types) in neighborhood):
         return False
     groups = {
@@ -303,7 +296,7 @@ class _RefineEngine:
         while lost:
             if preds is None:
                 preds = _predecessors(self.g)
-                mentions, everywhere = self._mention_index()
+                mentions = self._mention_index()
             # The types an a-edge into a node that lost ``types`` can
             # affect, per (label, lost types); round 1 by class gives many
             # nodes the same lost types.
@@ -314,8 +307,8 @@ class _RefineEngine:
                 for n, a in preds.get(m, ()):
                     mentioned = affecting.get((a, types))
                     if mentioned is None:
-                        mentioned = affecting[(a, types)] = everywhere.union(
-                            *(mentions.get((a, u), everywhere) for u in types)
+                        mentioned = affecting[(a, types)] = frozenset().union(
+                            *(mentions.get((a, u), ()) for u in types)
                         )
                     if mentioned:
                         affected = mentioned & current[n]
@@ -411,27 +404,15 @@ class _RefineEngine:
         admitted = _admitted(self.s, self.g.label_key(n))
         return [t for t in types if t not in admitted]
 
-    def _mention_index(
-        self,
-    ) -> tuple[dict[tuple[str, str], frozenset[str]], frozenset[str]]:
-        """Which types' local verdicts a successor's type can affect.
-
-        Maps (label, type) to the types whose rule mentions ``label::type``;
-        the second value holds the types with an opaque, non-universal rule,
-        which count as mentioning every symbol and belong to every entry.
-        """
-        everywhere = frozenset(
-            t
-            for t, rule in self.rules.items()
-            if rule.predicate is not None and not rule.universal
-        )
+    def _mention_index(self) -> dict[tuple[str, str], frozenset[str]]:
+        """Which types' local verdicts a successor's type can affect: maps
+        (label, type) to the types whose rule mentions ``label::type``."""
         index: dict[tuple[str, str], set[str]] = {}
         for t, rule in self.rules.items():
             for a, targets in rule.targets.items():
                 for u in targets:
                     index.setdefault((a, u), set()).add(t)
-        mentions = {key: frozenset(types) | everywhere for key, types in index.items()}
-        return mentions, everywhere
+        return {key: frozenset(types) for key, types in index.items()}
 
 
 def _without(types: frozenset[str], lost: list[str]) -> frozenset[str]:
@@ -452,10 +433,10 @@ def _predecessors(g: Graph) -> dict[str, list[tuple[str, str]]]:
 
 def _admitted(s: Schema, bag: tuple[tuple[str, int], ...]) -> frozenset[str]:
     """The types whose rule admits the label bag given as sorted (label,
-    count) pairs: the universal type, predicate rules, and the expression
-    rules whose label projection holds the bag.  Cached on the schema per
-    bag, for refinement and multi-mode flooding; a rule that uses no symbol
-    with some label of the bag is dropped without a membership test."""
+    count) pairs: the universal ones, and the expression rules whose label
+    projection holds the bag.  Cached on the schema per bag, for
+    refinement and flooding; a rule that uses no symbol with some label of
+    the bag is dropped without a membership test."""
     cache: dict[tuple, frozenset[str]] = s._derived.setdefault("refine:init", {})
     types = cache.get(bag)
     if types is None:
@@ -745,7 +726,8 @@ def _flood_single(g: Graph, s: Schema, pre: Mapping[str, frozenset[str]]) -> tup
     # universal type, or the choice point (node, type, neighborhood,
     # remaining picks, agenda length before the pick's obligations).  Each
     # edge picks among the types the rule uses its label with;
-    # deterministic rules make the search straight-line.
+    # deterministic rules make the search straight-line.  Universal rules
+    # take a node whatever its edges.
     agenda = [(n, t) for n in sorted(pre) for t in sorted(pre[n])]
     typing: dict[str, str] = {}
     frames: list = []
@@ -764,7 +746,7 @@ def _flood_single(g: Graph, s: Schema, pre: Mapping[str, frozenset[str]]) -> tup
                     frames.append(None)
                     continue
                 reason = f"node already typed {typing[n]}"
-            elif t == TOP:
+            elif s.compiled[t].universal:
                 typing[n] = t
                 frames.append(n)
                 continue
@@ -809,7 +791,16 @@ def _flood_single(g: Graph, s: Schema, pre: Mapping[str, frozenset[str]]) -> tup
 
 def _matching_pick(s: Schema, t: str, neighborhood, picks) -> tuple | None:
     """The next of ``picks``, one type per edge of the sorted neighborhood,
-    under which the typed bag matches ``t``'s rule, or None."""
+    under which the typed bag matches ``t``'s rule, or None.
+
+    A deterministic schema offers one pick, whose typed bag follows from
+    the label bag, so the schema's label-bag verdicts (:func:`_admitted`)
+    decide it, as in multi-mode flooding.
+    """
+    if s.class_flags.deterministic:
+        pick = next(picks, None)
+        labels = tuple(Counter(a for a, _ in neighborhood).items())
+        return pick if pick is not None and t in _admitted(s, labels) else None
     for pick in picks:
         w = Counter(typed_symbol(a, u) for (a, _), u in zip(neighborhood, pick))
         if rule_member(s, w, t):

@@ -1,3 +1,4 @@
+import itertools
 from collections import Counter
 
 import pytest
@@ -10,18 +11,22 @@ from shexval.rbe import (
     ANY,
     EPSILON,
     ParseError,
+    Rbe,
+    Star,
+    Symbol,
     alphabet,
     concat,
     split_symbol,
     sym,
     typed_symbol,
+    walk,
 )
 from shexval.sat import is_unambiguous
 from shexval.schema import (
     TOP,
     ClassFlags,
+    UNIVERSAL,
     Schema,
-    SemanticLanguage,
     check_deterministic,
     classify,
     format_schema,
@@ -31,7 +36,6 @@ from shexval.schema import (
     parse_schema,
     powerset_schema,
     rule_member,
-    universal_language_member,
 )
 
 S0 = parse_schema(S0_TEXT)
@@ -95,7 +99,8 @@ class TestParse:
     def test_top_reference_materializes_universal(self):
         s = parse_schema("t -> a::TOP\n")
         assert TOP in s.gamma
-        assert isinstance(s.delta[TOP], SemanticLanguage)
+        assert s.delta[TOP] is UNIVERSAL
+        assert s.compiled[TOP].universal
         assert rule_member(s, bag("x::y", "z::w", "z::w"), TOP)
 
 
@@ -184,9 +189,9 @@ class TestRoundTrip:
         assert "<META>::u*" in out
         assert "<REST>::TOP*" in out
 
-    def test_predicate_rules_not_serializable(self):
-        with pytest.raises(ValueError, match="not serializable"):
-            format_schema(Schema({"t": SemanticLanguage(lambda w: True)}))
+    def test_universal_rule_under_another_name_not_serializable(self):
+        with pytest.raises(ValueError, match="'t' is universal"):
+            format_schema(Schema({"t": UNIVERSAL}))
 
     def test_universal_rule_recreated_not_serialized(self):
         s = parse_schema("t -> a::TOP\n")
@@ -230,9 +235,10 @@ class TestDeterminism:
         assert ok
         assert succ[("t", "R")] == TOP
 
-    def test_predicate_rules_fail(self):
-        s = Schema({"t": SemanticLanguage(lambda w: True)})
-        assert check_deterministic(s) == (False, None)
+    def test_universal_rules_are_exempt_under_any_name(self):
+        s = Schema({"t": UNIVERSAL, "u": concat(sym("a::t"), sym("b::u"))})
+        assert check_deterministic(s) == (True, {("u", "a"): "t", ("u", "b"): "u"})
+        assert classify(s) == ClassFlags(deterministic=True, sorbe=True, rbe0=True)
 
 
 class TestClassify:
@@ -290,9 +296,10 @@ class TestRuleMember:
 
 class TestUniversalLanguage:
     def test_always_true(self):
-        assert universal_language_member(bag())
-        assert universal_language_member(bag("a::t", "a::t"))
-        assert universal_language_member(bag("anything", "at", "all"))
+        s = Schema({"t": UNIVERSAL})
+        assert rule_member(s, bag(), "t")
+        assert rule_member(s, bag("a::t", "a::t"), "t")
+        assert rule_member(s, bag("anything", "at", "all"), "t")
 
 
 JOIN_A = parse_schema("t0 -> a::t1* , b::t2* , b::t3*\n")
@@ -301,9 +308,10 @@ JOINED = intersect_schemas(JOIN_A, JOIN_B)
 
 
 class TestIntersect:
-    def test_carrier_is_the_type_product(self):
+    def test_types_are_the_type_product_and_rules_are_expressions(self):
         assert len(JOINED.gamma) == len(JOIN_A.gamma) * len(JOIN_B.gamma)
-        assert JOINED.delta["(t0,u0)"].carrier == ("t0", "u0")
+        assert all(isinstance(rule, Rbe) for rule in JOINED.delta.values())
+        assert format_schema(JOINED).count("\n") == len(JOINED.gamma)
 
     def test_join_witness(self):
         w_j = bag("a::(t1,u1)", "b::(t2,u2)", "b::(t2,u3)", "b::(t3,u3)")
@@ -358,6 +366,81 @@ class TestIntersect:
         assert rule_member(JOINED, w, "(t0,u0)") == expected
 
 
+def projections_satisfy(s1, s2, w, pair):
+    """The join read off its definition: both aggregating projections of
+    the bag over pair-typed symbols satisfy their component types."""
+    left: Counter[str] = Counter()
+    right: Counter[str] = Counter()
+    for symbol, count in w.items():
+        label, target = split_symbol(symbol)
+        first, second = target[1:-1].split(",")
+        left[typed_symbol(label, first)] += count
+        right[typed_symbol(label, second)] += count
+    t1, t2 = pair[1:-1].split(",")
+    return rule_member(s1, left, t1) and rule_member(s2, right, t2)
+
+
+WITH_TOP = parse_schema("t -> a::u* , b::TOP?\nu -> a::TOP\n")
+WITHOUT_TOP = parse_schema("v -> a::v? , b::w\nw -> eps\n")
+PRODUCT_CASES = {
+    "intervals": (
+        parse_schema("t -> a::u[2;5] , b::t?\nu -> eps\n"),
+        parse_schema("v -> a::w[1;3] , a::v* , b::v?\nw -> b::v?\n"),
+    ),
+    "top-left": (WITH_TOP, WITHOUT_TOP),
+    "top-right": (WITHOUT_TOP, WITH_TOP),
+    "top-both": (WITH_TOP, WITH_TOP),
+}
+PRODUCTS = {name: intersect_schemas(*pair) for name, pair in PRODUCT_CASES.items()}
+
+
+def vocabulary_bags(schema, max_count):
+    """Bags over the schema's own symbols: every label with every type."""
+    symbols = [
+        typed_symbol(a, t) for a in sorted(schema.sigma) for t in sorted(schema.gamma)
+    ]
+    return st.dictionaries(
+        st.sampled_from(symbols), st.integers(1, max_count), max_size=4
+    ).map(Counter)
+
+
+@pytest.mark.parametrize("case", sorted(PRODUCT_CASES))
+@given(data=st.data())
+def test_product_membership_is_projection_conjunction(case, data):
+    s1, s2 = PRODUCT_CASES[case]
+    product = PRODUCTS[case]
+    w = data.draw(vocabulary_bags(product, 3))
+    pair = data.draw(st.sampled_from(sorted(product.gamma)))
+    assert rule_member(product, w, pair) == projections_satisfy(s1, s2, w, pair)
+
+
+def test_products_with_top_components():
+    # A TOP component adds no conjunct: (TOP, v) is v's lifted rule alone
+    # and (TOP, TOP) is universal, as TOP is in a plain schema.
+    assert PRODUCTS["top-both"].compiled["(TOP,TOP)"].universal
+    assert PRODUCTS["top-left"].delta["(TOP,w)"] == EPSILON
+    assert not any(rule.universal for rule in PRODUCTS["top-left"].compiled.values())
+    assert not rule_member(PRODUCTS["top-right"], bag("b::(w,u)"), "(w,TOP)")
+    assert rule_member(PRODUCTS["top-both"], bag("zz::(t,u)"), "(TOP,TOP)")
+
+
+@pytest.mark.parametrize("lo, hi", [(1, 1), (2, 5), (2, 40), (3, None)])
+def test_interval_symbols_grow_linearly_in_their_bound(lo, hi):
+    # (t, TOP)'s rule is the left lift of a::u[lo;hi] alone: a choice
+    # among |Γ2| pair symbols, repeated up to hi times.
+    s1 = parse_schema(f"t -> a::u[{lo};{'*' if hi is None else hi}]\n")
+    s2 = parse_schema("v -> x::TOP\nw -> eps\n")
+    image = intersect_schemas(s1, s2).delta["(t,TOP)"]
+    nodes = list(walk(image))
+    occurrences = sum(isinstance(node, Symbol) for node in nodes)
+    k = len(s2.gamma)
+    if hi is None:
+        assert occurrences == (lo + 1) * k
+        assert sum(isinstance(node, Star) for node in nodes) == 1
+    else:
+        assert occurrences <= hi * k
+
+
 POWER_S1 = powerset_schema(S1)
 
 S1_SYMBOLS = ["a::t0", "a::t1", "b::t2", "b::t3", "c::t1", "c::t3"]
@@ -372,9 +455,10 @@ def _lift_singleton(w):
 
 
 class TestPowerset:
-    def test_carrier_is_nonempty_subsets(self):
+    def test_types_are_nonempty_subsets_and_rules_are_expressions(self):
         assert len(POWER_S1.gamma) == 2 ** len(S1.gamma) - 1
-        assert POWER_S1.delta["{t1,t2}"].carrier == ("t1", "t2")
+        assert all(isinstance(rule, Rbe) for rule in POWER_S1.delta.values())
+        assert format_schema(POWER_S1).count("\n") == len(POWER_S1.gamma)
 
     def test_pair_type_accepts_shared_neighborhood(self):
         # n1 of the chain graph: one b-loop typed {t1,t2} and one c-edge typed {t3}
@@ -396,6 +480,13 @@ class TestPowerset:
         wild = parse_schema('wildcard R = rest\nt -> <R>::TOP*\n')
         with pytest.raises(ValueError, match="wildcard-free"):
             powerset_schema(wild)
+
+    def test_top_subsets(self):
+        # {TOP} is universal; {TOP, t} is t's lifted rule alone.
+        lifted = powerset_schema(WITH_TOP)
+        assert lifted.compiled["{TOP}"].universal
+        assert lifted.delta["{TOP,u}"] == lifted.delta["{u}"]
+        assert rule_member(lifted, bag("zz::{t}"), "{TOP}")
 
     @given(
         st.dictionaries(
@@ -433,3 +524,43 @@ class TestHomomorphism:
 
 def _rule_symbols(schema, t):
     return alphabet(schema.delta[t])
+
+
+def some_flattening_satisfies(schema, w, t):
+    """Whether each element of a bag over subset-typed symbols can pick a
+    type out of its own subset so that the picked bag satisfies t: every
+    flattening enumerated, one pick per occurrence."""
+    per_symbol = []
+    for symbol, count in sorted(w.items()):
+        label, subset = split_symbol(symbol)
+        types = sorted(subset[1:-1].split(","))
+        per_symbol.append(
+            [
+                Counter(typed_symbol(label, pick) for pick in picks)
+                for picks in itertools.combinations_with_replacement(types, count)
+            ]
+        )
+    return any(
+        rule_member(schema, sum(parts, Counter()), t)
+        for parts in itertools.product(*per_symbol)
+    )
+
+
+POWERSET_CASES = {
+    "s1": S1,
+    "top": WITH_TOP,
+    "nondet": parse_schema("t -> (a::t | a::u)* , b::u[1;2]\nu -> a::t? , b::TOP\n"),
+}
+POWERSETS = {name: powerset_schema(schema) for name, schema in POWERSET_CASES.items()}
+
+
+@pytest.mark.parametrize("case", sorted(POWERSET_CASES))
+@given(data=st.data())
+def test_powerset_membership_is_some_flattening_per_member(case, data):
+    base, lifted = POWERSET_CASES[case], POWERSETS[case]
+    w = data.draw(vocabulary_bags(lifted, 2))
+    subset = data.draw(st.sampled_from(sorted(lifted.gamma)))
+    expected = all(
+        some_flattening_satisfies(base, w, t) for t in subset[1:-1].split(",")
+    )
+    assert rule_member(lifted, w, subset) == expected

@@ -916,8 +916,9 @@ def test_fixpoint_round_budget(g):
     assert report.iterations <= len(g.nodes) * len(NONDET.gamma) + 1
 
 
-# Schemas for the driver equivalence test.  The two products have opaque
-# predicate rules, which the driver re-tests on every successor change.
+# Schemas for the driver equivalence test.  The products and the powerset
+# have intersection rules, decided by their arithmetic encodings; the
+# product of TOP_SCHEMA with itself has TOP on either side and on both.
 DRIVER_SCHEMAS = (
     S0,
     S1,
@@ -930,6 +931,7 @@ DRIVER_SCHEMAS = (
     TOP_SCHEMA,
     intersect_schemas(CHAIN, NONDET),
     powerset_schema(NONDET),
+    intersect_schemas(TOP_SCHEMA, TOP_SCHEMA),
 )
 
 
@@ -1423,8 +1425,8 @@ def random_abcd_graph(n_nodes: int, seed: int) -> Graph:
 )
 def test_refine_encodes_each_rule_once(monkeypatch, schemas):
     # Parsing analysed every rule; refine encodes a rule for the solver the
-    # first time it needs the encoding and never again.  The joins of
-    # intersect_schemas decide their parts by membership on those rules.
+    # first time it needs the encoding and never again.  The rules of
+    # intersect_schemas are expressions, encoded like any other.
     parts = schemas()
     s = parts[0] if len(parts) == 1 else intersect_schemas(*parts)
     g = random_abcd_graph(60 if len(parts) == 1 else 25, seed=3)
@@ -1444,7 +1446,7 @@ def test_refine_encodes_each_rule_once(monkeypatch, schemas):
         monkeypatch, lambda: reports.append(validate_multi(g, s, "refine"))
     )
     (report,) = reports
-    rules = [rule.expr for part in parts for rule in part.compiled.values()]
+    rules = [rule.expr for rule in s.compiled.values() if not rule.universal]
     assert calls["normalize_product"] == 0
     assert encoded and all(sum(e is r for e in encoded) <= 1 for r in rules)
     assert all(any(e is r for r in rules) for e in encoded)
@@ -1623,6 +1625,38 @@ def test_flooding_stays_within_its_counted_bounds(monkeypatch, family, size):
     assert 0 < calls["member"] <= len(s.gamma) * len(g.label_classes())
     report = flood_extension(g, s, pre, mode="single")
     assert 0 < report.edges_examined <= len(g.edges)
+
+
+@pytest.mark.parametrize("family, size", FLOOD_BOUND_CASES)
+def test_single_mode_flooding_decides_each_label_bag_once_per_type(
+    monkeypatch, family, size
+):
+    # On a deterministic schema the one pick of an obligation is decided
+    # by the label-bag verdicts, which single mode shares between nodes.
+    text, g, pre = family(size)
+    s = parse_schema(text)
+    calls = Counter()
+    original = schema_module.member
+
+    def counted(*args):
+        calls["member"] += 1
+        return original(*args)
+
+    for module in (validate_module, schema_module):
+        monkeypatch.setattr(module, "member", counted)
+    report = flood_extension(g, s, pre, mode="single")
+    assert report.iterations > 0
+    assert 0 < calls["member"] <= len(s.gamma) * len(g.label_classes())
+
+
+def test_flood_single_takes_a_universal_type_whatever_its_edges():
+    # {TOP} of a powerset is universal, though not named TOP.
+    s = powerset_schema(parse_schema("t -> a::TOP , b::t?\n"))
+    assert s.class_flags.sorbe
+    g = Graph([("x", "a", "y"), ("x", "c", "y")])
+    report = flood_extension(g, s, {"x": {"{TOP}"}}, mode="single")
+    assert report.valid
+    assert report.typing == {"x": "{TOP}"}
 
 
 def reference_key(neighborhood):
