@@ -37,7 +37,7 @@ from .rbe import (
     split_symbol,
 )
 from .schema import TOP, Schema
-from .validate import ValidationReport, flood_extension, validate_multi
+from .validate import validate_multi
 
 __all__ = [
     "SplitMix64",
@@ -306,12 +306,6 @@ class BenchRow:
     millis: float
 
 
-def _run_algorithm(g, schema, algo, pre) -> ValidationReport:
-    if algo == "flood":
-        return flood_extension(g, schema, pre, mode="multi")
-    return validate_multi(g, schema, algo)
-
-
 def bench(
     schema: Schema,
     sizes: list[int],
@@ -343,7 +337,7 @@ def bench(
                 gc.disable()
                 try:
                     start = time.perf_counter()
-                    report = _run_algorithm(g, schema, algo, pre)
+                    report = validate_multi(g, schema, algo, pre)
                     elapsed = time.perf_counter() - start
                 finally:
                     if was_enabled:

@@ -37,7 +37,6 @@ from .rbe import (
     is_sorbe,
     is_symbol_product,
     normalize_product,
-    project_sigma,
     split_symbol,
 )
 # perfbench/spans.py wraps the ilp_feasible attribute of this module.
@@ -61,10 +60,9 @@ class CompiledRule:
     ``targets`` maps each label to the sorted types the rule uses it with;
     the rule is deterministic when every label has one type.  ``intervals``
     is the interval product of a symbol-product rule, or None when the rule
-    is no symbol product or its language is empty.  ``projected`` is the
-    compiled label projection.  ``universal`` marks the universal rule,
-    which has no expression and admits every bag.  ``encoding`` is built on
-    first use.
+    is no symbol product or its language is empty.  ``universal`` marks the
+    universal rule, which has no expression and admits every bag.
+    ``encoding`` is built on first use.
     """
 
     expr: Rbe | None = None
@@ -74,7 +72,6 @@ class CompiledRule:
     sorbe: bool = False
     product: bool = False
     intervals: dict[str, Interval] | None = None
-    projected: CompiledRule | None = None
 
     @functools.cached_property
     def encoding(self) -> RuleEncoding:
@@ -87,7 +84,7 @@ class CompiledRule:
 
 def compile_rule(e: Rbe, *, typed: bool = True) -> CompiledRule:
     """Analyse an expression; ``typed`` rules have ``label::type`` symbols,
-    whose label map and label projection are computed too."""
+    whose label map is computed too."""
     names = alphabet(e)
     targets: dict[str, list[str]] = {}
     if typed:
@@ -102,7 +99,6 @@ def compile_rule(e: Rbe, *, typed: bool = True) -> CompiledRule:
         sorbe=is_sorbe(e),
         product=product,
         intervals=normalize_product(e) if product else None,
-        projected=compile_rule(project_sigma(e), typed=False) if typed else None,
     )
 
 

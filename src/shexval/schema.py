@@ -299,7 +299,9 @@ def _resolve(lineno: int, e: Rbe, wildcard_names: set[str]) -> Rbe:
 
 
 def format_schema(schema: Schema) -> str:
-    """Render a schema in the rule syntax; inverse of parse_schema on its rules.
+    """Render a schema in the rule syntax, which parse_schema reads back
+    except for product and powerset schemas: their type names hold reserved
+    characters and their rules use ``&``.
 
     The universal type is omitted (references recreate it); a universal
     rule under any other name has no text and raises ValueError.

@@ -250,7 +250,7 @@ class _RefineEngine:
     made the label check; ``refine`` and ``rbe0-refine`` start from the
     full typing.  Types with a universal rule always survive and are never
     tested.  Every test reads the rules as the schema compiled them (label
-    maps, label projections, interval products).  The verdict memos live
+    maps, interval products, encodings).  The verdict memos live
     on the schema, so engines over the same schema share them and repeat
     validations start warm.  ``local_tests`` counts the pairs tested; a
     class decided by one representative counts that representative's
@@ -384,8 +384,8 @@ class _RefineEngine:
         return lost
 
     def _lost_successors(self, n, types, typing) -> list[str]:
-        # The rule uses each label with one target type, so once the label
-        # bag fits the projected rule, a flattening exists exactly when every
+        # The rule uses each label with one target type, so once the rule
+        # admits the label bag, a flattening exists exactly when every
         # successor still carries the required type.
         edges = self.g.out_lab_node(n)
         lost = []
@@ -432,31 +432,37 @@ def _predecessors(g: Graph) -> dict[str, list[tuple[str, str]]]:
 
 
 def _admitted(s: Schema, bag: tuple[tuple[str, int], ...]) -> frozenset[str]:
-    """The types whose rule admits the label bag given as sorted (label,
-    count) pairs: the universal ones, and the expression rules whose label
-    projection holds the bag.  Cached on the schema per bag, for
-    refinement and flooding; a rule that uses no symbol with some label of
-    the bag is dropped without a membership test."""
+    """The types whose own rule admits the label bag given as sorted (label,
+    count) pairs: the universal ones, the deterministic ones whose one typed
+    bag spelled from it is a member, and the others that some flattening
+    with every type under every label satisfies.  A rule that uses no
+    symbol with some label of the bag admits none.  Cached on the schema
+    per bag, for refinement and flooding."""
     cache: dict[tuple, frozenset[str]] = s._derived.setdefault("refine:init", {})
     types = cache.get(bag)
     if types is None:
-        w = Counter(dict(bag))
-        rules = s.compiled
+        full = {(a, s.gamma): count for a, count in bag}
         types = cache[bag] = frozenset(
             t
-            for t in s.gamma
-            if rules[t].projected is None
+            for t, rule in s.compiled.items()
+            if rule.universal
             or (
-                all(a in rules[t].targets for a in w)
-                and member(w, rules[t].projected).verdict
+                all(a in rule.targets for a, _ in bag)
+                and (
+                    member(
+                        {typed_symbol(a, rule.targets[a][0]): c for a, c in bag}, rule
+                    ).verdict
+                    if rule.deterministic
+                    else _some_flattening_member(s, full, t)
+                )
             )
         )
     return types
 
 
 def structure_filtered_init(g: Graph, s: Schema) -> dict[str, frozenset[str]]:
-    """Initial typing keeping only types whose label-projected rule admits
-    the node's outbound label bag.
+    """Initial typing keeping only the types whose rule admits the node's
+    outbound label bag.
 
     Types dropped here could never survive a refinement round, so starting
     from this typing reaches the same fixpoint as starting from the full
@@ -662,12 +668,8 @@ def _flood(
     )
 
 
-def _freeze(typing: Mapping[str, set[str]]) -> dict[str, frozenset[str]]:
-    return {n: frozenset(ts) for n, ts in typing.items()}
-
-
 def _flood_multi(g: Graph, s: Schema, pre: Mapping[str, frozenset[str]]) -> tuple:
-    typing: dict[str, set[str]] = {}
+    typing: dict[str, frozenset[str]] = {}
     queue: deque[tuple[str, str]] = deque()
     seen: set[tuple[str, str]] = set()
     for n in sorted(pre):
@@ -685,26 +687,25 @@ def _flood_multi(g: Graph, s: Schema, pre: Mapping[str, frozenset[str]]) -> tupl
     while queue:
         n, t = queue.popleft()
         processed += 1
-        if t == TOP:
-            typing.setdefault(n, set()).add(t)
-            continue
-        neighborhood = sorted(g.out_lab_node(n))
-        examined += len(neighborhood)
-        labels = tuple([a for a, _ in neighborhood])
-        types = admitted.get(labels)
-        if types is None:
-            types = admitted[labels] = _admitted(s, tuple(Counter(labels).items()))
         targets = s.compiled[t].targets
-        if t not in types:
-            reason = _rejection(targets, neighborhood)
-            return _freeze(typing), ((n, t, reason),), processed, examined
-        typing.setdefault(n, set()).add(t)
-        for a, m in neighborhood:
-            u = targets[a][0]
-            if u != TOP and (m, u) not in seen:
-                seen.add((m, u))
-                queue.append((m, u))
-    return _freeze(typing), (), processed, examined
+        if not s.compiled[t].universal:
+            neighborhood = sorted(g.out_lab_node(n))
+            examined += len(neighborhood)
+            labels = tuple([a for a, _ in neighborhood])
+            types = admitted.get(labels)
+            if types is None:
+                types = admitted[labels] = _admitted(s, tuple(Counter(labels).items()))
+            if t not in types:
+                reason = _rejection(targets, neighborhood)
+                return typing, ((n, t, reason),), processed, examined
+            for a, m in neighborhood:
+                u = targets[a][0]
+                if u != TOP and (m, u) not in seen:
+                    seen.add((m, u))
+                    queue.append((m, u))
+        held = typing.get(n)
+        typing[n] = frozenset((t,)) if held is None else held | {t}
+    return typing, (), processed, examined
 
 
 def _rejection(

@@ -6,6 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import FIG2_TEXT, S0_TEXT, S1_TEXT
+from shexval import membership
+from shexval import schema as schema_module
 from shexval.graph import Graph, WildcardDecl
 from shexval.rbe import (
     ANY,
@@ -564,3 +566,28 @@ def test_powerset_membership_is_some_flattening_per_member(case, data):
         some_flattening_satisfies(base, w, t) for t in subset[1:-1].split(",")
     )
     assert rule_member(lifted, w, subset) == expected
+
+
+RING5 = parse_schema(
+    "".join(f"t{i} -> a::t{(i + 1) % 5}* , b::t{(i + 2) % 5}?\n" for i in range(5))
+)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: parse_schema(FIG2_TEXT), lambda: powerset_schema(RING5)],
+    ids=["fig2", "powerset-ring5"],
+)
+def test_building_a_schema_compiles_each_expression_rule_once(monkeypatch, build):
+    calls = []
+    original = membership.compile_rule
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(membership, "compile_rule", counted)
+    monkeypatch.setattr(schema_module, "compile_rule", counted)
+    s = build()
+    rules = [rule for rule in s.compiled.values() if not rule.universal]
+    assert rules and len(calls) == len(rules)

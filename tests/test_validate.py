@@ -39,12 +39,16 @@ from shexval.rbe import (
     concat,
     enumerate_language,
     format_rbe,
+    parse_rbe,
+    project_sigma,
     typed_symbol,
 )
 from shexval.sat import core as sat_core
 from shexval.sat import inter1
 from shexval.schema import (
     TOP,
+    UNIVERSAL,
+    Schema,
     homomorphism_schema,
     intersect_schemas,
     parse_schema,
@@ -86,6 +90,8 @@ NONDET = parse_schema("t -> (a::t | a::u)* , b::u*\nu -> a::t?\n")
 LOOP = parse_schema("t -> a::t\n")
 # Routes the label extra out of validation through the universal type.
 TOP_SCHEMA = parse_schema("t -> a::u , extra::TOP*\nu -> eps\n")
+# Deterministic but not single-occurrence: a::u occurs twice in t.
+DET_REPEATED = parse_schema("t -> a::u , (a::u | b::v)\nu -> a::t?\nv -> eps\n")
 
 EXACT_COVER_TYPING = {
     "r": "t0",
@@ -130,12 +136,14 @@ def admissible_algorithms(schema):
 
 
 def per_node_structure_filtered_init(g, schema):
-    """The structure-filtered typing, decided node by node."""
+    """The structure-filtered typing, decided node by node: the types whose
+    rule is universal or whose label projection holds the node's label bag."""
     return {
         n: frozenset(
             t
             for t, rule in schema.compiled.items()
-            if rule.projected is None or member(g.out_lab(n), rule.projected).verdict
+            if rule.universal
+            or member(g.out_lab(n), project_sigma(rule.expr)).verdict
         )
         for n in g.nodes
     }
@@ -919,6 +927,8 @@ def test_fixpoint_round_budget(g):
 # Schemas for the driver equivalence test.  The products and the powerset
 # have intersection rules, decided by their arithmetic encodings; the
 # product of TOP_SCHEMA with itself has TOP on either side and on both.
+# DET_REPEATED is deterministic, so its label bags are decided by the one
+# typed bag each spells, which the interval algorithm cannot decide.
 DRIVER_SCHEMAS = (
     S0,
     S1,
@@ -932,6 +942,7 @@ DRIVER_SCHEMAS = (
     intersect_schemas(CHAIN, NONDET),
     powerset_schema(NONDET),
     intersect_schemas(TOP_SCHEMA, TOP_SCHEMA),
+    DET_REPEATED,
 )
 
 
@@ -954,6 +965,18 @@ def test_frontier_driver_matches_synchronous_rounds(data):
         g, schema
     )
     assert_algorithms_match_the_reference(g, schema)
+
+
+def test_structure_filtered_init_matches_the_projection_on_every_driver_schema():
+    # Seeded graphs with repeated labels, so that label counts matter.
+    rng = random.Random(11)
+    for schema in DRIVER_SCHEMAS:
+        labels = sorted(schema.sigma) or ["a", "b"]
+        for _ in range(30):
+            g = random_graph(rng, ["y0", "y1", "y2"], labels)
+            assert structure_filtered_init(g, schema) == (
+                per_node_structure_filtered_init(g, schema)
+            )
 
 
 def reference_flood_multi(g, schema, pre):
@@ -1689,3 +1712,19 @@ def test_refine_decides_each_type_and_neighborhood_bag_once(monkeypatch):
     assert report.iterations > 2
     assert len(decided) == len(set(decided)) > 50
     assert len(s._derived["refine:memo:general"]) == len(decided)
+
+
+def test_multi_mode_flooding_takes_a_universal_type_whatever_its_edges():
+    # t is universal though not named TOP, so y's b-edge is no obligation.
+    s = Schema({"t": UNIVERSAL, "u": parse_rbe("a::t")})
+    assert s.class_flags.deterministic and s.class_flags.sorbe
+    g = Graph([("x", "a", "y"), ("y", "b", "z")])
+    single = flood_extension(g, s, {"x": {"u"}}, mode="single")
+    report = flood_extension(g, s, {"x": {"u"}}, mode="multi")
+    assert report.valid
+    assert report.typing == lift(single.typing) == {
+        "x": frozenset({"u"}),
+        "y": frozenset({"t"}),
+    }
+    report = validate_multi(g, s, "flood", {"x": {"u"}})
+    assert report.failures == (("z", "-", "not reached from the pre-typing"),)
