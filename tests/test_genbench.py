@@ -214,6 +214,11 @@ class TestBench:
         assert len(lines) == 5
         assert lines[1].startswith("flood,20,")
 
+    def test_flood_passes_graphs_with_top_leaves(self):
+        schema = parse_schema("t -> a::u , extra::TOP*\nu -> eps\n")
+        rows = bench(schema, [10, 20], ["flood", "refine"], repeats=2, seed=3)
+        assert [r.algo for r in rows] == ["flood", "refine"] * 2
+
     def test_recorded_seed_reproduces_the_graph(self, fig2_schema):
         (row,) = bench(fig2_schema, [25], ["refine"], repeats=2, seed=100)
         g, _ = generate_graph(
