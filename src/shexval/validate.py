@@ -39,7 +39,11 @@ edge's label: a flattening that picks an unmentioned symbol lies outside
 the rule's language.  Every rule but the universal one is an expression,
 product and powerset rules included, so this holds for every schema.  So
 a pair off the frontier keeps the verdict it had a round earlier, and
-every round removes exactly the pairs the synchronous round removes.
+every round removes exactly the pairs the synchronous round removes.  The
+general test rests on the same fact: it decides (n, t) on the
+neighborhood projected onto the types t's rule mentions under each
+label, so neighborhoods that differ only in unmentioned types share one
+verdict, and a label whose types all go unmentioned fails the pair.
 
 Tests that see a node only through its outbound label bag are decided
 once per label-bag class of the graph (:meth:`Graph.label_classes`), in
@@ -238,9 +242,11 @@ class _RefineEngine:
       under the edge's label.  A node's label bag never changes, so after
       the label check only the successors are checked;
     * ``refine`` on any other schema asks whether some flattening of the
-      neighborhood satisfies the rule, memoized per (type, neighborhood
-      bag), which collapses the many identically-shaped nodes of large
-      graphs into a handful of tests;
+      neighborhood satisfies the rule.  The verdict is memoized per type
+      under the raw neighborhood bag, tried first, and under its
+      projection onto the types the rule mentions per label, which is
+      what the solver decides; this collapses the many nodes of large
+      graphs that the rule cannot tell apart into a handful of tests;
     * ``rbe0-refine`` needs a schema of symbol products and runs that
       flattening test per node, which there is the circulation.  It has
       no memo on purpose: with one it is about as fast as the
@@ -377,11 +383,28 @@ class _RefineEngine:
             key = (t, shape)
             verdict = self._memo.get(key)
             if verdict is None:
-                verdict = _some_flattening_member(self.s, neighborhood, t)
-                self._memo[key] = verdict
+                verdict = self._memo[key] = self._projected_verdict(t, neighborhood)
             if not verdict:
                 lost.append(t)
         return lost
+
+    def _projected_verdict(self, t, neighborhood) -> bool:
+        # The verdict of the bag cut down to the types t's rule mentions
+        # under each label, with the entries that become equal merged (see
+        # the module docstring).  A projected bag is its own projection, so
+        # it shares the memo with the raw bags.
+        targets = self.rules[t].targets
+        projected: Counter[tuple[str, frozenset[str]]] = Counter()
+        for (a, types), count in neighborhood.items():
+            kept = types.intersection(targets.get(a, ()))
+            if not kept:
+                return False
+            projected[(a, kept)] += count
+        key = (t, frozenset(projected.items()))
+        verdict = self._memo.get(key)
+        if verdict is None:
+            verdict = self._memo[key] = _some_flattening_member(self.s, projected, t)
+        return verdict
 
     def _lost_successors(self, n, types, typing) -> list[str]:
         # The rule uses each label with one target type, so once the rule
@@ -641,7 +664,8 @@ def _flood(
     reach_all: bool = False,
 ) -> ValidationReport:
     """The flooding report; with ``reach_all``, a flood that succeeds but
-    leaves nodes untyped fails at each of them."""
+    leaves nodes unreached fails at each of them.  A node the flood sent
+    to ``TOP`` is reached, though it stays out of the typing."""
     pre_map = _check_pre_typing(g, s, pre)
     if mode == "multi":
         if not s.class_flags.deterministic:
@@ -659,9 +683,16 @@ def _flood(
     # processed and the edges it examined.
     typing, failures, processed, examined = flood(g, s, pre_map)
     if reach_all and not failures:
+        # A successful flood checked every edge of a node holding a
+        # non-universal type, and an untyped successor of such a node was
+        # sent to TOP, which accepts it.
+        reached = set(typing)
+        for n, types in typing.items():
+            if not all(s.compiled[t].universal for t in _types_of(types)):
+                reached.update(m for _, m in g.out_lab_node(n))
         failures = tuple(
             (n, "-", "not reached from the pre-typing")
-            for n in sorted(g.nodes - typing.keys())
+            for n in sorted(g.nodes - reached)
         )
     return _report(
         g, typing, algorithm, failures, iterations=processed, edges_examined=examined

@@ -244,6 +244,30 @@ class TestValidate:
         assert code == 0
         assert "TYPED\tn3\tt3" in out
 
+    @pytest.mark.parametrize("mode", ["multi", "single"])
+    def test_flood_accepts_a_node_sent_to_top(self, capsys, tmp_path, mode):
+        # z is reached only through the extra::TOP edge.
+        schema = write(tmp_path, "s.shex", "t -> a::u , extra::TOP*\nu -> eps\n")
+        graph = write(tmp_path, "g.tsv", "x\ta\ty\nx\textra\tz\n")
+        pre = write(tmp_path, "pre.tsv", "x\tt\n")
+        code = main(
+            [
+                "validate",
+                "--schema",
+                schema,
+                "--graph",
+                graph,
+                "--mode",
+                mode,
+                "--algo",
+                "flood",
+                "--pretyping",
+                pre,
+            ]
+        )
+        assert code == 0
+        assert capsys.readouterr().out.splitlines() == ["valid"]
+
     def test_single_mode_refinement_is_a_usage_error(self, capsys, s1_file, g1_file):
         code = main(
             [

@@ -1690,9 +1690,19 @@ def reference_key(neighborhood):
     )
 
 
+def is_projected(schema, t, neighborhood):
+    """Whether every (label, type set) of the bag is non-empty and holds
+    only types that t's rule mentions under the label."""
+    targets = schema.compiled[t].targets
+    return all(
+        types and types <= set(targets.get(a, ())) for (a, types) in neighborhood
+    )
+
+
 def test_refine_decides_each_type_and_neighborhood_bag_once(monkeypatch):
     # A node's neighborhood lists its edges in the order of its successor
-    # set, so equal bags reach the test in different orders.
+    # set, so equal bags reach the test in different orders.  The solver
+    # sees only projected bags; the memo also keeps the raw bags.
     s = parse_schema("t -> (a::t | a::u)* , b::u*\nu -> a::t?\n")
     rng = random.Random(5)
     g = Graph(
@@ -1704,14 +1714,146 @@ def test_refine_decides_each_type_and_neighborhood_bag_once(monkeypatch):
     original = validate_module._some_flattening_member
 
     def recorded(schema, neighborhood, t):
+        assert is_projected(schema, t, neighborhood)
         decided.append((t, reference_key(neighborhood)))
         return original(schema, neighborhood, t)
 
     monkeypatch.setattr(validate_module, "_some_flattening_member", recorded)
     report = validate_multi(g, s, "refine")
     assert report.iterations > 2
-    assert len(decided) == len(set(decided)) > 50
-    assert len(s._derived["refine:memo:general"]) == len(decided)
+    # Deciding the raw bags took 103 solver calls.
+    assert 20 < len(decided) == len(set(decided)) < 103
+    memo = s._derived["refine:memo:general"]
+    assert {
+        (t, reference_key(dict(shape)))
+        for t, shape in memo
+        if is_projected(s, t, dict(shape))
+    } == set(decided)
+
+
+def _general_engine(schema, neighborhoods):
+    """A refine engine over one node per neighborhood, each with fresh
+    successors typed as the neighborhood says, and that typing."""
+    edges, typing = [], {}
+    for i, neighborhood in enumerate(neighborhoods):
+        typing[f"x{i}"] = frozenset(schema.gamma)
+        for j, ((a, types), count) in enumerate(neighborhood.items()):
+            for k in range(count):
+                m = f"m{i}_{j}_{k}"
+                edges.append((f"x{i}", a, m))
+                typing[m] = types
+    g = Graph(edges, typing)
+    return _RefineEngine(g, schema, "refine"), typing
+
+
+def test_refine_decides_neighborhoods_equal_under_projection_once(monkeypatch):
+    # The successors differ only in a type t's rule does not mention under
+    # a: v, and t itself.
+    s = parse_schema("t -> (a::u | a::w)+\nu -> eps\nv -> eps\nw -> eps\n")
+    engine, typing = _general_engine(
+        s,
+        [
+            Counter({("a", frozenset("uv")): 1}),
+            Counter({("a", frozenset("ut")): 1}),
+        ],
+    )
+    calls = Counter()
+    original = validate_module._some_flattening_member
+
+    def counted(schema, neighborhood, t):
+        calls[t] += 1
+        return original(schema, neighborhood, t)
+
+    monkeypatch.setattr(validate_module, "_some_flattening_member", counted)
+    assert engine._test({"x0": {"t"}, "x1": {"t"}}, typing) == {}
+    assert calls == {"t": 1}
+    # Two raw bags and their one projection.
+    assert sorted(
+        reference_key(dict(shape)) for _, shape in engine._memo
+    ) == [(("a", ("t", "u"), 1),), (("a", ("u",), 1),), (("a", ("u", "v"), 1),)]
+
+
+def test_refine_fails_a_group_the_projection_empties_without_the_solver(
+    monkeypatch,
+):
+    # Under a, t's rule mentions u only; c it does not use at all.
+    s = parse_schema("t -> (a::u | b::v)* , b::u?\nu -> eps\nv -> eps\n")
+    engine, typing = _general_engine(
+        s,
+        [
+            Counter({("a", frozenset("u")): 1, ("a", frozenset("v")): 1}),
+            Counter({("c", frozenset("tuv")): 2}),
+        ],
+    )
+    calls = Counter()
+
+    def counted(schema, neighborhood, t):
+        calls[t] += 1
+        return True
+
+    monkeypatch.setattr(validate_module, "_some_flattening_member", counted)
+    assert engine._test({"x0": {"t"}, "x1": {"t"}}, typing) == {
+        "x0": ["t"],
+        "x1": ["t"],
+    }
+    assert calls == {}
+    # Only the raw bags are kept, each failing.
+    assert len(engine._memo) == 2 and not any(engine._memo.values())
+
+
+def test_refine_adds_the_counts_of_entries_the_projection_merges():
+    # Both a-edges project to (a, {u}), and t allows one a-edge.
+    s = parse_schema("t -> a::u? , (b::t | b::v)*\nu -> eps\nv -> eps\n")
+    neighborhood = Counter({("a", frozenset("u")): 1, ("a", frozenset("uv")): 1})
+    engine, typing = _general_engine(s, [neighborhood])
+    assert engine._lost_general("x0", ["t"], typing) == ["t"]
+    assert (
+        "t",
+        frozenset({(("a", frozenset("u")), 2)}),
+    ) in engine._memo
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_projected_verdicts_match_the_raw_flattening_test(data):
+    schema = data.draw(st.sampled_from(DRIVER_SCHEMAS))
+    testable = sorted(t for t in schema.gamma if not schema.compiled[t].universal)
+    t = data.draw(st.sampled_from(testable))
+    # A label outside the schema and empty type sets are drawn less often.
+    labels = sorted(schema.sigma) * 3 + ["zz"]
+    type_sets = st.frozensets(
+        st.sampled_from(sorted(schema.gamma)), min_size=1
+    ) | st.just(frozenset())
+    neighborhood = Counter(
+        data.draw(
+            st.dictionaries(
+                st.tuples(st.sampled_from(labels), type_sets),
+                st.integers(1, 3),
+                max_size=4,
+            )
+        )
+    )
+    engine, typing = _general_engine(schema, [neighborhood])
+    engine._memo = {}
+    expected = _some_flattening_member(schema, neighborhood, t)
+    # Cold: decided on the projection; warm: read under the raw bag.
+    for _ in range(2):
+        assert engine._lost_general("x0", [t], typing) == ([] if expected else [t])
+
+
+def test_flood_counts_nodes_sent_to_top_as_reached():
+    # z is reached only through the extra::TOP edge, which TOP accepts.
+    g = Graph([("x", "a", "y"), ("x", "extra", "z")])
+    pre = {"x": {"t"}}
+    assert validate_multi(g, TOP_SCHEMA, "refine").valid
+    multi = validate_multi(g, TOP_SCHEMA, "flood", pre)
+    single = validate_single(g, TOP_SCHEMA, "flood", pre)
+    assert multi.valid and single.valid
+    assert multi.typing == lift(single.typing) == {
+        "x": frozenset({"t"}),
+        "y": frozenset({"u"}),
+    }
+    assert multi.typing == flood_extension(g, TOP_SCHEMA, pre).typing
 
 
 def test_multi_mode_flooding_takes_a_universal_type_whatever_its_edges():
