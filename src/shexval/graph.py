@@ -29,13 +29,15 @@ class Graph:
     One index is built at construction, in one pass over the edges: the
     successor index, from each node to its (label, target) pairs.  The
     queries read it.  The edge set ``edges`` is derived from it on first
-    read and kept; validation never reads it.  The label-bag index groups
-    the nodes by outbound label bag; it too is built on first use, so
-    parsing a graph never pays for it.  Refinement decides the tests that
-    see a node only through its label bag once per class of that index.
+    read and kept; validation never reads it.  Two more views are built
+    on first use and kept, so parsing a graph never pays for them: the
+    sorted node order, in which every whole-graph typing is built, and the
+    label-bag index, which groups the nodes by outbound label bag, each
+    class in node order.  Refinement decides the tests that see a node
+    only through its label bag once per class of that index.
     """
 
-    __slots__ = ("nodes", "_succ", "_edges", "_classes")
+    __slots__ = ("nodes", "_succ", "_edges", "_sorted", "_classes")
 
     def __init__(self, edges=(), nodes=()):
         self._index(
@@ -65,6 +67,7 @@ class Graph:
         self.nodes: frozenset[str] = frozenset(targets.union(succ, nodes))
         self._succ = {n: frozenset(pairs) for n, pairs in succ.items()}
         self._edges: frozenset[tuple[str, str, str]] | None = None
+        self._sorted: tuple[str, ...] | None = None
         self._classes: dict[tuple, tuple[str, ...]] | None = None
 
     @property
@@ -93,17 +96,26 @@ class Graph:
         succ = self._succ
         return frozenset([(n, a, m) for n in nodes if n in succ for a, m in succ[n]])
 
+    def sorted_nodes(self) -> tuple[str, ...]:
+        """The nodes in sorted order, built on first call and kept."""
+        if self._sorted is None:
+            self._sorted = tuple(sorted(self.nodes))
+        return self._sorted
+
     def label_classes(self) -> dict[tuple[tuple[str, int], ...], tuple[str, ...]]:
         """The nodes grouped by outbound label bag.
 
-        Each class is keyed by its bag's sorted (label, count) pairs; sinks
-        and isolated nodes share the key ``()``.  The classes partition the
-        nodes.  Callers must not modify the result.
+        Each class is keyed by its bag's sorted (label, count) pairs and
+        lists its nodes in node order; sinks and isolated nodes share the
+        key ``()``.  The classes partition the nodes.  Callers must not
+        modify the result.
         """
         if self._classes is None:
+            succ = self._succ
             members: dict[tuple[str, ...], list[str]] = {}
-            for n in self.nodes:
-                labels = tuple(sorted([a for a, _ in self._succ.get(n, ())]))
+            for n in self.sorted_nodes():
+                pairs = succ.get(n)
+                labels = tuple(sorted([a for a, _ in pairs])) if pairs else ()
                 members.setdefault(labels, []).append(n)
             self._classes = {_label_key(k): tuple(v) for k, v in members.items()}
         return self._classes

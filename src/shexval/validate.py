@@ -114,8 +114,8 @@ class ValidationReport:
     to a frozenset of types; nodes never reached by flooding are absent.
     ``failures`` holds (node, type, reason) triples; ``valid`` holds
     exactly when it is empty.  ``remaining_edges`` are the out-edges of
-    the nodes the typing leaves uncovered: absent from it, or holding no
-    type other than the universal one.  ``iterations`` counts refinement
+    the nodes the typing leaves uncovered: absent from it, or holding only
+    types with a universal rule.  ``iterations`` counts refinement
     rounds, including the last one, which removes nothing, or processed
     flooding obligations.  A refinement round is synchronous: it tests
     every (node, type) pair against the typing the round before left and
@@ -295,7 +295,7 @@ class _RefineEngine:
             for n, types in lost.items():
                 current[n] = _without(current[n], types)
         else:
-            current = dict.fromkeys(self.g.nodes, frozenset(self.s.gamma))
+            current = dict.fromkeys(self.g.sorted_nodes(), frozenset(self.s.gamma))
             lost = self._first_round_by_class(current)
         rounds = 1
         preds: dict[str, list[tuple[str, str]]] | None = None
@@ -491,17 +491,25 @@ def structure_filtered_init(g: Graph, s: Schema) -> dict[str, frozenset[str]]:
     from this typing reaches the same fixpoint as starting from the full
     one.  The type set is computed once per label-bag class of the graph
     (:func:`_admitted`), and every node of the class gets that one set.
+    The nodes come in the graph's node order.
     """
-    out: dict[str, frozenset[str]] = {}
-    for key, nodes in g.label_classes().items():
-        out.update(dict.fromkeys(nodes, _admitted(s, key)))
+    classes = g.label_classes()
+    # Seeding every node with the largest class's set leaves only the
+    # other classes to overwrite; on large graphs each overwrite is a
+    # cache miss.
+    largest = max(classes, key=lambda key: len(classes[key]), default=())
+    out = dict.fromkeys(g.sorted_nodes(), _admitted(s, largest))
+    for key, nodes in classes.items():
+        if key != largest:
+            out.update(dict.fromkeys(nodes, _admitted(s, key)))
     return out
 
 
 def infer_types(g: Graph, s: Schema) -> dict[str, frozenset[str]]:
-    """The refinement fixpoint from the full typing: per node, every type
-    it can carry in some valid m-typing.  Empty sets mark nodes that can
-    carry none; they are returned rather than raised.
+    """The refinement fixpoint from the full typing: per node, in the
+    graph's node order, every type it can carry in some valid m-typing.
+    Empty sets mark nodes that can carry none; they are returned rather
+    than raised.
 
     The frontier driver takes the same rounds as synchronous refinement,
     at most |nodes|·|types| + 1, but each round costs only the pairs it
@@ -511,35 +519,38 @@ def infer_types(g: Graph, s: Schema) -> dict[str, frozenset[str]]:
     return typing
 
 
-_TOP_ONLY = frozenset((TOP,))
-
-
 def _types_of(value) -> frozenset[str]:
     if isinstance(value, str):
         return frozenset((value,))
     return frozenset(value)
 
 
-def _remaining(g: Graph, typing: Mapping[str, object]) -> frozenset:
+def _remaining(g: Graph, s: Schema, typing: Mapping[str, object]) -> frozenset:
     # The out-edges of the uncovered nodes only, so a typing that covers
-    # every node touches no edge.  ``TOP in types`` cheaply passes over
-    # most typed nodes; the set test decides.
+    # every node touches no edge.  A node is uncovered when it is untyped
+    # or every type it holds has a universal rule (a type the schema does
+    # not know covers its node).  Such a node holds no type or a universal
+    # one, which one ``in`` test per universal type finds (in a string
+    # value, as a substring); the set test decides.
+    universal = frozenset(t for t, rule in s.compiled.items() if rule.universal)
+    held = [n for n, types in typing.items() if not types]
+    for u in universal:
+        held += [n for n, types in typing.items() if u in types]
     uncovered = g.nodes.difference(typing).union(
-        n
-        for n, types in typing.items()
-        if not types or (TOP in types and _types_of(types) <= _TOP_ONLY)
+        n for n in held if _types_of(typing[n]) <= universal
     )
     return g.out_edges(uncovered)
 
 
-def remaining_edges(g: Graph, report: ValidationReport) -> frozenset:
-    """Edges whose source node received no type other than the universal
-    one — the part of the graph the typing says nothing about."""
-    return _remaining(g, report.typing)
+def remaining_edges(g: Graph, s: Schema, report: ValidationReport) -> frozenset:
+    """Edges whose source node received no type but universal ones of
+    ``s`` — the part of the graph the typing says nothing about."""
+    return _remaining(g, s, report.typing)
 
 
 def _report(
     g: Graph,
+    s: Schema,
     typing: Mapping[str, object],
     algorithm: str,
     failures: tuple[tuple[str, str, str], ...] = (),
@@ -551,7 +562,7 @@ def _report(
         valid=not failures,
         typing=typing,
         failures=failures,
-        remaining_edges=_remaining(g, typing),
+        remaining_edges=_remaining(g, s, typing),
         algorithm=algorithm,
         **counts,
     )
@@ -579,7 +590,7 @@ def validate_multi(
             for n in sorted(n for n, types in typing.items() if not types)
         )
         return _report(
-            g, typing, algo, failures,
+            g, s, typing, algo, failures,
             iterations=rounds, local_tests=engine.local_tests,
         )
     if algo == "flood":
@@ -593,7 +604,7 @@ def validate_multi(
     if algo == "brute":
         found = brute_force_multi(g, s)
         failures = () if found is not None else (("-", "-", "no valid m-typing exists"),)
-        return _report(g, found or {}, "brute", failures)
+        return _report(g, s, found or {}, "brute", failures)
     raise ValueError(f"unknown algorithm {algo!r}")
 
 
@@ -616,7 +627,7 @@ def validate_single(
     if algo == "brute":
         found = brute_force_single(g, s)
         failures = () if found is not None else (("-", "-", "no valid s-typing exists"),)
-        return _report(g, found or {}, "brute-single", failures)
+        return _report(g, s, found or {}, "brute-single", failures)
     raise ValueError(f"algorithm {algo} supports only --mode multi")
 
 
@@ -695,7 +706,8 @@ def _flood(
             for n in sorted(g.nodes - reached)
         )
     return _report(
-        g, typing, algorithm, failures, iterations=processed, edges_examined=examined
+        g, s, typing, algorithm, failures,
+        iterations=processed, edges_examined=examined,
     )
 
 
@@ -847,7 +859,7 @@ def brute_force_single(
 
     Raises when the assignment space exceeds ``cap``.
     """
-    nodes = sorted(g.nodes)
+    nodes = g.sorted_nodes()
     types = sorted(s.gamma)
     space = len(types) ** len(nodes)
     if space > cap:
@@ -876,7 +888,7 @@ def brute_force_multi(
     flattening intersection test.  Raises when the assignment space
     exceeds ``cap``.
     """
-    nodes = sorted(g.nodes)
+    nodes = g.sorted_nodes()
     subsets = [
         frozenset(combo)
         for size in range(1, len(s.gamma) + 1)
@@ -935,10 +947,25 @@ def format_pretyping(pre: Mapping[str, Iterable[str]]) -> str:
 def report_lines(report: ValidationReport) -> list[str]:
     """Machine-readable report: one TYPED line per (node, type) pair, one
     FAILED line per recorded failure, one REMAINING line per untyped edge.
-    Fields are tab-separated because node names may contain spaces."""
+    Fields are tab-separated because node names may contain spaces.
+
+    Nodes come in sorted order, and each node's types too; typings built
+    in the graph's node order make the sort one pass, and each distinct
+    type set is sorted once."""
     lines = []
-    for n in sorted(report.typing):
-        for t in sorted(_types_of(report.typing[n])):
+    typing = report.typing
+    ordered: dict[frozenset[str], list[str]] = {}
+    for n in sorted(typing):
+        types = typing[n]
+        if isinstance(types, str):
+            lines.append(f"TYPED\t{n}\t{types}")
+            continue
+        if not isinstance(types, frozenset):
+            types = frozenset(types)
+        names = ordered.get(types)
+        if names is None:
+            names = ordered[types] = sorted(types)
+        for t in names:
             lines.append(f"TYPED\t{n}\t{t}")
     for n, t, reason in report.failures:
         lines.append(f"FAILED\t{n}\t{t}\t{reason}")

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -11,9 +12,10 @@ from hypothesis import strategies as st
 
 from conftest import FIG2_TEXT, S0_TEXT, S1_TEXT
 from shexval.cli import main
-from shexval.graph import format_graph, parse_graph, relabel_wildcards
+from shexval.genbench import GenConfig, generate_graph
+from shexval.graph import Graph, format_graph, parse_graph, relabel_wildcards
 from shexval.schema import parse_schema
-from shexval.validate import ALGORITHMS, infer_types, validate_multi
+from shexval.validate import ALGORITHMS, format_pretyping, infer_types, validate_multi
 
 WILDCARD_TEXT = """\
 wildcard P = prefix "x"
@@ -768,6 +770,60 @@ class TestRbe:
         assert capsys.readouterr().out.strip() == "unambiguous"
         assert main(["rbe", "unambiguous", "--expr", "(a::t1|a::t2)"]) == 1
         assert capsys.readouterr().out.startswith("ambiguous\t")
+
+
+# Nondeterministic and not single-occurrence, so refinement takes the
+# general test.
+NONDET_ILP_TEXT = """\
+t0 -> (a::tc | a::t0)* , b::tc* , (c::t0 , d::t0)* , (c::tc , d::tc)*
+tc -> (a::tc+ | b::tc) , a::t0* , b::tc* , (c::tc | d::t0)*
+"""
+
+
+def _hash_seed_case(tmp_path, case):
+    """The arguments of a validate run on a small graph of ``case``."""
+    if case == "nondet":
+        rng = random.Random(3)
+        nodes = [f"n{i}" for i in range(40)]
+        edges = [
+            (rng.choice(nodes), rng.choice("abcd"), rng.choice(nodes))
+            for _ in range(90)
+        ]
+        graph, text, extra = Graph(edges, nodes), NONDET_ILP_TEXT, []
+    else:
+        graph, roots = generate_graph(
+            GenConfig(schema=parse_schema(FIG2_TEXT), n_nodes=80, seed=7)
+        )
+        text, extra = FIG2_TEXT, []
+        if case == "fig2-flood":
+            pre = write(tmp_path, "roots.tsv", format_pretyping(roots))
+            extra = ["--algo", "flood", "--pretyping", pre]
+    return [
+        "--schema", write(tmp_path, "s.shex", text),
+        "--graph", write(tmp_path, "g.tsv", format_graph(graph)),
+        *extra,
+    ]
+
+
+@pytest.mark.parametrize("case", ["fig2", "fig2-flood", "nondet"])
+def test_validate_prints_the_same_bytes_under_any_hash_seed(tmp_path, case):
+    args = _hash_seed_case(tmp_path, case)
+    outputs = []
+    for seed in ("0", "1"):
+        env = _child_env()
+        env["PYTHONHASHSEED"] = seed
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "shexval.cli", "validate", *args,
+                "--emit-typing", "--report-remaining", "--format", "machine",
+            ],
+            capture_output=True,
+            env=env,
+        )
+        assert proc.returncode in (0, 1), proc.stderr
+        outputs.append(proc.stdout)
+    assert b"\nTYPED\t" in outputs[0]
+    assert outputs[0] == outputs[1]
 
 
 def test_module_entry_point_runs_in_a_subprocess(tmp_path, g1):

@@ -68,6 +68,19 @@ class TestLabelClasses:
         assert g.label_key("s") == (("ex:x", 1), ("ex:y", 1))
 
 
+class TestNodeOrder:
+    def test_parse_leaves_the_order_and_the_classes_unbuilt(self):
+        g = parse_graph("q\ta\tp\nnode\tlonely\n")
+        assert g._sorted is None
+        assert g._classes is None
+
+    def test_sorted_nodes_is_one_tuple_built_on_first_call(self):
+        g = parse_graph("q\ta\tp\nr\tb\tq\nnode\tlonely\n")
+        order = g.sorted_nodes()
+        assert order == tuple(sorted(g.nodes)) == ("lonely", "p", "q", "r")
+        assert g.sorted_nodes() is order
+
+
 class TestGraphValue:
     def test_duplicate_edges_collapse(self):
         g = Graph([("a", "x", "b"), ("a", "x", "b")])
@@ -207,6 +220,20 @@ def test_label_classes_partition_nodes_by_label_bag(edges, extra):
     for key, nodes in classes.items():
         for n in nodes:
             assert key == g.label_key(n) == tuple(sorted(g.out_lab(n).items()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(edges_st, st.sets(st.sampled_from("pqrstu"), max_size=3))
+def test_label_classes_list_their_nodes_in_node_order(edges, extra):
+    g = Graph(edges, extra)
+    order = g.sorted_nodes()
+    assert order == tuple(sorted(g.nodes))
+    classes = g.label_classes()
+    for key, nodes in classes.items():
+        assert list(nodes) == [n for n in order if n in nodes]
+    sinks = [n for n in order if not g.out_lab_node(n)]
+    assert classes.get((), ()) == tuple(sinks)
+    assert g.sorted_nodes() is order
 
 
 @settings(max_examples=200, deadline=None)

@@ -662,26 +662,50 @@ class TestBruteForce:
 class TestRemainingEdges:
     def test_fully_typed_graph(self, g2, s1):
         report = validate_multi(g2, s1)
-        assert remaining_edges(g2, report) == frozenset()
+        assert remaining_edges(g2, s1, report) == frozenset()
 
     def test_unreached_component(self):
         g = Graph([("x", "a", "y"), ("p", "a", "q")])
         report = flood_extension(g, CHAIN, {"x": {"t"}})
-        assert remaining_edges(g, report) == frozenset({("p", "a", "q")})
+        assert remaining_edges(g, CHAIN, report) == frozenset({("p", "a", "q")})
 
     def test_matches_report_field(self, fig1, fig2_schema):
         report = validate_multi(fig1, fig2_schema)
-        assert remaining_edges(fig1, report) == report.remaining_edges
+        assert remaining_edges(fig1, fig2_schema, report) == report.remaining_edges
+
+    @pytest.mark.parametrize("mode", ["multi", "single"])
+    def test_a_universal_type_under_any_name_leaves_its_node_uncovered(self, mode):
+        s = Schema({"t": UNIVERSAL, "u": parse_rbe("a::t")})
+        g = Graph([("x", "a", "y"), ("y", "b", "z")])
+        report = flood_extension(g, s, {"x": {"u"}}, mode)
+        assert report.valid
+        assert set(report.typing) == {"x", "y"}
+        assert report.remaining_edges == frozenset({("y", "b", "z")})
+        assert remaining_edges(g, s, report) == report.remaining_edges
 
 
-def reference_remaining(g, typing):
-    """Every edge of the graph whose source holds no type but TOP."""
+def reference_remaining(g, s, typing):
+    """Every edge of the graph whose source holds no type but ones with a
+    universal rule in ``s``; a type ``s`` does not know has no rule."""
+
+    def universal(t):
+        return t in s.compiled and s.compiled[t].universal
+
     covered = {
         n
         for n, value in typing.items()
-        if any(t != TOP for t in ({value} if isinstance(value, str) else value))
+        if not all(map(universal, {value} if isinstance(value, str) else value))
     }
     return frozenset(e for e in g.edges if e[0] not in covered)
+
+
+# Schemas whose universal types among t, u and TOP differ: TOP alone, t
+# alone (TOP unknown), and t with TOP.
+REMAINING_SCHEMAS = (
+    parse_schema("t -> a::u*\nu -> b::TOP?\n"),
+    Schema({"t": UNIVERSAL, "u": parse_rbe("a::t")}),
+    Schema({"t": UNIVERSAL, "u": parse_rbe("a::t , b::TOP?")}),
+)
 
 
 TYPING_VALUES = st.one_of(
@@ -713,8 +737,9 @@ def test_remaining_edges_match_the_full_edge_scan(data):
     typing = data.draw(
         st.dictionaries(st.sampled_from(nodes + ["ghost"]), TYPING_VALUES)
     )
+    s = data.draw(st.sampled_from(REMAINING_SCHEMAS))
     report = ValidationReport(valid=True, typing=typing)
-    assert remaining_edges(g, report) == reference_remaining(g, typing)
+    assert remaining_edges(g, s, report) == reference_remaining(g, s, typing)
 
 
 def count_edge_set_reads(monkeypatch):
@@ -740,8 +765,62 @@ def test_reports_of_a_fully_covered_typing_never_iterate_the_edges(monkeypatch):
         assert report.valid
         assert report.typing.keys() == g.nodes
         assert report.remaining_edges == frozenset()
-        assert remaining_edges(g, report) == frozenset()
+        assert remaining_edges(g, s, report) == frozenset()
     assert reads == []
+
+
+def types_of(value):
+    return {value} if isinstance(value, str) else set(value)
+
+
+def reference_report_lines(report):
+    """The rendering with a sort per node, as the definition reads."""
+    lines = [
+        f"TYPED\t{n}\t{t}"
+        for n in sorted(report.typing)
+        for t in sorted(types_of(report.typing[n]))
+    ]
+    lines += [f"FAILED\t{n}\t{t}\t{reason}" for n, t, reason in report.failures]
+    lines += [
+        f"REMAINING\t{s}\t{a}\t{o}" for s, a, o in sorted(report.remaining_edges)
+    ]
+    return lines
+
+
+def same_types_another_form(data, value):
+    # The types of ``value`` as a str, set, frozenset or list; lists may
+    # repeat a type.
+    types = sorted(types_of(value))
+    forms = [set(types), frozenset(types), types[::-1], types + types[:1]]
+    if len(types) == 1:
+        forms.append(types[0])
+    return data.draw(st.sampled_from(forms))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_report_lines_ignore_key_order_and_value_form(data):
+    nodes = ("y0", "y1", "y 2", "y10", "ghost")
+    typing = data.draw(st.dictionaries(st.sampled_from(nodes), TYPING_VALUES))
+    failures = data.draw(
+        st.lists(st.tuples(st.sampled_from(nodes), st.just("t"), st.just("why")))
+    )
+    remaining = data.draw(
+        st.frozensets(
+            st.tuples(st.sampled_from(nodes), st.just("a"), st.sampled_from(nodes))
+        )
+    )
+    report = ValidationReport(
+        valid=not failures, typing=typing, failures=tuple(failures),
+        remaining_edges=remaining,
+    )
+    keys = data.draw(st.permutations(list(typing)))
+    other = replace(
+        report, typing={n: same_types_another_form(data, typing[n]) for n in keys}
+    )
+    expected = reference_report_lines(report)
+    assert report_lines(report) == expected
+    assert report_lines(other) == expected
 
 
 class TestExhaustiveSmall:
@@ -979,6 +1058,19 @@ def test_structure_filtered_init_matches_the_projection_on_every_driver_schema()
             )
 
 
+def test_whole_graph_typings_come_in_node_order():
+    rng = random.Random(13)
+    for schema in DRIVER_SCHEMAS:
+        labels = sorted(schema.sigma) or ["a", "b"]
+        for _ in range(10):
+            g = random_graph(rng, ["y2", "y10", "y0", "y1"], labels)
+            order = list(g.sorted_nodes())
+            assert list(structure_filtered_init(g, schema)) == order
+            assert list(infer_types(g, schema)) == order
+            for algo in admissible_algorithms(schema):
+                assert list(validate_multi(g, schema, algo).typing) == order
+
+
 def reference_flood_multi(g, schema, pre):
     """Multi-mode flooding as a plain loop over obligations: each one
     builds the typed bag of its node and asks for membership."""
@@ -1026,7 +1118,7 @@ def reference_flood_multi(g, schema, pre):
         algorithm="flood-multi",
         edges_examined=examined,
     )
-    return replace(report, remaining_edges=remaining_edges(g, report))
+    return replace(report, remaining_edges=remaining_edges(g, schema, report))
 
 
 FLOOD_SCHEMAS = tuple(s for s in DRIVER_SCHEMAS if s.class_flags.deterministic)
@@ -1166,7 +1258,7 @@ def reference_flood_single(g, schema, pre):
         algorithm="flood-single",
         edges_examined=examined,
     )
-    return replace(report, remaining_edges=remaining_edges(g, report))
+    return replace(report, remaining_edges=remaining_edges(g, schema, report))
 
 
 SINGLE_FLOOD_SCHEMAS = tuple(s for s in DRIVER_SCHEMAS if s.class_flags.sorbe)
