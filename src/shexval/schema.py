@@ -43,6 +43,7 @@ from .rbe import (
     split_symbol,
     star,
     typed_symbol,
+    walk,
 )
 from .rbe.parse import RESERVED
 
@@ -59,10 +60,14 @@ __all__ = [
     "format_schema",
     "intersect_schemas",
     "powerset_schema",
+    "POWERSET_CAP",
     "homomorphism_schema",
 ]
 
 TOP = "TOP"
+
+# Bound on the symbol occurrences the rules of a powerset schema may hold.
+POWERSET_CAP = 300_000
 
 # The universal rule: every bag, over any labels.  No expression over a
 # finite alphabet denotes it, so it is given as an analysed rule with no
@@ -91,10 +96,16 @@ class Schema:
     the schema's syntactic class.  ``_derived`` holds only verdict memos,
     so that workloads validating many graphs against one schema fill them
     once; entries are namespaced by the module that owns them.
+
+    The types are numbered once, in sorted order: ``bits`` gives type t
+    the bit ``1 << i``, so a set of types is an int, its mask.
+    ``type_sets`` maps a mask back to its type names, one frozenset per
+    mask, made on first use and shared by every typing built from masks.
     """
 
     __slots__ = (
-        "delta", "compiled", "class_flags", "gamma", "sigma", "wildcards", "_derived"
+        "delta", "compiled", "class_flags", "gamma", "sigma", "wildcards", "bits",
+        "type_sets", "_derived",
     )
 
     def __init__(self, rules, wildcards=()):
@@ -125,6 +136,8 @@ class Schema:
         self.delta = delta
         self.compiled = compiled
         self.gamma: frozenset[str] = frozenset(delta)
+        self.bits: dict[str, int] = {t: 1 << i for i, t in enumerate(sorted(delta))}
+        self.type_sets = _TypeSets(self.bits)
         self.sigma: frozenset[str] = frozenset(labels)
         self.wildcards: tuple[WildcardDecl, ...] = tuple(wildcards)
         self.class_flags = classify(self)
@@ -145,6 +158,13 @@ class Schema:
         )
         return singles + self.wildcards
 
+    def mask(self, types: Iterable[str]) -> int:
+        """The mask of a set of type names."""
+        mask = 0
+        for t in types:
+            mask |= self.bits[t]
+        return mask
+
     def __eq__(self, other):
         if not isinstance(other, Schema):
             return NotImplemented
@@ -152,6 +172,20 @@ class Schema:
 
     def __repr__(self):
         return f"Schema({len(self.gamma)} types, {len(self.wildcards)} wildcards)"
+
+
+class _TypeSets(dict):
+    """Masks to the frozensets of their type names, each made once."""
+
+    __slots__ = ("bits",)
+
+    def __init__(self, bits: dict[str, int]):
+        super().__init__()
+        self.bits = bits
+
+    def __missing__(self, mask: int) -> frozenset[str]:
+        names = self[mask] = frozenset(t for t, bit in self.bits.items() if mask & bit)
+        return names
 
 
 def _compile(rule: Rbe | CompiledRule) -> CompiledRule:
@@ -426,11 +460,18 @@ def powerset_schema(schema: Schema, *, bound: int = 10) -> Schema:
     the intersection over t in T of σ(t's rule), where σ lets ``a::u`` pick
     any ``a::S`` with u in S (see :func:`_lifted` for intervals).  The
     subsets double per type, and so does each symbol's choice, so the type
-    count is capped at ``bound``.
+    count is capped at ``bound`` and the symbol occurrences of the rules,
+    counted before building, at ``POWERSET_CAP``.
     """
     _require_plain(schema, "powerset_schema")
     if len(schema.gamma) > bound:
         raise ValueError(f"{len(schema.gamma)} types exceed the powerset bound of {bound}")
+    occurrences = _powerset_occurrences(schema)
+    if occurrences > POWERSET_CAP:
+        raise ValueError(
+            f"the powerset would hold {occurrences} symbol occurrences,"
+            f" over the cap of {POWERSET_CAP}"
+        )
     members = sorted(schema.gamma)
     subsets = [
         combo
@@ -444,6 +485,26 @@ def powerset_schema(schema: Schema, *, bound: int = 10) -> Schema:
     return Schema(
         {_subset_name(combo): _meet(lifted[t] for t in combo) for combo in subsets}
     )
+
+
+def _powerset_occurrences(schema: Schema) -> int:
+    """The symbol occurrences of the powerset's rules.  Each of the n
+    types is in 2^(n-1) subsets, whose rules each hold its lifted rule,
+    and each symbol of that rule lifts to picks among the 2^(n-1) subsets
+    that hold its type (see :func:`_lifted`)."""
+    half = 2 ** (len(schema.gamma) - 1)
+    lifted = 0
+    for t, rule in schema.delta.items():
+        if schema.compiled[t].universal:
+            continue
+        for node in walk(rule):
+            if isinstance(node, Symbol):
+                bounds = node.bounds
+                if half == 1 or bounds.is_empty:
+                    lifted += 1
+                else:
+                    lifted += half * (bounds.lo + 1 if bounds.hi is None else bounds.hi)
+    return half * lifted
 
 
 def homomorphism_schema(h: Graph) -> Schema:

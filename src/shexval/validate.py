@@ -54,6 +54,15 @@ label check, and round 1 of refinement from the full typing, under which
 every successor carries every type.  Flooding reads the same verdicts on
 deterministic schemas, since a deterministic rule turns a label bag into
 one typed bag.
+
+Inside, a set of types is a bit mask over the schema's numbering of its
+types (``Schema.bits``), in the manner of bit-vector simulation
+algorithms (Ranzato and Tapparo, LICS 2007): the refinement typing, the
+frontier, the label-bag verdicts, multi-mode flooding and the keys of
+the general memo hold ints, so removing, testing and projecting types
+allocates no set.  A typing is turned into names once, for its report,
+and every node holding a mask gets the one frozenset the schema keeps
+for it (``Schema.type_sets``).
 """
 
 from __future__ import annotations
@@ -255,12 +264,16 @@ class _RefineEngine:
     ``s-refine`` starts from :func:`structure_filtered_init`, which has
     made the label check; ``refine`` and ``rbe0-refine`` start from the
     full typing.  Types with a universal rule always survive and are never
-    tested.  Every test reads the rules as the schema compiled them (label
-    maps, interval products, encodings).  The verdict memos live
-    on the schema, so engines over the same schema share them and repeat
-    validations start warm.  ``local_tests`` counts the pairs tested; a
-    class decided by one representative counts that representative's
-    pairs.
+    tested.  The typing, the work of a round and the types a node loses
+    are masks over the schema's numbering of its types (``Schema.bits``):
+    losing types is ``mask & ~lost``, and a rule's targets under a label
+    are a mask too, so the deterministic test, the projection and the
+    frontier are each an ``&``.  Names come back only for the solver (under
+    ``refine``, on a memo miss) and for the typing ``run`` returns.  The
+    verdict memos live on the schema, so engines over the same schema
+    share them and repeat validations start warm.  ``local_tests`` counts
+    the pairs tested; a class decided by one representative counts that
+    representative's pairs.
     """
 
     def __init__(self, g: Graph, s: Schema, algo: str):
@@ -275,60 +288,75 @@ class _RefineEngine:
         self.g = g
         self.s = s
         self.algo = algo
-        self.rules = s.compiled
         self.deterministic = deterministic and algo != "rbe0-refine"
         self._memo: dict[tuple, bool] | None = None
         if algo == "refine" and not self.deterministic:
             self._memo = s._derived.setdefault("refine:memo:general", {})
-        self.testable = frozenset(
-            t for t, rule in self.rules.items() if not rule.universal
-        )
+        # Per bit of a type with a rule to test: its name, and per label
+        # the mask of the types its rule uses the label with.
+        testable = [
+            (s.bits[t], t, rule) for t, rule in s.compiled.items() if not rule.universal
+        ]
+        self.names = {bit: t for bit, t, _ in testable}
+        self.targets = {
+            bit: {a: s.mask(us) for a, us in rule.targets.items()}
+            for bit, _, rule in testable
+        }
+        self.testable = sum(self.names)
         self.local_tests = 0
 
     def run(self) -> tuple[dict[str, frozenset[str]], int]:
-        """The fixpoint below the algorithm's start and its number of
-        rounds, counting the first and the last one, which removes
-        nothing."""
+        """The fixpoint below the algorithm's start, in the graph's node
+        order, and its number of rounds, counting the first and the last
+        one, which removes nothing."""
         if self.algo == "s-refine":
-            current = structure_filtered_init(self.g, self.s)
+            # The start comes named, each set from the schema's names of
+            # masks, so inverting that map gives the masks, and only the
+            # nodes that lose types are named again at the end.
+            named = structure_filtered_init(self.g, self.s)
+            masks = {names: mask for mask, names in self.s.type_sets.items()}
+            current = dict(zip(named, map(masks.__getitem__, named.values())))
             lost = self._test(current, current)
             for n, types in lost.items():
-                current[n] = _without(current[n], types)
+                current[n] &= ~types
         else:
-            current = dict.fromkeys(self.g.sorted_nodes(), frozenset(self.s.gamma))
+            named = None
+            current = dict.fromkeys(self.g.sorted_nodes(), sum(self.s.bits.values()))
             lost = self._first_round_by_class(current)
+        losses = [lost]
         rounds = 1
         preds: dict[str, list[tuple[str, str]]] | None = None
         while lost:
             if preds is None:
                 preds = _predecessors(self.g)
-                mentions = self._mention_index()
             # The types an a-edge into a node that lost ``types`` can
             # affect, per (label, lost types); round 1 by class gives many
             # nodes the same lost types.
-            affecting: dict[tuple, frozenset[str]] = {}
-            work: dict[str, set[str]] = {}
+            affecting: dict[tuple[str, int], int] = {}
+            work: dict[str, int] = {}
             for m, types in lost.items():
-                types = tuple(types)
                 for n, a in preds.get(m, ()):
                     mentioned = affecting.get((a, types))
                     if mentioned is None:
-                        mentioned = affecting[(a, types)] = frozenset().union(
-                            *(mentions.get((a, u), ()) for u in types)
-                        )
+                        mentioned = affecting[(a, types)] = self._mentioning(a, types)
                     if mentioned:
                         affected = mentioned & current[n]
                         if affected:
-                            work.setdefault(n, set()).update(affected)
+                            work[n] = work.get(n, 0) | affected
             rounds += 1
             lost = self._test(work, current)
             for n, types in lost.items():
-                current[n] = _without(current[n], types)
-        return current, rounds
+                current[n] &= ~types
+            losses.append(lost)
+        if named is None:
+            return _named(self.s, current), rounds
+        sets = self.s.type_sets
+        for lost in losses:
+            for n in lost:
+                named[n] = sets[current[n]]
+        return named, rounds
 
-    def _first_round_by_class(
-        self, current: dict[str, frozenset[str]]
-    ) -> dict[str, list[str]]:
+    def _first_round_by_class(self, current: dict[str, int]) -> dict[str, int]:
         """Round 1 from the full typing, under which every successor carries
         every type, so a node is seen only through its label bag: one local
         test per label-bag class.  Updates ``current`` and returns the
@@ -337,111 +365,114 @@ class _RefineEngine:
         failed = self._test(
             {nodes[0]: current[nodes[0]] for nodes in classes}, current, True
         )
-        lost = {}
+        lost: dict[str, int] = {}
         for nodes in classes:
             types = failed.get(nodes[0])
             if types:
-                survivors = _without(current[nodes[0]], types)
+                survivors = current[nodes[0]] & ~types
                 for n in nodes:
                     current[n] = survivors
                     lost[n] = types
         return lost
 
     def _test(
-        self,
-        work: Mapping[str, Iterable[str]],
-        typing: Mapping[str, frozenset[str]],
-        full: bool = False,
-    ) -> dict[str, list[str]]:
-        """The types of ``work`` (node to types) that fail the local test
-        under ``typing``; ``full`` says that ``typing`` is the full one."""
+        self, work: Mapping[str, int], typing: Mapping[str, int], full: bool = False
+    ) -> dict[str, int]:
+        """The types of ``work`` (node to mask) that fail the local test
+        under ``typing``, per node that loses some; ``full`` says that
+        ``typing`` is the full one."""
         lost = {}
+        tested = 0
+        testable = self.testable
         for n, types in work.items():
-            types = self.testable.intersection(types)
+            types &= testable
             if types:
-                self.local_tests += len(types)
+                tested += types.bit_count()
                 if not self.deterministic:
                     failed = self._lost_general(n, types, typing)
                 elif full:
-                    failed = self._lost_label_bag(n, types)
+                    # Every successor carries every type, so the
+                    # deterministic test reduces to the label check.
+                    failed = types & ~_admitted(self.s, self.g.label_key(n))
                 else:
                     failed = self._lost_successors(n, types, typing)
                 if failed:
                     lost[n] = failed
+        self.local_tests += tested
         return lost
 
-    def _lost_general(self, n, types, typing) -> list[str]:
-        neighborhood = out_lab_type_m(self.g, typing, n)
+    def _lost_general(self, n: str, types: int, typing: Mapping[str, int]) -> int:
+        neighborhood = Counter((a, typing[m]) for a, m in self.g.out_lab_node(n))
+        lost = 0
         if self._memo is None:
-            return [
-                t for t in types
-                if not _some_flattening_member(self.s, neighborhood, t)
-            ]
+            named = self._named_bag(neighborhood)
+            while types:
+                bit = types & -types
+                types ^= bit
+                if not _some_flattening_member(self.s, named, self.names[bit]):
+                    lost |= bit
+            return lost
         shape = frozenset(neighborhood.items())
-        lost = []
-        for t in types:
-            key = (t, shape)
+        while types:
+            bit = types & -types
+            types ^= bit
+            key = (self.names[bit], shape)
             verdict = self._memo.get(key)
             if verdict is None:
-                verdict = self._memo[key] = self._projected_verdict(t, neighborhood)
+                verdict = self._memo[key] = self._projected_verdict(bit, neighborhood)
             if not verdict:
-                lost.append(t)
+                lost |= bit
         return lost
 
-    def _projected_verdict(self, t, neighborhood) -> bool:
+    def _projected_verdict(self, bit: int, neighborhood: Counter) -> bool:
         # The verdict of the bag cut down to the types t's rule mentions
         # under each label, with the entries that become equal merged (see
         # the module docstring).  A projected bag is its own projection, so
         # it shares the memo with the raw bags.
-        targets = self.rules[t].targets
-        projected: Counter[tuple[str, frozenset[str]]] = Counter()
+        t, targets = self.names[bit], self.targets[bit]
+        projected: Counter[tuple[str, int]] = Counter()
         for (a, types), count in neighborhood.items():
-            kept = types.intersection(targets.get(a, ()))
+            kept = types & targets.get(a, 0)
             if not kept:
                 return False
             projected[(a, kept)] += count
         key = (t, frozenset(projected.items()))
         verdict = self._memo.get(key)
         if verdict is None:
-            verdict = self._memo[key] = _some_flattening_member(self.s, projected, t)
+            verdict = self._memo[key] = _some_flattening_member(
+                self.s, self._named_bag(projected), t
+            )
         return verdict
 
-    def _lost_successors(self, n, types, typing) -> list[str]:
+    def _named_bag(self, bag: Counter) -> dict[tuple[str, frozenset[str]], int]:
+        """A bag of (label, mask) pairs as (label, type set) pairs."""
+        sets = self.s.type_sets
+        return {(a, sets[types]): count for (a, types), count in bag.items()}
+
+    def _lost_successors(self, n: str, types: int, typing: Mapping[str, int]) -> int:
         # The rule uses each label with one target type, so once the rule
         # admits the label bag, a flattening exists exactly when every
         # successor still carries the required type.
-        edges = self.g.out_lab_node(n)
-        lost = []
-        for t in types:
-            targets = self.rules[t].targets
+        edges = self.g._succ.get(n)
+        if not edges:
+            return 0
+        lost = 0
+        while types:
+            bit = types & -types
+            types ^= bit
+            targets = self.targets[bit]
             for a, m in edges:
-                required = targets.get(a)
-                if required is None or required[0] not in typing[m]:
-                    lost.append(t)
+                if not typing[m] & targets.get(a, 0):
+                    lost |= bit
                     break
         return lost
 
-    def _lost_label_bag(self, n, types) -> list[str]:
-        # Under the full typing every successor carries every type, so the
-        # deterministic test reduces to the label check.
-        admitted = _admitted(self.s, self.g.label_key(n))
-        return [t for t in types if t not in admitted]
-
-    def _mention_index(self) -> dict[tuple[str, str], frozenset[str]]:
-        """Which types' local verdicts a successor's type can affect: maps
-        (label, type) to the types whose rule mentions ``label::type``."""
-        index: dict[tuple[str, str], set[str]] = {}
-        for t, rule in self.rules.items():
-            for a, targets in rule.targets.items():
-                for u in targets:
-                    index.setdefault((a, u), set()).add(t)
-        return {key: frozenset(types) for key, types in index.items()}
-
-
-def _without(types: frozenset[str], lost: list[str]) -> frozenset[str]:
-    # Built afresh rather than by difference(), which copies the hash table
-    # of the full type set into every result.
-    return frozenset(t for t in types if t not in lost)
+    def _mentioning(self, a: str, types: int) -> int:
+        """The tested types whose rule mentions ``a::u`` for some u in
+        ``types``: the verdicts an a-successor losing ``types`` can change."""
+        return sum(
+            bit for bit, targets in self.targets.items() if targets.get(a, 0) & types
+        )
 
 
 def _predecessors(g: Graph) -> dict[str, list[tuple[str, str]]]:
@@ -454,19 +485,19 @@ def _predecessors(g: Graph) -> dict[str, list[tuple[str, str]]]:
     return preds
 
 
-def _admitted(s: Schema, bag: tuple[tuple[str, int], ...]) -> frozenset[str]:
-    """The types whose own rule admits the label bag given as sorted (label,
-    count) pairs: the universal ones, the deterministic ones whose one typed
-    bag spelled from it is a member, and the others that some flattening
-    with every type under every label satisfies.  A rule that uses no
-    symbol with some label of the bag admits none.  Cached on the schema
-    per bag, for refinement and flooding."""
-    cache: dict[tuple, frozenset[str]] = s._derived.setdefault("refine:init", {})
+def _admitted(s: Schema, bag: tuple[tuple[str, int], ...]) -> int:
+    """The mask of the types whose own rule admits the label bag given as
+    sorted (label, count) pairs: the universal ones, the deterministic ones
+    whose one typed bag spelled from it is a member, and the others that
+    some flattening with every type under every label satisfies.  A rule
+    that uses no symbol with some label of the bag admits none.  Cached on
+    the schema per bag, for refinement and flooding."""
+    cache: dict[tuple, int] = s._derived.setdefault("refine:init", {})
     types = cache.get(bag)
     if types is None:
         full = {(a, s.gamma): count for a, count in bag}
-        types = cache[bag] = frozenset(
-            t
+        types = cache[bag] = sum(
+            s.bits[t]
             for t, rule in s.compiled.items()
             if rule.universal
             or (
@@ -494,14 +525,15 @@ def structure_filtered_init(g: Graph, s: Schema) -> dict[str, frozenset[str]]:
     The nodes come in the graph's node order.
     """
     classes = g.label_classes()
+    sets = s.type_sets
     # Seeding every node with the largest class's set leaves only the
     # other classes to overwrite; on large graphs each overwrite is a
     # cache miss.
     largest = max(classes, key=lambda key: len(classes[key]), default=())
-    out = dict.fromkeys(g.sorted_nodes(), _admitted(s, largest))
+    out = dict.fromkeys(g.sorted_nodes(), sets[_admitted(s, largest)])
     for key, nodes in classes.items():
         if key != largest:
-            out.update(dict.fromkeys(nodes, _admitted(s, key)))
+            out.update(dict.fromkeys(nodes, sets[_admitted(s, key)]))
     return out
 
 
@@ -516,6 +548,15 @@ def infer_types(g: Graph, s: Schema) -> dict[str, frozenset[str]]:
     can change (see :class:`_RefineEngine`).
     """
     typing, _ = _RefineEngine(g, s, "refine").run()
+    return typing
+
+
+def _named(s: Schema, typing: dict[str, int]) -> dict[str, frozenset[str]]:
+    """Turns a typing of masks, in place, into one of type names: each
+    node gets the one frozenset ``s.type_sets`` holds for its mask."""
+    sets = s.type_sets
+    for n, types in typing.items():
+        typing[n] = sets[types]
     return typing
 
 
@@ -712,43 +753,48 @@ def _flood(
 
 
 def _flood_multi(g: Graph, s: Schema, pre: Mapping[str, frozenset[str]]) -> tuple:
-    typing: dict[str, frozenset[str]] = {}
+    # ``typing`` holds the types processed at a node and ``seen`` those
+    # queued there, as masks; the report names them once per distinct mask.
+    bits = s.bits
+    typing: dict[str, int] = {}
     queue: deque[tuple[str, str]] = deque()
-    seen: set[tuple[str, str]] = set()
-    for n in sorted(pre):
-        for t in sorted(pre[n]):
-            queue.append((n, t))
-            seen.add((n, t))
+    seen = {n: s.mask(pre[n]) for n in sorted(pre)}
+    for n in seen:
+        queue.extend((n, t) for t in sorted(pre[n]))
     # A deterministic rule sends each label to one type, so the typed bag
     # of a node, and with it the verdict, follows from its label bag: the
     # schema's label-bag verdicts (:func:`_admitted`) decide.  The labels of
     # the sorted neighborhood spell the bag, so the graph's label-bag index,
     # which costs a pass over every node, is not needed here.
-    admitted: dict[tuple[str, ...], frozenset[str]] = {}
+    admitted: dict[tuple[str, ...], int] = {}
+    succ = g._succ
     examined = 0
     processed = 0
     while queue:
         n, t = queue.popleft()
         processed += 1
-        targets = s.compiled[t].targets
-        if not s.compiled[t].universal:
-            neighborhood = sorted(g.out_lab_node(n))
+        rule = s.compiled[t]
+        if not rule.universal:
+            neighborhood = sorted(succ.get(n, ()))
             examined += len(neighborhood)
             labels = tuple([a for a, _ in neighborhood])
             types = admitted.get(labels)
             if types is None:
                 types = admitted[labels] = _admitted(s, tuple(Counter(labels).items()))
-            if t not in types:
-                reason = _rejection(targets, neighborhood)
-                return typing, ((n, t, reason),), processed, examined
+            if not types & bits[t]:
+                reason = _rejection(rule.targets, neighborhood)
+                return _named(s, typing), ((n, t, reason),), processed, examined
+            targets = rule.targets
             for a, m in neighborhood:
                 u = targets[a][0]
-                if u != TOP and (m, u) not in seen:
-                    seen.add((m, u))
-                    queue.append((m, u))
-        held = typing.get(n)
-        typing[n] = frozenset((t,)) if held is None else held | {t}
-    return typing, (), processed, examined
+                if u != TOP:
+                    held = seen.get(m, 0)
+                    bit = bits[u]
+                    if not held & bit:
+                        seen[m] = held | bit
+                        queue.append((m, u))
+        typing[n] = typing.get(n, 0) | bits[t]
+    return _named(s, typing), (), processed, examined
 
 
 def _rejection(
@@ -844,7 +890,7 @@ def _matching_pick(s: Schema, t: str, neighborhood, picks) -> tuple | None:
     if s.class_flags.deterministic:
         pick = next(picks, None)
         labels = tuple(Counter(a for a, _ in neighborhood).items())
-        return pick if pick is not None and t in _admitted(s, labels) else None
+        return pick if pick is not None and _admitted(s, labels) & s.bits[t] else None
     for pick in picks:
         w = Counter(typed_symbol(a, u) for (a, _), u in zip(neighborhood, pick))
         if rule_member(s, w, t):

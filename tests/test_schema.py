@@ -1,5 +1,6 @@
 import itertools
 from collections import Counter
+from time import perf_counter
 
 import pytest
 from hypothesis import given
@@ -25,6 +26,7 @@ from shexval.rbe import (
 )
 from shexval.sat import is_unambiguous
 from shexval.schema import (
+    POWERSET_CAP,
     TOP,
     ClassFlags,
     UNIVERSAL,
@@ -568,9 +570,58 @@ def test_powerset_membership_is_some_flattening_per_member(case, data):
     assert rule_member(lifted, w, subset) == expected
 
 
-RING5 = parse_schema(
-    "".join(f"t{i} -> a::t{(i + 1) % 5}* , b::t{(i + 2) % 5}?\n" for i in range(5))
+def ring(n):
+    return parse_schema(
+        "".join(f"t{i} -> a::t{(i + 1) % n}* , b::t{(i + 2) % n}?\n" for i in range(n))
+    )
+
+
+RING5 = ring(5)
+
+
+def symbol_occurrences(schema):
+    return sum(
+        isinstance(node, Symbol)
+        for t, rule in schema.delta.items()
+        if not schema.compiled[t].universal
+        for node in walk(rule)
+    )
+
+
+def test_the_powerset_cap_refuses_the_9_type_ring_before_building():
+    start = perf_counter()
+    with pytest.raises(
+        ValueError, match=f"would hold 1179648 symbol occurrences, over the cap of {POWERSET_CAP}"
+    ):
+        powerset_schema(ring(9))
+    assert perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # The powerset cases of acceptance test a10.
+        "t -> a::t , a::u?\nu -> eps\n",
+        "x -> a::y?\ny -> a::x , a::x\n",
+        "p -> a::q+\nq -> a::p | eps\nr -> a::r?\n",
+        # Bounded and empty intervals, TOP and a 1-type base.
+        "t -> (a::t | a::u)* , b::u[1;2]\nu -> a::t? , b::TOP\n",
+        "t -> a::u[2;3] , b::u[0;0] , c::TOP\nu -> a::t*\n",
+        "t -> a::t[1;4]\n",
+    ],
 )
+def test_the_powerset_count_is_the_built_schemas(text):
+    base = parse_schema(text)
+    lifted = powerset_schema(base)
+    assert schema_module._powerset_occurrences(base) == symbol_occurrences(lifted)
+    assert symbol_occurrences(lifted) <= POWERSET_CAP
+
+
+def test_the_powerset_count_of_rings():
+    assert symbol_occurrences(powerset_schema(RING5)) == 2560
+    assert [schema_module._powerset_occurrences(ring(n)) for n in (5, 8, 9)] == [
+        2560, 262_144, 1_179_648,
+    ]
 
 
 @pytest.mark.parametrize(

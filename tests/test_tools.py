@@ -1,0 +1,35 @@
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_bench_pairs_writes_alternated_pairs_and_their_summary(tmp_path):
+    out = tmp_path / "bench.json"
+    subprocess.run(
+        [
+            sys.executable, str(ROOT / "tools" / "bench_pairs.py"), str(ROOT), str(ROOT),
+            "--out", str(out), "--workload", "chain-tail:3-4", "--seconds", "0.05",
+            "--quick", "--trace", "chain-tail:5",
+        ],
+        check=True,
+        capture_output=True,
+    )
+    bench = json.loads(out.read_text())
+    workload = bench["workloads"]["chain-tail"]
+    assert workload["seeds"] == [3, 4]
+    assert [pair["first"] for pair in workload["pairs"]] == ["parent", "change"]
+    for pair in workload["pairs"]:
+        for side in ("parent", "change"):
+            run = pair[side]
+            assert run["result"]["correct"] and run["result"]["failed"] == 0
+            assert set(run["wall"]) <= set(run["result"]["metrics"])
+            assert run["reference_s"] > 0
+    summary = workload["summary"]["cold_s"]
+    low, high = summary["parent_quartiles"]
+    assert low <= summary["parent_median"] <= high
+    assert summary["change_lower_in"] in ("0/2", "1/2", "2/2")
+    assert set(workload["summary"]) == set(workload["pairs"][0]["parent"]["result"]["metrics"])
+    assert bench["trace"]["parent"]["graph.nodes"] == bench["trace"]["change"]["graph.nodes"]

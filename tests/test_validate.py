@@ -1782,6 +1782,12 @@ def reference_key(neighborhood):
     )
 
 
+def named_shape(schema, shape):
+    """A general-memo key's bag, whose type sets are masks, as a bag of
+    (label, type names) pairs."""
+    return {(a, schema.type_sets[types]): count for (a, types), count in shape}
+
+
 def is_projected(schema, t, neighborhood):
     """Whether every (label, type set) of the bag is non-empty and holds
     only types that t's rule mentions under the label."""
@@ -1817,15 +1823,16 @@ def test_refine_decides_each_type_and_neighborhood_bag_once(monkeypatch):
     assert 20 < len(decided) == len(set(decided)) < 103
     memo = s._derived["refine:memo:general"]
     assert {
-        (t, reference_key(dict(shape)))
+        (t, reference_key(named_shape(s, shape)))
         for t, shape in memo
-        if is_projected(s, t, dict(shape))
+        if is_projected(s, t, named_shape(s, shape))
     } == set(decided)
 
 
 def _general_engine(schema, neighborhoods):
     """A refine engine over one node per neighborhood, each with fresh
-    successors typed as the neighborhood says, and that typing."""
+    successors typed as the neighborhood says, and that typing as the
+    engine holds it: a mask per node."""
     edges, typing = [], {}
     for i, neighborhood in enumerate(neighborhoods):
         typing[f"x{i}"] = frozenset(schema.gamma)
@@ -1835,7 +1842,9 @@ def _general_engine(schema, neighborhoods):
                 edges.append((f"x{i}", a, m))
                 typing[m] = types
     g = Graph(edges, typing)
-    return _RefineEngine(g, schema, "refine"), typing
+    return _RefineEngine(g, schema, "refine"), {
+        n: schema.mask(types) for n, types in typing.items()
+    }
 
 
 def test_refine_decides_neighborhoods_equal_under_projection_once(monkeypatch):
@@ -1857,11 +1866,12 @@ def test_refine_decides_neighborhoods_equal_under_projection_once(monkeypatch):
         return original(schema, neighborhood, t)
 
     monkeypatch.setattr(validate_module, "_some_flattening_member", counted)
-    assert engine._test({"x0": {"t"}, "x1": {"t"}}, typing) == {}
+    t = s.bits["t"]
+    assert engine._test({"x0": t, "x1": t}, typing) == {}
     assert calls == {"t": 1}
     # Two raw bags and their one projection.
     assert sorted(
-        reference_key(dict(shape)) for _, shape in engine._memo
+        reference_key(named_shape(s, shape)) for _, shape in engine._memo
     ) == [(("a", ("t", "u"), 1),), (("a", ("u",), 1),), (("a", ("u", "v"), 1),)]
 
 
@@ -1884,10 +1894,8 @@ def test_refine_fails_a_group_the_projection_empties_without_the_solver(
         return True
 
     monkeypatch.setattr(validate_module, "_some_flattening_member", counted)
-    assert engine._test({"x0": {"t"}, "x1": {"t"}}, typing) == {
-        "x0": ["t"],
-        "x1": ["t"],
-    }
+    t = s.bits["t"]
+    assert engine._test({"x0": t, "x1": t}, typing) == {"x0": t, "x1": t}
     assert calls == {}
     # Only the raw bags are kept, each failing.
     assert len(engine._memo) == 2 and not any(engine._memo.values())
@@ -1898,11 +1906,9 @@ def test_refine_adds_the_counts_of_entries_the_projection_merges():
     s = parse_schema("t -> a::u? , (b::t | b::v)*\nu -> eps\nv -> eps\n")
     neighborhood = Counter({("a", frozenset("u")): 1, ("a", frozenset("uv")): 1})
     engine, typing = _general_engine(s, [neighborhood])
-    assert engine._lost_general("x0", ["t"], typing) == ["t"]
-    assert (
-        "t",
-        frozenset({(("a", frozenset("u")), 2)}),
-    ) in engine._memo
+    t = s.bits["t"]
+    assert engine._lost_general("x0", t, typing) == t
+    assert ("t", frozenset({(("a", s.bits["u"]), 2)})) in engine._memo
 
 
 @settings(max_examples=200, deadline=None)
@@ -1929,8 +1935,9 @@ def test_projected_verdicts_match_the_raw_flattening_test(data):
     engine._memo = {}
     expected = _some_flattening_member(schema, neighborhood, t)
     # Cold: decided on the projection; warm: read under the raw bag.
+    bit = schema.bits[t]
     for _ in range(2):
-        assert engine._lost_general("x0", [t], typing) == ([] if expected else [t])
+        assert engine._lost_general("x0", bit, typing) == (0 if expected else bit)
 
 
 def test_flood_counts_nodes_sent_to_top_as_reached():
@@ -1962,3 +1969,132 @@ def test_multi_mode_flooding_takes_a_universal_type_whatever_its_edges():
     }
     report = validate_multi(g, s, "flood", {"x": {"u"}})
     assert report.failures == (("z", "-", "not reached from the pre-typing"),)
+
+
+def test_typings_hold_one_set_object_per_distinct_type_set():
+    # Typings are built from masks, and each distinct mask is named by one
+    # frozenset that every node holding it shares.  fig2's Employee rule
+    # is no symbol product, so rbe0-refine runs on S1.
+    s = parse_schema(FIG2_TEXT)
+    g, pre = generate_graph(GenConfig(s, 5000, seed=7))
+    g_s1 = generate_graph(GenConfig(S1, 300, seed=7))[0]
+    typings = [
+        flood_extension(g, s, pre).typing,
+        infer_types(g, s),
+        structure_filtered_init(g, s),
+        validate_multi(g, s, "refine").typing,
+        validate_multi(g, s, "s-refine").typing,
+        validate_multi(g_s1, S1, "rbe0-refine").typing,
+    ]
+    for typing in typings:
+        assert len(typing) > 300
+        assert len({id(v) for v in typing.values()}) == len(set(typing.values()))
+
+
+def test_general_memo_keys_hold_masks_not_type_sets():
+    s = parse_schema(NONDET_ILP_TEXT)
+    validate_multi(random_abcd_graph(300, 3), s, "refine")
+    memo = s._derived["refine:memo:general"]
+    assert memo
+    for t, shape in memo:
+        assert t in s.gamma
+        assert all(
+            isinstance(a, str) and type(types) is int and type(count) is int
+            for (a, types), count in shape
+        )
+
+
+# Schemas wider than a machine word, so that masks hold bits 64 and up.
+# WIDE is deterministic, single-occurrence and made of symbol products,
+# so every refinement algorithm and multi-mode flooding run on it.  Most
+# of its rules are nullable, so nodes keep many types, the high ones
+# among them, and lose them through the rules with a mandatory a-edge.
+# POWER7, the powerset of a 7-type schema, has 127 types and intersection
+# rules, which only refine decides.
+WIDE = parse_schema(
+    "".join(
+        f"w{i:02} -> c::w{(i + 65) % 80:02}* , a::w{(i + 3) % 80:02}\n"
+        if i % 5 == 0
+        else f"w{i:02} -> a::w{(i + 1) % 80:02}? , b::w{(i + 67) % 80:02}?\n"
+        for i in range(80)
+    )
+)
+POWER7 = powerset_schema(
+    parse_schema(
+        "p0 -> a::p1? , b::p2*\np1 -> a::p0 | b::p5\np2 -> b::p3?\n"
+        "p3 -> a::p6*\np4 -> eps\np5 -> b::p4\np6 -> eps\n"
+    )
+)
+# Small graphs on which WIDE's types above bit 63 are kept, lost and
+# re-tested.
+WIDE_GRAPHS = (
+    [("y0", "a", "y1")],
+    [("y0", "a", "y1"), ("y1", "a", "y2"), ("y2", "b", "y0")],
+    [("y0", "c", "y1"), ("y0", "a", "y0"), ("y1", "a", "y2"), ("y1", "b", "y1")],
+    [("y0", "a", "y1"), ("y0", "b", "y2"), ("y2", "a", "y2")],
+)
+
+
+def wide_graph(data, labels, max_nodes):
+    nodes = [f"y{i}" for i in range(data.draw(st.integers(1, max_nodes)))]
+    edges = data.draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(nodes), st.sampled_from(labels), st.sampled_from(nodes)
+            ),
+            max_size=2 * max_nodes,
+        )
+    )
+    return Graph(edges, nodes), nodes
+
+
+def assert_wide_flood_matches_the_reference(g, pre):
+    expected = reference_flood_multi(
+        g, WIDE, {n: frozenset(ts) for n, ts in pre.items() if ts}
+    )
+    assert flood_extension(g, WIDE, pre, mode="multi") == expected
+
+
+def test_wide_schemas_number_types_past_bit_63():
+    assert len(WIDE.gamma) == 80 and len(POWER7.gamma) == 127
+    for schema in (WIDE, POWER7):
+        assert max(schema.bits.values()).bit_length() == len(schema.gamma)
+    assert WIDE.class_flags == type(WIDE.class_flags)(True, True, True)
+
+
+@pytest.mark.parametrize("edges", WIDE_GRAPHS)
+def test_masks_past_bit_63_on_fixed_graphs(edges):
+    g = Graph(edges)
+    typing = infer_types(g, WIDE)
+    assert any(WIDE.bits[t] >> 64 for types in typing.values() for t in types)
+    assert_algorithms_match_the_reference(g, WIDE)
+    for t in sorted(WIDE.gamma)[60:]:
+        assert_wide_flood_matches_the_reference(g, {"y0": {t}})
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_refinement_and_flooding_on_a_schema_wider_than_a_word(data):
+    g, nodes = wide_graph(data, ["a", "b", "c"], 4)
+    assert structure_filtered_init(g, WIDE) == per_node_structure_filtered_init(
+        g, WIDE
+    )
+    assert_algorithms_match_the_reference(g, WIDE)
+    high = sorted(WIDE.gamma)[60:]
+    pre = data.draw(
+        st.dictionaries(
+            st.sampled_from(nodes), st.sets(st.sampled_from(high), max_size=3),
+            max_size=3,
+        )
+    )
+    assert_wide_flood_matches_the_reference(g, pre)
+
+
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_general_refinement_on_a_127_type_powerset(data):
+    g, _ = wide_graph(data, ["a", "b"], 3)
+    report = validate_multi(g, POWER7, "refine")
+    assert (report.typing, report.iterations) == reference_refinement(
+        g, POWER7, "refine"
+    )
