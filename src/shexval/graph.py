@@ -7,14 +7,18 @@ number of distinct targets it reaches.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import accumulate
+from typing import NamedTuple
 
 from .rbe import Bag, ParseError
 
 __all__ = [
     "Graph",
+    "Rows",
     "WildcardDecl",
     "check_wildcards_disjoint",
     "relabel_wildcards",
@@ -29,15 +33,17 @@ class Graph:
     One index is built at construction, in one pass over the edges: the
     successor index, from each node to its (label, target) pairs.  The
     queries read it.  The edge set ``edges`` is derived from it on first
-    read and kept; validation never reads it.  Two more views are built
-    on first use and kept, so parsing a graph never pays for them: the
-    sorted node order, in which every whole-graph typing is built, and the
-    label-bag index, which groups the nodes by outbound label bag, each
-    class in node order.  Refinement decides the tests that see a node
-    only through its label bag once per class of that index.
+    read and kept; validation never reads it.  More views are built on
+    first use and kept, so parsing a graph never pays for them: the
+    sorted node order, in which every whole-graph typing is built, and,
+    in one pass over it, the label-bag index, which groups the nodes by
+    outbound label bag, each class in node order, together with the
+    successor rows (:class:`Rows`), the out-edges by node position.
+    Refinement decides the tests that see a node only through its label
+    bag once per class of that index, and reads the rest off the rows.
     """
 
-    __slots__ = ("nodes", "_succ", "_edges", "_sorted", "_classes")
+    __slots__ = ("nodes", "_succ", "_edges", "_sorted", "_classes", "_rows")
 
     def __init__(self, edges=(), nodes=()):
         self._index(
@@ -69,6 +75,7 @@ class Graph:
         self._edges: frozenset[tuple[str, str, str]] | None = None
         self._sorted: tuple[str, ...] | None = None
         self._classes: dict[tuple, tuple[str, ...]] | None = None
+        self._rows: Rows | None = None
 
     @property
     def edges(self) -> frozenset[tuple[str, str, str]]:
@@ -107,18 +114,57 @@ class Graph:
 
         Each class is keyed by its bag's sorted (label, count) pairs and
         lists its nodes in node order; sinks and isolated nodes share the
-        key ``()``.  The classes partition the nodes.  Callers must not
-        modify the result.
+        key ``()``.  The classes partition the nodes.  Built on first call,
+        with the successor rows, and kept.  Callers must not modify the
+        result.
         """
         if self._classes is None:
-            succ = self._succ
-            members: dict[tuple[str, ...], list[str]] = {}
-            for n in self.sorted_nodes():
-                pairs = succ.get(n)
-                labels = tuple(sorted([a for a, _ in pairs])) if pairs else ()
-                members.setdefault(labels, []).append(n)
-            self._classes = {_label_key(k): tuple(v) for k, v in members.items()}
+            self._index_positions()
         return self._classes
+
+    def successor_rows(self) -> Rows:
+        """The out-edges of the nodes by position in :meth:`sorted_nodes`
+        (see :class:`Rows`).  Built on first call, with the label-bag
+        index, and kept.  Callers must not modify the result."""
+        if self._rows is None:
+            self._index_positions()
+        return self._rows
+
+    def _index_positions(self) -> None:
+        # One pass over the nodes in order builds both views.  Positions
+        # are what make the rows compact: a whole-graph typing indexed by
+        # them is a list, read without hashing a node name.
+        order = self.sorted_nodes()
+        succ = self._succ
+        labels: list[str] = []
+        targets: list[str] = []
+        lengths: list[int] = []
+        keys: list[tuple[str, ...]] = []
+        for n in order:
+            pairs = succ.get(n)
+            if pairs:
+                row_labels, row_targets = zip(*pairs)
+                labels += row_labels
+                targets += row_targets
+                lengths.append(len(row_labels))
+                keys.append(tuple(sorted(row_labels)))
+            else:
+                lengths.append(0)
+                keys.append(())
+        ids: dict[tuple[str, ...], int] = {}
+        classes = array("q", [ids.setdefault(key, len(ids)) for key in keys])
+        members: list[list[str]] = [[] for _ in ids]
+        for n, c in zip(order, classes):
+            members[c].append(n)
+        position = {n: i for i, n in enumerate(order)}
+        self._classes = {_label_key(k): tuple(v) for k, v in zip(ids, members)}
+        self._rows = Rows(
+            labels,
+            array("q", map(position.__getitem__, targets)),
+            array("q", accumulate(lengths, initial=0)),
+            classes,
+            tuple(position[nodes[0]] for nodes in members),
+        )
 
     def label_key(self, node: str) -> tuple[tuple[str, int], ...]:
         """The key of the node's label-bag class: its outbound label bag
@@ -136,6 +182,21 @@ class Graph:
     def __repr__(self):
         n_edges = sum(map(len, self._succ.values()))
         return f"Graph({len(self.nodes)} nodes, {n_edges} edges)"
+
+
+class Rows(NamedTuple):
+    """A graph's out-edges by node position, in compressed rows: the node
+    at position i of :meth:`Graph.sorted_nodes` has the edges k in
+    ``range(starts[i], starts[i + 1])``, edge k with label ``labels[k]``
+    and target position ``targets[k]``.  ``classes[i]`` numbers the node's
+    label-bag class in the order of :meth:`Graph.label_classes`, and
+    ``firsts[c]`` is the position of class c's first node."""
+
+    labels: list[str]
+    targets: array
+    starts: array
+    classes: array
+    firsts: tuple[int, ...]
 
 
 def _label_key(labels) -> tuple[tuple[str, int], ...]:

@@ -33,17 +33,21 @@ simulation (Henzinger, Henzinger and Kopke, FOCS 1995) and arc
 consistency (AC-3, Mackworth 1977).  Its first round tests every
 (node, type) pair; later rounds re-test only the pairs (n, t) where n has
 an a-edge into a node m that lost a type u in the round before and the
-rule of t mentions ``a::u``.  The local verdict of (n, t) depends on each
-successor m only through the types of m that t's rule mentions under the
-edge's label: a flattening that picks an unmentioned symbol lies outside
-the rule's language.  Every rule but the universal one is an expression,
-product and powerset rules included, so this holds for every schema.  So
-a pair off the frontier keeps the verdict it had a round earlier, and
-every round removes exactly the pairs the synchronous round removes.  The
-general test rests on the same fact: it decides (n, t) on the
-neighborhood projected onto the types t's rule mentions under each
-label, so neighborhoods that differ only in unmentioned types share one
-verdict, and a label whose types all go unmentioned fails the pair.
+rule of t mentions ``a::u``.  It finds them in the manner of
+direction-optimizing search (Beamer, Asanovic and Patterson, SC 2012):
+forward over every node's edges when many nodes lost types, otherwise
+backward over the inbound edges of the few that did.  The local verdict
+of (n, t) depends on each successor m only through the types of m that
+t's rule mentions under the edge's label: a flattening that picks an
+unmentioned symbol lies outside the rule's language.  Every rule but
+the universal one is an expression, product and powerset rules included,
+so this holds for every schema.  So a pair off the frontier keeps the
+verdict it had a round earlier, and every round removes exactly the
+pairs the synchronous round removes.  The general test rests on the same
+fact: it decides (n, t) on the neighborhood projected onto the types t's
+rule mentions under each label, so neighborhoods that differ only in
+unmentioned types share one verdict, and a label whose types all go
+unmentioned fails the pair.
 
 Tests that see a node only through its outbound label bag are decided
 once per label-bag class of the graph (:meth:`Graph.label_classes`), in
@@ -62,17 +66,22 @@ frontier, the label-bag verdicts, multi-mode flooding and the keys of
 the general memo hold ints, so removing, testing and projecting types
 allocates no set.  A typing is turned into names once, for its report,
 and every node holding a mask gets the one frozenset the schema keeps
-for it (``Schema.type_sets``).
+for it (``Schema.type_sets``).  Refinement also numbers the nodes: its
+typing is a list indexed by a node's position in the graph's sorted
+order, and it reads edges off the graph's successor rows
+(:meth:`Graph.successor_rows`), so testing an edge hashes no node name
+and the data a round touches stays compact as graphs grow.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from collections import Counter, deque
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
-from .graph import Graph
+from .graph import Graph, Rows
 from .membership import member
 from .rbe import Bag, ParseError, Rbe, Symbol, concat, disj, typed_symbol
 # perfbench/spans.py wraps the inter1 attribute of this module.
@@ -268,7 +277,9 @@ class _RefineEngine:
     are masks over the schema's numbering of its types (``Schema.bits``):
     losing types is ``mask & ~lost``, and a rule's targets under a label
     are a mask too, so the deterministic test, the projection and the
-    frontier are each an ``&``.  Names come back only for the solver (under
+    frontier are each an ``&``.  Nodes are positions in the graph's sorted
+    order: the typing is a list, and a node's edges are its row of the
+    graph's successor rows.  Names come back only for the solver (under
     ``refine``, on a memo miss) and for the typing ``run`` returns.  The
     verdict memos live on the schema, so engines over the same schema
     share them and repeat validations start warm.  ``local_tests`` counts
@@ -303,106 +314,163 @@ class _RefineEngine:
             for bit, _, rule in testable
         }
         self.testable = sum(self.names)
+        self.rows = g.successor_rows()
+        self.keys = list(g.label_classes())
+        # The types an a-edge into a node that lost ``types`` can affect,
+        # per (label, lost types), and the predecessor lists, both filled
+        # in on first need (see _frontier).
+        self._affecting: dict[tuple[str, int], int] = {}
+        self._preds: list[list[tuple[int, str]]] | None = None
         self.local_tests = 0
 
     def run(self) -> tuple[dict[str, frozenset[str]], int]:
         """The fixpoint below the algorithm's start, in the graph's node
         order, and its number of rounds, counting the first and the last
         one, which removes nothing."""
+        g, s = self.g, self.s
+        order = g.sorted_nodes()
         if self.algo == "s-refine":
-            # The start comes named, each set from the schema's names of
-            # masks, so inverting that map gives the masks, and only the
-            # nodes that lose types are named again at the end.
-            named = structure_filtered_init(self.g, self.s)
-            masks = {names: mask for mask, names in self.s.type_sets.items()}
-            current = dict(zip(named, map(masks.__getitem__, named.values())))
-            lost = self._test(current, current)
-            for n, types in lost.items():
-                current[n] &= ~types
+            # The start comes named, in node order, each node holding the
+            # set of its label-bag class, so the masks of those few sets
+            # turn it into the typing; only the nodes that lose types are
+            # named again at the end.
+            named = structure_filtered_init(g, s)
+            masks = {s.type_sets[m]: m for m in (_admitted(s, k) for k in self.keys)}
+            current = list(map(masks.__getitem__, named.values()))
+            lost = self._test(enumerate(current), current)
+            for i, types in lost.items():
+                current[i] &= ~types
         else:
             named = None
-            current = dict.fromkeys(self.g.sorted_nodes(), sum(self.s.bits.values()))
-            lost = self._first_round_by_class(current)
+            current, lost = self._first_round_by_class(sum(s.bits.values()))
         losses = [lost]
         rounds = 1
-        preds: dict[str, list[tuple[str, str]]] | None = None
         while lost:
-            if preds is None:
-                preds = _predecessors(self.g)
-            # The types an a-edge into a node that lost ``types`` can
-            # affect, per (label, lost types); round 1 by class gives many
-            # nodes the same lost types.
-            affecting: dict[tuple[str, int], int] = {}
-            work: dict[str, int] = {}
-            for m, types in lost.items():
-                for n, a in preds.get(m, ()):
-                    mentioned = affecting.get((a, types))
-                    if mentioned is None:
-                        mentioned = affecting[(a, types)] = self._mentioning(a, types)
-                    if mentioned:
-                        affected = mentioned & current[n]
-                        if affected:
-                            work[n] = work.get(n, 0) | affected
             rounds += 1
-            lost = self._test(work, current)
+            work = self._frontier(lost, current)
+            lost = self._test(work.items(), current)
             for n, types in lost.items():
                 current[n] &= ~types
             losses.append(lost)
+        sets = s.type_sets
         if named is None:
-            return _named(self.s, current), rounds
-        sets = self.s.type_sets
+            return dict(zip(order, map(sets.__getitem__, current))), rounds
         for lost in losses:
-            for n in lost:
-                named[n] = sets[current[n]]
+            for i in lost:
+                named[order[i]] = sets[current[i]]
         return named, rounds
 
-    def _first_round_by_class(self, current: dict[str, int]) -> dict[str, int]:
-        """Round 1 from the full typing, under which every successor carries
-        every type, so a node is seen only through its label bag: one local
-        test per label-bag class.  Updates ``current`` and returns the
-        types each node lost."""
-        classes = self.g.label_classes().values()
-        failed = self._test(
-            {nodes[0]: current[nodes[0]] for nodes in classes}, current, True
-        )
-        lost: dict[str, int] = {}
-        for nodes in classes:
-            types = failed.get(nodes[0])
-            if types:
-                survivors = current[nodes[0]] & ~types
-                for n in nodes:
-                    current[n] = survivors
-                    lost[n] = types
-        return lost
+    def _frontier(self, lost: dict[int, int], current: list[int]) -> dict[int, int]:
+        """The pairs to re-test once the nodes of ``lost`` have lost their
+        types: each (n, t) where n still holds t and has an a-edge into
+        such a node m, and t's rule mentions ``a::u`` for a type u that m
+        lost.  When a quarter of the nodes or more lost types, one pass
+        over every row finds them; otherwise the inbound edges of the
+        nodes that lost types do, read off predecessor lists built on
+        first need.  This is the direction switch of frontier-based graph
+        search (Beamer, Asanovic and Patterson, SC 2012): round 2 from the
+        full typing, where most nodes lost types by class, never builds
+        the lists, and a small frontier visits only its own edges."""
+        affecting = self._affecting
+        work: dict[int, int] = {}
+        if 4 * len(lost) >= len(current):
+            # Per edge, in C-level passes: the types its target lost, and
+            # the types of its source that this loss can affect; only the
+            # edges where those are not empty are visited one by one.
+            rows = self.rows
+            lost_at = [0] * len(current)
+            for m, types in lost.items():
+                lost_at[m] = types
+            keys = list(zip(rows.labels, map(lost_at.__getitem__, rows.targets)))
+            for key in set(keys).difference(affecting):
+                affecting[key] = self._mentioning(*key)
+            mentioned = list(map(affecting.__getitem__, keys))
+            for k in itertools.compress(range(len(keys)), mentioned):
+                n = bisect.bisect_right(rows.starts, k) - 1
+                affected = mentioned[k] & current[n]
+                if affected:
+                    work[n] = work.get(n, 0) | affected
+            return work
+        if self._preds is None:
+            self._preds = _predecessors(self.rows)
+        preds = self._preds
+        for m, types in lost.items():
+            for n, a in preds[m]:
+                mentioned = affecting.get((a, types))
+                if mentioned is None:
+                    mentioned = affecting[(a, types)] = self._mentioning(a, types)
+                if mentioned:
+                    affected = mentioned & current[n]
+                    if affected:
+                        work[n] = work.get(n, 0) | affected
+        return work
+
+    def _first_round_by_class(self, full: int) -> tuple[list[int], dict[int, int]]:
+        """Round 1 from the ``full`` typing, under which every successor
+        carries every type, so a node is seen only through its label bag:
+        one local test per label-bag class, on its first node.  Returns
+        the typing after the round and the types each node lost."""
+        rows = self.rows
+        typing = [full] * len(rows.classes)
+        failed = self._test(((i, full) for i in rows.firsts), typing, True)
+        lost_by_class = [failed.get(i, 0) for i in rows.firsts]
+        survivors = [full & ~types for types in lost_by_class]
+        lost = {
+            i: types
+            for i, types in enumerate(map(lost_by_class.__getitem__, rows.classes))
+            if types
+        }
+        return list(map(survivors.__getitem__, rows.classes)), lost
 
     def _test(
-        self, work: Mapping[str, int], typing: Mapping[str, int], full: bool = False
-    ) -> dict[str, int]:
-        """The types of ``work`` (node to mask) that fail the local test
-        under ``typing``, per node that loses some; ``full`` says that
-        ``typing`` is the full one."""
+        self, work: Iterable[tuple[int, int]], typing: list[int], full: bool = False
+    ) -> dict[int, int]:
+        """The types of ``work`` ((node position, mask) pairs) that fail
+        the local test under ``typing``, per position that loses some;
+        ``full`` says that ``typing`` is the full one."""
         lost = {}
         tested = 0
         testable = self.testable
-        for n, types in work.items():
+        deterministic = self.deterministic
+        wants = self.targets
+        labels, targets, starts = self.rows.labels, self.rows.targets, self.rows.starts
+        for i, types in work:
             types &= testable
-            if types:
-                tested += types.bit_count()
-                if not self.deterministic:
-                    failed = self._lost_general(n, types, typing)
-                elif full:
-                    # Every successor carries every type, so the
-                    # deterministic test reduces to the label check.
-                    failed = types & ~_admitted(self.s, self.g.label_key(n))
-                else:
-                    failed = self._lost_successors(n, types, typing)
-                if failed:
-                    lost[n] = failed
+            if not types:
+                continue
+            tested += types.bit_count()
+            if not deterministic:
+                failed = self._lost_general(i, types, typing)
+            elif full:
+                # Every successor carries every type, so the
+                # deterministic test reduces to the label check.
+                failed = types & ~_admitted(self.s, self.keys[self.rows.classes[i]])
+            else:
+                # The rule uses each label with one target type, so once
+                # the rule admits the label bag, a flattening exists
+                # exactly when every successor still carries the required
+                # type.  The loop is inline: it runs once per node.
+                failed = 0
+                begin, end = starts[i], starts[i + 1]
+                while types and begin != end:
+                    bit = types & -types
+                    types ^= bit
+                    want = wants[bit]
+                    for k in range(begin, end):
+                        if not typing[targets[k]] & want.get(labels[k], 0):
+                            failed |= bit
+                            break
+            if failed:
+                lost[i] = failed
         self.local_tests += tested
         return lost
 
-    def _lost_general(self, n: str, types: int, typing: Mapping[str, int]) -> int:
-        neighborhood = Counter((a, typing[m]) for a, m in self.g.out_lab_node(n))
+    def _lost_general(self, i: int, types: int, typing: list[int]) -> int:
+        rows = self.rows
+        begin, end = rows.starts[i], rows.starts[i + 1]
+        neighborhood = Counter(
+            zip(rows.labels[begin:end], [typing[m] for m in rows.targets[begin:end]])
+        )
         lost = 0
         if self._memo is None:
             named = self._named_bag(neighborhood)
@@ -449,24 +517,6 @@ class _RefineEngine:
         sets = self.s.type_sets
         return {(a, sets[types]): count for (a, types), count in bag.items()}
 
-    def _lost_successors(self, n: str, types: int, typing: Mapping[str, int]) -> int:
-        # The rule uses each label with one target type, so once the rule
-        # admits the label bag, a flattening exists exactly when every
-        # successor still carries the required type.
-        edges = self.g._succ.get(n)
-        if not edges:
-            return 0
-        lost = 0
-        while types:
-            bit = types & -types
-            types ^= bit
-            targets = self.targets[bit]
-            for a, m in edges:
-                if not typing[m] & targets.get(a, 0):
-                    lost |= bit
-                    break
-        return lost
-
     def _mentioning(self, a: str, types: int) -> int:
         """The tested types whose rule mentions ``a::u`` for some u in
         ``types``: the verdicts an a-successor losing ``types`` can change."""
@@ -475,13 +525,14 @@ class _RefineEngine:
         )
 
 
-def _predecessors(g: Graph) -> dict[str, list[tuple[str, str]]]:
-    """Per node, the (source, label) pairs of its inbound edges, read off
-    the successor index."""
-    preds: dict[str, list[tuple[str, str]]] = {}
-    for n, pairs in g._succ.items():
-        for a, m in pairs:
-            preds.setdefault(m, []).append((n, a))
+def _predecessors(rows: Rows) -> list[list[tuple[int, str]]]:
+    """Per node position, the (source position, label) pairs of its
+    inbound edges, read off the successor rows."""
+    preds: list[list[tuple[int, str]]] = [[] for _ in rows.classes]
+    labels, targets, starts = rows.labels, rows.targets, rows.starts
+    for i in range(len(rows.classes)):
+        for k in range(starts[i], starts[i + 1]):
+            preds[targets[k]].append((i, labels[k]))
     return preds
 
 

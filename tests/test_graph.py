@@ -354,3 +354,19 @@ def test_parse_matches_the_per_pass_reference(text):
         assert g.out_lab_node(n) == succ.get(n, frozenset())
     classes = {key: set(members) for key, members in g.label_classes().items()}
     assert classes == _label_classes(nodes, succ)
+    assert_rows_match_the_successor_index(g)
+
+
+def assert_rows_match_the_successor_index(g):
+    order = g.sorted_nodes()
+    rows = g.successor_rows()
+    keys = list(g.label_classes())
+    assert len(rows.starts) == len(order) + 1 == len(rows.classes) + 1
+    assert rows.starts[0] == 0 and rows.starts[-1] == len(rows.labels) == len(rows.targets)
+    for i, n in enumerate(order):
+        edges = range(rows.starts[i], rows.starts[i + 1])
+        row = {(rows.labels[k], order[rows.targets[k]]) for k in edges}
+        assert len(row) == len(edges)
+        assert row == g.out_lab_node(n)
+        assert keys[rows.classes[i]] == g.label_key(n)
+    assert [order[i] for i in rows.firsts] == [nodes[0] for nodes in g.label_classes().values()]

@@ -1363,6 +1363,24 @@ def test_cold_refine_tests_each_label_bag_once_per_type_in_round_one(monkeypatch
     assert report.local_tests == sum(per_call)
 
 
+def test_the_frontier_scans_forward_only_after_a_round_with_many_losses():
+    # On fig2, round 1 by class takes types from every node, so round 2
+    # scans the rows forward, finds nothing to re-test and builds no
+    # predecessor lists.
+    s, g, _, _ = fig2_graph_and_label_bags()
+    engine = _RefineEngine(g, s, "refine")
+    assert engine.run()[1] == 2 and engine._preds is None
+    # A chain failing from its tail loses one node per round, which the
+    # predecessor lists find.
+    chain = Graph(
+        [(f"x{i:02}", "a", f"x{i + 1:02}") for i in range(20)] + [("x20", "b", "y")]
+    )
+    engine = _RefineEngine(chain, parse_schema("t -> a::t?\n"), "refine")
+    typing, rounds = engine.run()
+    assert rounds == 22 and engine._preds is not None
+    assert [n for n, types in typing.items() if types] == ["y"]
+
+
 def test_s_refine_reuses_the_label_bag_verdicts_of_refine(monkeypatch):
     s, g, _, _ = fig2_graph_and_label_bags()
     assert validate_multi(g, s, "refine").valid
@@ -1831,8 +1849,9 @@ def test_refine_decides_each_type_and_neighborhood_bag_once(monkeypatch):
 
 def _general_engine(schema, neighborhoods):
     """A refine engine over one node per neighborhood, each with fresh
-    successors typed as the neighborhood says, and that typing as the
-    engine holds it: a mask per node."""
+    successors typed as the neighborhood says; that typing as the engine
+    holds it, a mask per node position; and the positions of the nodes
+    x0, x1, ... that own the neighborhoods."""
     edges, typing = [], {}
     for i, neighborhood in enumerate(neighborhoods):
         typing[f"x{i}"] = frozenset(schema.gamma)
@@ -1842,16 +1861,19 @@ def _general_engine(schema, neighborhoods):
                 edges.append((f"x{i}", a, m))
                 typing[m] = types
     g = Graph(edges, typing)
-    return _RefineEngine(g, schema, "refine"), {
-        n: schema.mask(types) for n, types in typing.items()
-    }
+    order = g.sorted_nodes()
+    return (
+        _RefineEngine(g, schema, "refine"),
+        [schema.mask(typing[n]) for n in order],
+        [order.index(f"x{i}") for i in range(len(neighborhoods))],
+    )
 
 
 def test_refine_decides_neighborhoods_equal_under_projection_once(monkeypatch):
     # The successors differ only in a type t's rule does not mention under
     # a: v, and t itself.
     s = parse_schema("t -> (a::u | a::w)+\nu -> eps\nv -> eps\nw -> eps\n")
-    engine, typing = _general_engine(
+    engine, typing, (x0, x1) = _general_engine(
         s,
         [
             Counter({("a", frozenset("uv")): 1}),
@@ -1867,7 +1889,7 @@ def test_refine_decides_neighborhoods_equal_under_projection_once(monkeypatch):
 
     monkeypatch.setattr(validate_module, "_some_flattening_member", counted)
     t = s.bits["t"]
-    assert engine._test({"x0": t, "x1": t}, typing) == {}
+    assert engine._test([(x0, t), (x1, t)], typing) == {}
     assert calls == {"t": 1}
     # Two raw bags and their one projection.
     assert sorted(
@@ -1880,7 +1902,7 @@ def test_refine_fails_a_group_the_projection_empties_without_the_solver(
 ):
     # Under a, t's rule mentions u only; c it does not use at all.
     s = parse_schema("t -> (a::u | b::v)* , b::u?\nu -> eps\nv -> eps\n")
-    engine, typing = _general_engine(
+    engine, typing, (x0, x1) = _general_engine(
         s,
         [
             Counter({("a", frozenset("u")): 1, ("a", frozenset("v")): 1}),
@@ -1895,7 +1917,7 @@ def test_refine_fails_a_group_the_projection_empties_without_the_solver(
 
     monkeypatch.setattr(validate_module, "_some_flattening_member", counted)
     t = s.bits["t"]
-    assert engine._test({"x0": t, "x1": t}, typing) == {"x0": t, "x1": t}
+    assert engine._test([(x0, t), (x1, t)], typing) == {x0: t, x1: t}
     assert calls == {}
     # Only the raw bags are kept, each failing.
     assert len(engine._memo) == 2 and not any(engine._memo.values())
@@ -1905,9 +1927,9 @@ def test_refine_adds_the_counts_of_entries_the_projection_merges():
     # Both a-edges project to (a, {u}), and t allows one a-edge.
     s = parse_schema("t -> a::u? , (b::t | b::v)*\nu -> eps\nv -> eps\n")
     neighborhood = Counter({("a", frozenset("u")): 1, ("a", frozenset("uv")): 1})
-    engine, typing = _general_engine(s, [neighborhood])
+    engine, typing, (x0,) = _general_engine(s, [neighborhood])
     t = s.bits["t"]
-    assert engine._lost_general("x0", t, typing) == t
+    assert engine._lost_general(x0, t, typing) == t
     assert ("t", frozenset({(("a", s.bits["u"]), 2)})) in engine._memo
 
 
@@ -1931,13 +1953,13 @@ def test_projected_verdicts_match_the_raw_flattening_test(data):
             )
         )
     )
-    engine, typing = _general_engine(schema, [neighborhood])
+    engine, typing, (x0,) = _general_engine(schema, [neighborhood])
     engine._memo = {}
     expected = _some_flattening_member(schema, neighborhood, t)
     # Cold: decided on the projection; warm: read under the raw bag.
     bit = schema.bits[t]
     for _ in range(2):
-        assert engine._lost_general("x0", bit, typing) == (0 if expected else bit)
+        assert engine._lost_general(x0, bit, typing) == (0 if expected else bit)
 
 
 def test_flood_counts_nodes_sent_to_top_as_reached():
@@ -2055,15 +2077,12 @@ def assert_wide_flood_matches_the_reference(g, pre):
     assert flood_extension(g, WIDE, pre, mode="multi") == expected
 
 
-def test_wide_schemas_number_types_past_bit_63():
+@pytest.mark.parametrize("edges", WIDE_GRAPHS)
+def test_masks_past_bit_63_on_fixed_graphs(edges):
     assert len(WIDE.gamma) == 80 and len(POWER7.gamma) == 127
     for schema in (WIDE, POWER7):
         assert max(schema.bits.values()).bit_length() == len(schema.gamma)
     assert WIDE.class_flags == type(WIDE.class_flags)(True, True, True)
-
-
-@pytest.mark.parametrize("edges", WIDE_GRAPHS)
-def test_masks_past_bit_63_on_fixed_graphs(edges):
     g = Graph(edges)
     typing = infer_types(g, WIDE)
     assert any(WIDE.bits[t] >> 64 for types in typing.values() for t in types)

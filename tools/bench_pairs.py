@@ -5,9 +5,7 @@ the workloads with their seeds and where to write the result:
 
     python3 tools/bench_pairs.py PARENT CHANGE --out BENCH_21.json \\
         --workload fig2-bulk:21001-21010 --workload nondet-ilp:21101-21105 \\
-        --seconds 40 --trace fig2-bulk:21301 \\
-        --parent-label 09378ad --change-label "what the change does" \\
-        --claim "fig2-bulk cold_s lower"
+        --seconds 40 --trace fig2-bulk:21301
 
 Each seed is one pair: ``perfbench/run.py --workload W --seed N`` runs
 once in each checkout, each run in a fresh process started in its own
@@ -19,7 +17,10 @@ per workload the seeds, a summary, and every pair with each run's last
 output line (``result``), its wall-clock medians (``wall``) and its
 reference loop median (``reference_s``).  The summary gives, per
 end-to-end metric, the parent's median and quartiles, the change's
-median, and in how many pairs the change read lower.
+median, and in how many pairs the change read lower.  The two sides are
+labelled with their checkouts' directory names; a claim the pairs test
+is written into the file by hand.  ``--quick`` passes ``--quick`` on to
+``perfbench/run.py``, so that the tool's own test runs in seconds.
 """
 
 from __future__ import annotations
@@ -72,9 +73,6 @@ def _args(argv):
     parser.add_argument("--seconds", type=float, default=40.0)
     parser.add_argument("--trace", type=_workload, help="WORKLOAD:SEED, one traced pair")
     parser.add_argument("--quick", action="store_true", help="tiny inputs")
-    parser.add_argument("--parent-label", default="parent")
-    parser.add_argument("--change-label", default="change")
-    parser.add_argument("--claim", default="")
     return parser.parse_args(argv)
 
 
@@ -140,8 +138,8 @@ def main(argv: list[str] | None = None) -> int:
             return 2
     flag = " --quick" if args.quick else ""
     out = {
-        "change": args.change_label,
-        "parent": args.parent_label,
+        "change": args.change.resolve().name,
+        "parent": args.parent.resolve().name,
         "command": "python3 perfbench/run.py --workload {workload} --seed {seed}"
         f" --seconds {args.seconds:g} --trace 0{flag}",
         "host": {
@@ -151,7 +149,6 @@ def main(argv: list[str] | None = None) -> int:
         "pairing": "parent and change alternated per seed, the parent first in odd"
         " pairs of each workload; each run in a fresh process in its own checkout",
         "fields": FIELDS,
-        "claim": args.claim,
         "workloads": {},
     }
     for workload, seeds in args.workload:
