@@ -11,7 +11,6 @@ from array import array
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import NamedTuple
 
 from .rbe import Bag, ParseError
@@ -135,35 +134,30 @@ class Graph:
         # are what make the rows compact: a whole-graph typing indexed by
         # them is a list, read without hashing a node name.
         order = self.sorted_nodes()
+        position = {n: i for i, n in enumerate(order)}
         succ = self._succ
         labels: list[str] = []
-        targets: list[str] = []
-        lengths: list[int] = []
-        keys: list[tuple[str, ...]] = []
+        targets = array("q")
+        starts = array("q", [0])
+        classes = array("q")
+        ids: dict[tuple[str, ...], int] = {}
         for n in order:
             pairs = succ.get(n)
             if pairs:
                 row_labels, row_targets = zip(*pairs)
                 labels += row_labels
-                targets += row_targets
-                lengths.append(len(row_labels))
-                keys.append(tuple(sorted(row_labels)))
+                targets.extend(map(position.__getitem__, row_targets))
+                key = tuple(sorted(row_labels))
             else:
-                lengths.append(0)
-                keys.append(())
-        ids: dict[tuple[str, ...], int] = {}
-        classes = array("q", [ids.setdefault(key, len(ids)) for key in keys])
+                key = ()
+            starts.append(len(labels))
+            classes.append(ids.setdefault(key, len(ids)))
         members: list[list[str]] = [[] for _ in ids]
         for n, c in zip(order, classes):
             members[c].append(n)
-        position = {n: i for i, n in enumerate(order)}
         self._classes = {_label_key(k): tuple(v) for k, v in zip(ids, members)}
         self._rows = Rows(
-            labels,
-            array("q", map(position.__getitem__, targets)),
-            array("q", accumulate(lengths, initial=0)),
-            classes,
-            tuple(position[nodes[0]] for nodes in members),
+            labels, targets, starts, classes, tuple(position[v[0]] for v in members)
         )
 
     def label_key(self, node: str) -> tuple[tuple[str, int], ...]:
