@@ -13,7 +13,8 @@ exists (:func:`inter1_groups`).
 
 Any other rule is encoded once, like the linear-size Parikh-image formulas
 of Verma, Seidl and Schwentick (CADE 2005), into a :class:`RuleEncoding`
-compiled for the solver; each query adds only a few rows per choice group.
+compiled for the solver; each query pins the counts it fixes and adds rows
+only for its choice groups of two or more rule symbols.
 """
 
 from __future__ import annotations
@@ -188,7 +189,9 @@ def _split(
 
 class RuleEncoding:
     """A rule's encoding, compiled for the solver once: ``counts`` maps each
-    symbol to its count unknown, and every query extends ``rows``."""
+    symbol to its count unknown, and ``rows`` is the compiled base of every
+    query.  A query pins the counts it fixes and adds rows only for its
+    choice groups of two or more rule symbols."""
 
     def __init__(self, e: Rbe):
         system = LinearSystem()
@@ -201,12 +204,14 @@ class RuleEncoding:
 
         A group's count goes to its one rule symbol, or is split among two
         or more through fresh unknowns; a group without a rule symbol fails
-        at once.  The search is complete at the number of picks plus one.
+        at once.  A count unknown that no split shares is pinned at its
+        total; a shared one gets an equation.  The search is complete at the
+        number of picks plus one.
         """
         counts = self.counts
         system = LinearSystem(self.rows)
-        fixed = dict.fromkeys(counts, 0)
-        shares: dict[str, dict[str, int]] = {a: {} for a in counts}
+        pins = dict.fromkeys(counts.values(), 0)
+        shares: dict[str, dict[str, int]] = {}
         k = 0
         for group, c in groups.items():
             inside = sorted(group.intersection(counts))
@@ -214,15 +219,16 @@ class RuleEncoding:
                 return False
             k += c
             if len(inside) == 1:
-                fixed[inside[0]] += c
+                pins[counts[inside[0]]] += c
                 continue
             ys = [system.fresh_var("y") for _ in inside]
             system.eq(dict.fromkeys(ys, 1), c)
             for a, y in zip(inside, ys):
-                shares[a][y] = -1
+                shares.setdefault(a, {})[y] = -1
         for a, x in counts.items():
-            system.eq({x: 1, **shares[a]}, fixed[a])
-        result = ilp_feasible(system, bound=k + 1)
+            if a in shares:
+                system.eq({x: 1, **shares[a]}, pins.pop(x))
+        result = ilp_feasible(system, bound=k + 1, pins=pins)
         if result.status == "unknown":
             raise SolverCapped(f"intersection test capped at bound {k + 1}")
         return result.status == "sat"

@@ -18,8 +18,12 @@ any infeasibility it derives holds unconditionally.  It works from a
 worklist: each equation's terms and gcd test are prepared once, watch lists
 map every unknown to its equations, and only equations whose unknowns
 changed are visited again.  A system compiled once (:class:`CompiledSystem`)
-can be the base of many systems that each add a few rows; their searches
-copy the base's rows instead of preparing them again.
+can be the base of many queries.  A query fixes some unknowns outright
+(``pins``, a domain ``lo = hi``, not an equation row) and adds rows only
+for what it does not fix.  The base propagates its own rows once and keeps
+that fixpoint; each query's search copies the base's rows instead of
+preparing them again, starts from the fixpoint and propagates only the
+rows its pins and its own equations touch.
 
 Bounds can creep upward without end (x - y = 0 and x - y = 1 raise each
 other's lower bound forever), so one propagation makes at most
@@ -37,6 +41,7 @@ from __future__ import annotations
 
 import os
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass
 from math import gcd
 
@@ -163,11 +168,15 @@ class CompiledSystem:
     ``cases`` holds each block's rows, None for a block with an equation no
     assignment satisfies; ``refuted`` marks such a base equation.  A system
     built on a base starts from copies of the base's lists, and a base
-    watch list is copied when a new row writes it.
+    watch list is copied when a new row writes it; its own rows are those
+    from ``first`` on.  ``fixpoint`` keeps the domains the base equations
+    propagate to, for the searches of the systems built on this one.
     """
 
     def __init__(self, system: LinearSystem):
         base = system.base
+        self.base = base
+        self.first = len(base.terms) if base else 0
         self.names: list[str] = list(base.names) if base else []
         self.index: dict[str, int] = dict(base.index) if base else {}
         self.slack: list[bool] = list(base.slack) if base else []
@@ -192,6 +201,23 @@ class CompiledSystem:
                 else:
                     blocks.append(tuple(r for r in rows if r >= 0))
             self.cases.append(blocks)
+        self.visit_cap = _VISITS_PER_EQUATION * max(1, len(self.terms))
+        self._fixpoint: tuple | None = None
+
+    def fixpoint(self) -> tuple[list[int], list[int | None]] | None:
+        """The domains that propagating the base equations leaves from
+        [0, unbounded), computed on first use and kept; None when the base
+        equations have no solution.  Propagation stops at the visit cap
+        here as anywhere, which keeps the domains sound."""
+        if self._fixpoint is None:
+            n = len(self.names)
+            lo, hi = [0] * n, [None] * n
+            seeds = [r for r, case in enumerate(self.owner) if case < 0]
+            feasible = not self.refuted and self._propagate(
+                lo, hi, [-1] * len(self.cases), seeds
+            )
+            self._fixpoint = (lo, hi) if feasible else ()
+        return self._fixpoint or None
 
     def _row(self, coeffs: dict[str, int], rhs: int, case: int, block: int):
         """Add a row; None when no assignment satisfies it, -1 when every
@@ -227,6 +253,88 @@ class CompiledSystem:
         self.block.append(block)
         return r
 
+    def _propagate(self, lo, hi, chosen, seeds) -> bool:
+        """Narrow the domains in place from the active rows of ``seeds``;
+        False when one becomes empty."""
+        terms_of, rhs_of, watch = self.terms, self.rhs, self.watch
+        owner, block = self.owner, self.block
+        queue = deque(r for r in seeds if owner[r] < 0 or chosen[owner[r]] == block[r])
+        queued = set(queue)
+        visits = self.visit_cap
+        while queue:
+            visits -= 1
+            if visits < 0:
+                return True
+            r = queue.popleft()
+            queued.discard(r)
+            terms, rhs = terms_of[r], rhs_of[r]
+            # The row's range, as in _row_range, inline: this loop is the
+            # solver's hottest.
+            lo_sum = hi_sum = lo_open = hi_open = 0
+            for v, c in terms:
+                h = hi[v]
+                if c > 0:
+                    lo_sum += c * lo[v]
+                    if h is None:
+                        hi_open += 1
+                    else:
+                        hi_sum += c * h
+                else:
+                    hi_sum += c * lo[v]
+                    if h is None:
+                        lo_open += 1
+                    else:
+                        lo_sum += c * h
+            if (not lo_open and lo_sum > rhs) or (not hi_open and hi_sum < rhs):
+                return False
+            if lo_open > 1 and hi_open > 1:
+                continue
+            for v, c in terms:
+                dlo, dhi = lo[v], hi[v]
+                # The other terms' range, None where an end is unbounded;
+                # c*v must land in [rhs - rest_hi, rhs - rest_lo].
+                nlo, nhi = dlo, dhi
+                if c > 0:
+                    if dhi is None:
+                        rest_hi = hi_sum if hi_open == 1 else None
+                    else:
+                        rest_hi = None if hi_open else hi_sum - c * dhi
+                    rest_lo = None if lo_open else lo_sum - c * dlo
+                    if rest_hi is not None:
+                        bound = -((rest_hi - rhs) // c)
+                        if bound > nlo:
+                            nlo = bound
+                    if rest_lo is not None:
+                        bound = (rhs - rest_lo) // c
+                        if nhi is None or bound < nhi:
+                            nhi = bound
+                else:
+                    if dhi is None:
+                        rest_lo = lo_sum if lo_open == 1 else None
+                    else:
+                        rest_lo = None if lo_open else lo_sum - c * dhi
+                    rest_hi = None if hi_open else hi_sum - c * dlo
+                    if rest_lo is not None:
+                        bound = -((rhs - rest_lo) // -c)
+                        if bound > nlo:
+                            nlo = bound
+                    if rest_hi is not None:
+                        bound = (rest_hi - rhs) // -c
+                        if nhi is None or bound < nhi:
+                            nhi = bound
+                if nlo == dlo and nhi == dhi:
+                    continue
+                if nhi is not None and nlo > nhi:
+                    return False
+                lo[v], hi[v] = nlo, nhi
+                for other in watch[v]:
+                    if other not in queued:
+                        case = owner[other]
+                        if case < 0 or chosen[case] == block[other]:
+                            queue.append(other)
+                            queued.add(other)
+        return True
+
 
 class _Search(CompiledSystem):
     """One search over a whole system.
@@ -251,15 +359,41 @@ class _Search(CompiledSystem):
         self.artificial = artificial
         self.budget = budget
         self.capped = False
-        self.listed: dict[tuple[int, ...], list[int]] = {}  # unknowns per commitment
-        self.visit_cap = _VISITS_PER_EQUATION * max(1, len(self.terms))
+        # Active unknowns and rows per commitment.
+        self.listed: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
 
-    def run(self) -> dict[str, int] | None:
+    def run(self, pins: Mapping[str, int]) -> dict[str, int] | None:
+        """A model of the system with each pinned unknown at its pin, or
+        None.  The root starts from the base's fixpoint, so it propagates
+        only the system's own rows and the rows of the unknowns the pins
+        narrow; a pin outside the fixpoint's domain fails before any
+        search node."""
+        pinned = []
+        for name, value in pins.items():
+            v = self.index.get(name)
+            if v is None:
+                raise ValueError(f"pin on {name!r}, an unknown the system does not name")
+            pinned.append((v, value))
         if self.refuted:
             return None
         n = len(self.names)
-        base = [r for r, case in enumerate(self.owner) if case < 0]
-        root = ([0] * n, [None] * n, [-1] * len(self.cases), base)
+        lo, hi = [0] * n, [None] * n
+        if self.base is not None:
+            start = self.base.fixpoint()
+            if start is None:
+                return None
+            base_lo, base_hi = start
+            lo[: len(base_lo)] = base_lo
+            hi[: len(base_hi)] = base_hi
+        owner = self.owner
+        seeds = dict.fromkeys(r for r in range(self.first, len(owner)) if owner[r] < 0)
+        for v, value in pinned:
+            if value < lo[v] or (hi[v] is not None and value > hi[v]):
+                return None
+            if lo[v] != value or hi[v] != value:
+                lo[v] = hi[v] = value
+                seeds.update(dict.fromkeys(self.watch[v]))
+        root = (lo, hi, [-1] * len(self.cases), list(seeds))
         # Depth first, from an explicit stack of child iterators, one per
         # open node, so deep searches cannot exhaust the interpreter's stack.
         stack = [iter((root,))]
@@ -270,14 +404,12 @@ class _Search(CompiledSystem):
                 continue
             outcome = self._node(*node)
             if isinstance(outcome, dict):
-                return {self.names[v]: x for v, x in outcome.items()}
+                model = {self.names[v]: x for v, x in outcome.items()}
+                model.update(pins)
+                return model
             if outcome is not None:
                 stack.append(outcome)
         return None
-
-    def _active(self, r: int, chosen: list[int]) -> bool:
-        case = self.owner[r]
-        return case < 0 or chosen[case] == self.block[r]
 
     def _node(self, lo, hi, chosen, seeds):
         """Propagate from ``seeds`` (the rows whose unknowns just changed or
@@ -295,19 +427,19 @@ class _Search(CompiledSystem):
         if split is not None:
             return self._case_branches(lo, hi, chosen, *split)
         # Value branching commits no split, so the nodes below one
-        # commitment share its list of unknowns: scan the rows once per
-        # commitment, not once per node.
+        # commitment share its active unknowns and rows: scan the rows once
+        # per commitment, not once per node.
         key = tuple(chosen)
-        unknowns = self.listed.get(key)
-        if unknowns is None:
-            unknowns = self.listed[key] = self._unknowns(chosen)
+        listed = self.listed.get(key)
+        if listed is None:
+            listed = self.listed[key] = self._unknowns(chosen)
+        unknowns, active = listed
         var = self._pick(lo, hi, unknowns)
         if var is None:
             model = {v: lo[v] for v in unknowns}
-            for r, terms in enumerate(self.terms):
-                if self._active(r, chosen) and sum(
-                    c * model[v] for v, c in terms
-                ) != self.rhs[r]:
+            terms_of, rhs_of = self.terms, self.rhs
+            for r in active:
+                if sum(c * model[v] for v, c in terms_of[r]) != rhs_of[r]:
                     return None
             return model
         high = hi[var]
@@ -372,15 +504,20 @@ class _Search(CompiledSystem):
                 return False
         return True
 
-    def _unknowns(self, chosen: list[int]) -> list[int]:
-        """The unknowns of the active rows, in order of first appearance:
-        base rows first, then the committed blocks in split order."""
+    def _unknowns(self, chosen: list[int]) -> tuple[list[int], list[int]]:
+        """The active rows, and their unknowns in order of first
+        appearance: base rows first, then the committed blocks in split
+        order."""
         seen: dict[int, None] = {}
+        active = []
+        owner, block = self.owner, self.block
         for r, terms in enumerate(self.terms):
-            if self._active(r, chosen):
+            case = owner[r]
+            if case < 0 or chosen[case] == block[r]:
+                active.append(r)
                 for v, _ in terms:
                     seen.setdefault(v)
-        return list(seen)
+        return list(seen), active
 
     def _pick(self, lo, hi, unknowns) -> int | None:
         # Non-slack unknowns first: slack domains resolve by propagation once
@@ -396,71 +533,6 @@ class _Search(CompiledSystem):
                 best, best_key = v, key
         return best
 
-    def _propagate(self, lo, hi, chosen, seeds) -> bool:
-        """Narrow the domains in place; False when one becomes empty."""
-        terms_of, rhs_of, watch = self.terms, self.rhs, self.watch
-        owner, block = self.owner, self.block
-        queue = deque(r for r in seeds if self._active(r, chosen))
-        queued = set(queue)
-        visits = self.visit_cap
-        while queue:
-            visits -= 1
-            if visits < 0:
-                return True
-            r = queue.popleft()
-            queued.discard(r)
-            terms, rhs = terms_of[r], rhs_of[r]
-            lo_sum, lo_open, hi_sum, hi_open = _row_range(terms, lo, hi)
-            if (not lo_open and lo_sum > rhs) or (not hi_open and hi_sum < rhs):
-                return False
-            if lo_open > 1 and hi_open > 1:
-                continue
-            for v, c in terms:
-                dlo, dhi = lo[v], hi[v]
-                # The other terms' range, None where an end is unbounded;
-                # c*v must land in [rhs - rest_hi, rhs - rest_lo].
-                nlo, nhi = dlo, dhi
-                if c > 0:
-                    if dhi is None:
-                        rest_hi = hi_sum if hi_open == 1 else None
-                    else:
-                        rest_hi = None if hi_open else hi_sum - c * dhi
-                    rest_lo = None if lo_open else lo_sum - c * dlo
-                    if rest_hi is not None:
-                        bound = -((rest_hi - rhs) // c)
-                        if bound > nlo:
-                            nlo = bound
-                    if rest_lo is not None:
-                        bound = (rhs - rest_lo) // c
-                        if nhi is None or bound < nhi:
-                            nhi = bound
-                else:
-                    if dhi is None:
-                        rest_lo = lo_sum if lo_open == 1 else None
-                    else:
-                        rest_lo = None if lo_open else lo_sum - c * dhi
-                    rest_hi = None if hi_open else hi_sum - c * dlo
-                    if rest_lo is not None:
-                        bound = -((rhs - rest_lo) // -c)
-                        if bound > nlo:
-                            nlo = bound
-                    if rest_hi is not None:
-                        bound = (rest_hi - rhs) // -c
-                        if nhi is None or bound < nhi:
-                            nhi = bound
-                if nlo == dlo and nhi == dhi:
-                    continue
-                if nhi is not None and nlo > nhi:
-                    return False
-                lo[v], hi[v] = nlo, nhi
-                for other in watch[v]:
-                    if other not in queued:
-                        case = owner[other]
-                        if case < 0 or chosen[case] == block[other]:
-                            queue.append(other)
-                            queued.add(other)
-        return True
-
 
 def ilp_feasible(
     system: LinearSystem,
@@ -468,6 +540,7 @@ def ilp_feasible(
     bound: int | None = None,
     cap: int | None = None,
     budget: int = 200_000,
+    pins: Mapping[str, int] | None = None,
 ) -> IlpResult:
     """Decide feasibility of the system over non-negative integer unknowns.
 
@@ -475,6 +548,10 @@ def ilp_feasible(
     implies a solution with every non-slack unknown at most ``bound``.  With
     it (and bound <= cap) every verdict is exact; without it an exhausted
     capped search reports "unknown".
+
+    ``pins`` fixes unknowns the system names at given values, as the
+    equations ``x = value`` would, but as domains: they add no row.  A pin
+    on an unknown no equation names raises ValueError.
 
     Case splits are branched inside the one search, and only on a split
     that propagation leaves with two or more live blocks.  ``budget`` bounds
@@ -487,7 +564,7 @@ def ilp_feasible(
     clamp = bound if complete else effective_cap
     search = _Search(system, clamp, effective_cap, not complete, budget)
     try:
-        model = search.run()
+        model = search.run(pins or {})
     except _Budget:
         return IlpResult("unknown", None, True)
     if model is not None:

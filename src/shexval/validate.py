@@ -468,47 +468,47 @@ class _RefineEngine:
     def _lost_general(self, i: int, types: int, typing: list[int]) -> int:
         rows = self.rows
         begin, end = rows.starts[i], rows.starts[i + 1]
-        neighborhood = Counter(
-            zip(rows.labels[begin:end], [typing[m] for m in rows.targets[begin:end]])
-        )
+        pairs = zip(rows.labels[begin:end], [typing[m] for m in rows.targets[begin:end]])
         lost = 0
         if self._memo is None:
-            named = self._named_bag(neighborhood)
+            named = self._named_bag(Counter(pairs))
             while types:
                 bit = types & -types
                 types ^= bit
                 if not _some_flattening_member(self.s, named, self.names[bit]):
                     lost |= bit
             return lost
-        shape = frozenset(neighborhood.items())
+        # The bag as the sorted tuple of its (label, mask) pairs, repeats
+        # kept: a key built without counting.
+        shape = tuple(sorted(pairs))
         while types:
             bit = types & -types
             types ^= bit
             key = (self.names[bit], shape)
             verdict = self._memo.get(key)
             if verdict is None:
-                verdict = self._memo[key] = self._projected_verdict(bit, neighborhood)
+                verdict = self._memo[key] = self._projected_verdict(bit, shape)
             if not verdict:
                 lost |= bit
         return lost
 
-    def _projected_verdict(self, bit: int, neighborhood: Counter) -> bool:
+    def _projected_verdict(self, bit: int, shape: tuple) -> bool:
         # The verdict of the bag cut down to the types t's rule mentions
-        # under each label, with the entries that become equal merged (see
-        # the module docstring).  A projected bag is its own projection, so
-        # it shares the memo with the raw bags.
+        # under each label, in the same sorted form, so entries that become
+        # equal count together (see the module docstring).  A projected bag
+        # is its own projection, so it shares the memo with the raw bags.
         t, targets = self.names[bit], self.targets[bit]
-        projected: Counter[tuple[str, int]] = Counter()
-        for (a, types), count in neighborhood.items():
+        projected = []
+        for a, types in shape:
             kept = types & targets.get(a, 0)
             if not kept:
                 return False
-            projected[(a, kept)] += count
-        key = (t, frozenset(projected.items()))
+            projected.append((a, kept))
+        key = (t, tuple(sorted(projected)))
         verdict = self._memo.get(key)
         if verdict is None:
             verdict = self._memo[key] = _some_flattening_member(
-                self.s, self._named_bag(projected), t
+                self.s, self._named_bag(Counter(projected)), t
             )
         return verdict
 

@@ -3,6 +3,7 @@ from functools import reduce
 from itertools import product
 from math import gcd
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,7 +11,7 @@ from shexval.graph import Graph
 from shexval.membership import member_general
 from shexval.rbe import concat, parse_rbe, star, sym
 from shexval.sat import DEFAULT_CAP, LinearSystem, encode_phi, ilp_feasible, solver_cap
-from shexval.sat.ilp import _Search
+from shexval.sat.ilp import CompiledSystem, _Search
 from shexval.schema import parse_schema
 from shexval.validate import flatten, validate_multi
 
@@ -449,3 +450,76 @@ def test_hub_searches_do_not_grow_with_the_hub(monkeypatch):
 
     small = nodes(300)
     assert 0 < small == nodes(1200) == nodes(3000)
+
+
+def _base(*equations):
+    system = LinearSystem()
+    for coeffs, rhs in equations:
+        system.eq(coeffs, rhs)
+    return CompiledSystem(system)
+
+
+def _counted_nodes(monkeypatch) -> list:
+    nodes = []
+    node = _Search._node
+
+    def counted(self, *args):
+        nodes.append(self)
+        return node(self, *args)
+
+    monkeypatch.setattr(_Search, "_node", counted)
+    return nodes
+
+
+class TestPins:
+    def test_a_pin_outside_the_base_fixpoint_is_unsat_without_a_search_node(
+        self, monkeypatch
+    ):
+        # The base bounds x to [0; 3]; x = 5 fails before the search.
+        base = _base(({"x": 1, "y": 1}, 3))
+        nodes = _counted_nodes(monkeypatch)
+        result = ilp_feasible(LinearSystem(base), pins={"x": 5}, bound=6)
+        assert result.status == "unsat" and not result.capped
+        assert nodes == []
+        assert ilp_feasible(LinearSystem(base), pins={"x": 2}, bound=6).status == "sat"
+        assert len(nodes) == 1
+
+    def test_a_base_refuted_by_its_rows_or_by_propagation_is_unsat(self, monkeypatch):
+        nodes = _counted_nodes(monkeypatch)
+        for base in (_base(({"x": 2}, 3)), _base(({"x": 1}, 1), ({"x": 1, "y": 1}, 0))):
+            result = ilp_feasible(LinearSystem(base), pins={"x": 1}, bound=2)
+            assert result.status == "unsat" and not result.capped
+        assert nodes == []
+
+    def test_a_pin_on_an_unknown_the_system_lacks_raises(self):
+        base = _base(({"x": 1, "y": 1}, 3))
+        with pytest.raises(ValueError, match="'z'"):
+            ilp_feasible(LinearSystem(base), pins={"z": 1})
+        unbased = LinearSystem()
+        unbased.eq({"x": 1}, 1)
+        with pytest.raises(ValueError, match="'z'"):
+            ilp_feasible(unbased, pins={"z": 0})
+
+    def test_a_sat_model_holds_each_pinned_unknown_at_its_pin(self):
+        # b's count appears only in a case block of the star, which the
+        # pin at zero leaves uncommitted; the model still names it.
+        system = LinearSystem()
+        counts = encode_phi(parse_rbe("a::u , b::v*"), system)
+        base = CompiledSystem(system)
+        for a_count, b_count in ((1, 0), (1, 3)):
+            pins = {counts["a::u"]: a_count, counts["b::v"]: b_count}
+            result = ilp_feasible(LinearSystem(base), pins=pins, bound=5)
+            assert result.status == "sat"
+            assert {x: result.model[x] for x in pins} == pins
+        pins = {counts["a::u"]: 2, counts["b::v"]: 0}
+        assert ilp_feasible(LinearSystem(base), pins=pins, bound=5).status == "unsat"
+
+    def test_pins_and_a_query_row_start_from_the_kept_fixpoint(self):
+        # The fixpoint is computed once and not narrowed by a query.
+        base = _base(({"x": 1, "y": 1, "z": 1}, 4))
+        for x in range(6):
+            query = LinearSystem(base)
+            query.eq({"y": 1, "w": -1}, 1)
+            result = ilp_feasible(query, pins={"x": x}, bound=6)
+            assert result.status == ("sat" if x <= 3 else "unsat")
+        assert base.fixpoint() == ([0, 0, 0], [4, 4, 4])

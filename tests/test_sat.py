@@ -1,6 +1,7 @@
 import gc
 import itertools
 from collections import Counter
+from unittest import mock
 from functools import reduce
 
 import pytest
@@ -27,6 +28,7 @@ from shexval.rbe import (
     star,
     sym,
 )
+from shexval.sat import core as sat_core
 from shexval.sat import (
     LinearSystem,
     RuleEncoding,
@@ -527,3 +529,61 @@ def test_rule_encoding_meets_like_the_per_occurrence_system(rule, queries):
         expected = reference_inter1_ilp(choice_expr, rule, sum(groups.values()))
         assert encoding.meets(groups) == expected
         assert inter1(choice_expr, rule) == expected
+
+
+def pins_as_rows(system, pins):
+    """The query ``system`` with each pin ``x = value`` written as an
+    equation row on the same base, as queries were built before pins."""
+    rowed = LinearSystem(system.base)
+    rowed.fresh = system.fresh
+    rowed.equations = [*system.equations, *(({x: 1}, value) for x, value in pins.items())]
+    rowed.cases = system.cases
+    return rowed
+
+
+@settings(max_examples=300, deadline=None)
+@given(non_product_rules(), st.lists(choice_groups_st, min_size=1, max_size=3))
+def test_rule_encoding_pins_decide_as_equation_rows(rule, queries):
+    # Each query meets sends to the solver is decided again with its pins
+    # as rows; one encoding answers every query, so its kept fixpoint is
+    # reused.
+    encoding = RuleEncoding(rule)
+
+    def both(system, *, pins, **options):
+        pinned = ilp_feasible(system, pins=pins, **options)
+        rowed = ilp_feasible(pins_as_rows(system, pins), **options)
+        assert pinned.status == rowed.status
+        if pinned.model is not None:
+            assert {x: pinned.model[x] for x in pins} == pins
+        return pinned
+
+    with mock.patch.object(sat_core, "ilp_feasible", both):
+        for groups in queries:
+            encoding.meets(groups)
+
+
+def test_a_query_of_singleton_groups_adds_no_row_to_the_compiled_base():
+    encoding = RuleEncoding(rbe("(a::u | a::v)* , b::u , c::v?"))
+    systems = []
+
+    def kept(system, **options):
+        systems.append((system, options["pins"]))
+        return ilp_feasible(system, **options)
+
+    with mock.patch.object(sat_core, "ilp_feasible", kept):
+        singletons = Counter({frozenset({"a::u"}): 2, frozenset({"b::u"}): 1})
+        assert encoding.meets(singletons)
+        assert not encoding.meets(singletons + Counter({frozenset({"b::u"}): 1}))
+        # A group of two rule symbols adds its rows, and the counts it
+        # shares lose their pins.
+        assert encoding.meets(Counter({frozenset({"a::u", "a::v"}): 2, frozenset({"b::u"}): 1}))
+    (first, first_pins), (second, _), (shared, shared_pins) = systems
+    for system in (first, second):
+        assert system.base is encoding.rows
+        assert system.equations == [] and system.cases == []
+    counts = encoding.counts
+    assert first_pins == {
+        counts["a::u"]: 2, counts["a::v"]: 0, counts["b::u"]: 1, counts["c::v"]: 0
+    }
+    assert len(shared.equations) == 3 and shared.cases == []
+    assert shared_pins == {counts["b::u"]: 1, counts["c::v"]: 0}

@@ -12,7 +12,7 @@ def test_bench_pairs_writes_alternated_pairs_and_their_summary(tmp_path):
         [
             sys.executable, str(ROOT / "tools" / "bench_pairs.py"), str(ROOT), str(ROOT),
             "--out", str(out), "--workload", "chain-tail:3-4", "--seconds", "0.05",
-            "--quick", "--trace", "chain-tail:5",
+            "--quick", "--trace", "chain-tail:5", "--claim", "chain-tail:cold_s",
         ],
         check=True,
         capture_output=True,
@@ -33,3 +33,19 @@ def test_bench_pairs_writes_alternated_pairs_and_their_summary(tmp_path):
     assert summary["change_lower_in"] in ("0/2", "1/2", "2/2")
     assert set(workload["summary"]) == set(workload["pairs"][0]["parent"]["result"]["metrics"])
     assert bench["trace"]["parent"]["graph.nodes"] == bench["trace"]["change"]["graph.nodes"]
+    assert bench["claim"] == {"workload": "chain-tail", "metric": "cold_s", **summary}
+
+
+def test_bench_pairs_refuses_a_claim_on_a_workload_it_does_not_run(tmp_path):
+    done = subprocess.run(
+        [
+            sys.executable, str(ROOT / "tools" / "bench_pairs.py"), str(ROOT), str(ROOT),
+            "--out", str(tmp_path / "bench.json"), "--workload", "chain-tail:3",
+            "--quick", "--claim", "nondet-ilp:cold_s",
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 2
+    assert "'nondet-ilp'" in done.stderr
+    assert not (tmp_path / "bench.json").exists()

@@ -1,9 +1,11 @@
+import importlib.util
 import inspect
 import itertools
 import random
 import sys
 from collections import Counter, deque
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from conftest import (
@@ -1801,9 +1803,9 @@ def reference_key(neighborhood):
 
 
 def named_shape(schema, shape):
-    """A general-memo key's bag, whose type sets are masks, as a bag of
-    (label, type names) pairs."""
-    return {(a, schema.type_sets[types]): count for (a, types), count in shape}
+    """A general-memo key's bag, the sorted tuple of its (label, mask)
+    pairs with repeats, as a bag of (label, type names) pairs."""
+    return Counter((a, schema.type_sets[types]) for a, types in shape)
 
 
 def is_projected(schema, t, neighborhood):
@@ -1897,6 +1899,31 @@ def test_refine_decides_neighborhoods_equal_under_projection_once(monkeypatch):
     ) == [(("a", ("t", "u"), 1),), (("a", ("u",), 1),), (("a", ("u", "v"), 1),)]
 
 
+def test_refine_sorts_the_projected_pairs_of_a_memo_key(monkeypatch):
+    # Bits t, u, v, w = 1, 2, 4, 8; t's rule mentions u and v under a.
+    # x0's pairs (a, {u,v}) < (a, {u,w}) project to (a, {u,v}) and
+    # (a, {u}), x1's bag in the other order: one projected bag, one call.
+    s = parse_schema("t -> (a::u | a::v)+\nu -> eps\nv -> eps\nw -> eps\n")
+    engine, typing, (x0, x1) = _general_engine(
+        s,
+        [
+            Counter({("a", frozenset("uv")): 1, ("a", frozenset("uw")): 1}),
+            Counter({("a", frozenset("u")): 1, ("a", frozenset("uv")): 1}),
+        ],
+    )
+    calls = Counter()
+    original = validate_module._some_flattening_member
+
+    def counted(schema, neighborhood, t):
+        calls[t] += 1
+        return original(schema, neighborhood, t)
+
+    monkeypatch.setattr(validate_module, "_some_flattening_member", counted)
+    t = s.bits["t"]
+    assert engine._test([(x0, t), (x1, t)], typing) == {}
+    assert calls == {"t": 1}
+    assert len(engine._memo) == 2
+
 def test_refine_fails_a_group_the_projection_empties_without_the_solver(
     monkeypatch,
 ):
@@ -1930,7 +1957,7 @@ def test_refine_adds_the_counts_of_entries_the_projection_merges():
     engine, typing, (x0,) = _general_engine(s, [neighborhood])
     t = s.bits["t"]
     assert engine._lost_general(x0, t, typing) == t
-    assert ("t", frozenset({(("a", s.bits["u"]), 2)})) in engine._memo
+    assert ("t", (("a", s.bits["u"]), ("a", s.bits["u"]))) in engine._memo
 
 
 @settings(max_examples=200, deadline=None)
@@ -2020,11 +2047,42 @@ def test_general_memo_keys_hold_masks_not_type_sets():
     assert memo
     for t, shape in memo:
         assert t in s.gamma
-        assert all(
-            isinstance(a, str) and type(types) is int and type(count) is int
-            for (a, types), count in shape
-        )
+        assert list(shape) == sorted(shape)
+        assert all(isinstance(a, str) and type(types) is int for a, types in shape)
 
+
+
+def _benchmark_inputs():
+    """The benchmark's seeded input builders (``perfbench/inputs.py``)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("benchmark_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    # Its dataclasses look their module up while they are built.
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_cold_refine_of_the_nondet_benchmark_input_counts_its_solver_calls(
+    monkeypatch,
+):
+    # The nondet-ilp input at seed 7: the solver calls and general memo
+    # entries of one cold refine, each counted, not timed.
+    case = _benchmark_inputs().nondet_input(7, 5_000)
+    s = parse_schema(case.schema_text)
+    calls = 0
+    solve = sat_core.ilp_feasible
+
+    def counted(*args, **options):
+        nonlocal calls
+        calls += 1
+        return solve(*args, **options)
+
+    monkeypatch.setattr(sat_core, "ilp_feasible", counted)
+    report = validate_multi(parse_graph(case.graph_text), s, "refine")
+    assert report.valid == case.expect.valid
+    assert calls == 346
+    assert len(s._derived["refine:memo:general"]) == 807
 
 # Schemas wider than a machine word, so that masks hold bits 64 and up.
 # WIDE is deterministic, single-occurrence and made of symbol products,

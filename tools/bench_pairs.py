@@ -5,7 +5,7 @@ the workloads with their seeds and where to write the result:
 
     python3 tools/bench_pairs.py PARENT CHANGE --out BENCH_21.json \\
         --workload fig2-bulk:21001-21010 --workload nondet-ilp:21101-21105 \\
-        --seconds 40 --trace fig2-bulk:21301
+        --seconds 40 --trace fig2-bulk:21301 --claim fig2-bulk:cold_s
 
 Each seed is one pair: ``perfbench/run.py --workload W --seed N`` runs
 once in each checkout, each run in a fresh process started in its own
@@ -18,8 +18,9 @@ output line (``result``), its wall-clock medians (``wall``) and its
 reference loop median (``reference_s``).  The summary gives, per
 end-to-end metric, the parent's median and quartiles, the change's
 median, and in how many pairs the change read lower.  The two sides are
-labelled with their checkouts' directory names; a claim the pairs test
-is written into the file by hand.  ``--quick`` passes ``--quick`` on to
+labelled with their checkouts' directory names.  ``--claim W:M`` names
+the metric M of workload W that the pairs test, and writes its summary
+line as the file's ``claim``.  ``--quick`` passes ``--quick`` on to
 ``perfbench/run.py``, so that the tool's own test runs in seconds.
 """
 
@@ -61,6 +62,13 @@ def _workload(text: str) -> tuple[str, list[int]]:
         raise argparse.ArgumentTypeError(f"bad seeds in {text!r}") from None
 
 
+def _claim(text: str) -> tuple[str, str]:
+    workload, sep, metric = text.partition(":")
+    if not sep or not workload or not metric:
+        raise argparse.ArgumentTypeError(f"expected WORKLOAD:METRIC, got {text!r}")
+    return workload, metric
+
+
 def _args(argv):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
@@ -73,7 +81,13 @@ def _args(argv):
     parser.add_argument("--seconds", type=float, default=40.0)
     parser.add_argument("--trace", type=_workload, help="WORKLOAD:SEED, one traced pair")
     parser.add_argument("--quick", action="store_true", help="tiny inputs")
-    return parser.parse_args(argv)
+    parser.add_argument(
+        "--claim", type=_claim, help="WORKLOAD:METRIC, the metric the pairs test"
+    )
+    args = parser.parse_args(argv)
+    if args.claim and args.claim[0] not in dict(args.workload):
+        parser.error(f"--claim names {args.claim[0]!r}, which no --workload runs")
+    return args
 
 
 def _command(workload: str, seed: int, seconds: float, trace: int, quick: bool) -> list[str]:
@@ -149,6 +163,7 @@ def main(argv: list[str] | None = None) -> int:
         "pairing": "parent and change alternated per seed, the parent first in odd"
         " pairs of each workload; each run in a fresh process in its own checkout",
         "fields": FIELDS,
+        "claim": None,
         "workloads": {},
     }
     for workload, seeds in args.workload:
@@ -165,7 +180,18 @@ def main(argv: list[str] | None = None) -> int:
             "parent": traced["parent"],
             "change": traced["change"],
         }
+    missing = None
+    if args.claim:
+        workload, metric = args.claim
+        line = out["workloads"][workload]["summary"].get(metric)
+        if line is None:
+            missing = f"error: --claim names {metric!r}, which {workload} does not report"
+        else:
+            out["claim"] = {"workload": workload, "metric": metric, **line}
     args.out.write_text(json.dumps(out, indent=1) + "\n")
+    if missing:
+        print(missing, file=sys.stderr)
+        return 2
     return 0
 
 
