@@ -9,8 +9,10 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from itertools import accumulate, chain, islice, repeat
+from operator import add, sub
 from typing import NamedTuple
 
 from .rbe import Bag, ParseError
@@ -18,6 +20,8 @@ from .rbe import Bag, ParseError
 __all__ = [
     "Graph",
     "Rows",
+    "Inbound",
+    "EdgePairs",
     "WildcardDecl",
     "check_wildcards_disjoint",
     "relabel_wildcards",
@@ -38,11 +42,19 @@ class Graph:
     in one pass over it, the label-bag index, which groups the nodes by
     outbound label bag, each class in node order, together with the
     successor rows (:class:`Rows`), the out-edges by node position.
+    Two more views are read off the rows on first use and kept: the
+    inbound rows (:class:`Inbound`), the in-edges by node position, and
+    the edge pairs (:class:`EdgePairs`), which number each out-edge by
+    its label and its target's label-bag class.  Every kept view is
+    bounded by the nodes plus the edges, and the rows are arrays and
+    lists of the shared label strings: no Python object per edge.
     Refinement decides the tests that see a node only through its label
     bag once per class of that index, and reads the rest off the rows.
     """
 
-    __slots__ = ("nodes", "_succ", "_edges", "_sorted", "_classes", "_rows")
+    __slots__ = (
+        "nodes", "_succ", "_edges", "_sorted", "_classes", "_rows", "_inbound", "_pairs"
+    )
 
     def __init__(self, edges=(), nodes=()):
         self._index(
@@ -75,6 +87,8 @@ class Graph:
         self._sorted: tuple[str, ...] | None = None
         self._classes: dict[tuple, tuple[str, ...]] | None = None
         self._rows: Rows | None = None
+        self._inbound: Inbound | None = None
+        self._pairs: EdgePairs | None = None
 
     @property
     def edges(self) -> frozenset[tuple[str, str, str]]:
@@ -128,6 +142,23 @@ class Graph:
         if self._rows is None:
             self._index_positions()
         return self._rows
+
+    def inbound_rows(self) -> Inbound:
+        """The in-edges of the nodes by position in :meth:`sorted_nodes`
+        (see :class:`Inbound`).  Built on first call, from the successor
+        rows, and kept.  Callers must not modify the result."""
+        if self._inbound is None:
+            self._inbound = _inbound_rows(self.successor_rows())
+        return self._inbound
+
+    def edge_pairs(self) -> EdgePairs:
+        """The out-edges of the successor rows numbered by their (label,
+        target label-bag class) pair (see :class:`EdgePairs`).  Built on
+        first call, from the successor rows, and kept.  Callers must not
+        modify the result."""
+        if self._pairs is None:
+            self._pairs = _edge_pairs(self.successor_rows())
+        return self._pairs
 
     def _index_positions(self) -> None:
         # One pass over the nodes in order builds both views.  Positions
@@ -191,6 +222,79 @@ class Rows(NamedTuple):
     starts: array
     classes: array
     firsts: tuple[int, ...]
+
+    def sources(self) -> Iterator[int]:
+        """The source position of each edge, in edge order."""
+        starts = self.starts
+        lengths = map(sub, islice(starts, 1, None), starts)
+        return chain.from_iterable(map(repeat, range(len(self.classes)), lengths))
+
+
+class Inbound(NamedTuple):
+    """A graph's in-edges by node position, in compressed rows: the node
+    at position i of :meth:`Graph.sorted_nodes` has the in-edges j in
+    ``range(starts[i], starts[i + 1])``, in-edge j from source position
+    ``sources[j]`` with label ``labels[j]``.  A row lists its in-edges in
+    the order of the successor rows, so by source position."""
+
+    starts: array
+    sources: array
+    labels: list[str]
+
+
+class EdgePairs(NamedTuple):
+    """The out-edges of a graph's successor rows grouped by their (label,
+    target label-bag class) pair: ``pairs`` lists the distinct pairs,
+    sorted, each class numbered as in ``Rows.classes``, and edge k of the
+    rows has the pair ``pairs[numbers[k]]``."""
+
+    numbers: array
+    pairs: tuple[tuple[str, int], ...]
+
+
+def _inbound_rows(rows: Rows) -> Inbound:
+    # A counting sort of the edges by target: the starts from the counts,
+    # then each edge, in edge order, into the next free slot of its row.
+    # Plain loops beat C-level passes here, and one flat walk over the
+    # edges beats a range per row: an edge costs two reads and four writes.
+    targets, labels = rows.targets, rows.labels
+    counts = [0] * len(rows.classes)
+    for t in targets:
+        counts[t] += 1
+    free = list(accumulate(counts, initial=0))
+    starts = array("q", free)
+    sources = array("q", bytes(8 * len(targets)))
+    sorted_labels: list[str] = [""] * len(targets)
+    k = 0
+    for i, end in enumerate(islice(rows.starts, 1, None)):
+        while k < end:
+            t = targets[k]
+            j = free[t]
+            free[t] = j + 1
+            sources[j] = i
+            sorted_labels[j] = labels[k]
+            k += 1
+    return Inbound(starts, sources, sorted_labels)
+
+
+def _edge_pairs(rows: Rows) -> EdgePairs:
+    # Each pair is coded as an int, label number times class count plus
+    # class, so numbering the edges builds no tuple per edge; the codes
+    # are streamed twice rather than listed.
+    width = len(rows.firsts)
+    names = sorted(set(rows.labels))
+    base = {a: i * width for i, a in enumerate(names)}
+
+    def codes():
+        target_classes = map(rows.classes.__getitem__, rows.targets)
+        return map(add, map(base.__getitem__, rows.labels), target_classes)
+
+    distinct = sorted(set(codes()))
+    number = {code: i for i, code in enumerate(distinct)}
+    return EdgePairs(
+        array("q", map(number.__getitem__, codes())),
+        tuple((names[code // width], code % width) for code in distinct),
+    )
 
 
 def _label_key(labels) -> tuple[tuple[str, int], ...]:

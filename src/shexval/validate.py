@@ -34,9 +34,16 @@ consistency (AC-3, Mackworth 1977).  Its first round tests every
 (node, type) pair; later rounds re-test only the pairs (n, t) where n has
 an a-edge into a node m that lost a type u in the round before and the
 rule of t mentions ``a::u``.  It finds them in the manner of
-direction-optimizing search (Beamer, Asanovic and Patterson, SC 2012):
-forward over every node's edges when many nodes lost types, otherwise
-backward over the inbound edges of the few that did.  The local verdict
+direction-optimizing search (Beamer, Asanovic and Patterson, SC 2012).
+Round 1 from the full typing takes types by label-bag class, so when the
+losing classes hold a quarter of the nodes or more, round 2 goes
+forward, deciding once per (label, target class) pair of the graph's
+edges what the loss can affect, and visits edges one by one only where
+a pair affects something.  Every other round goes backward, over the
+inbound edges of the nodes that lost types.  Both views of the edges
+are kept on the graph (:meth:`Graph.edge_pairs`,
+:meth:`Graph.inbound_rows`), so a repeat validation of a graph builds
+neither again.  The local verdict
 of (n, t) depends on each successor m only through the types of m that
 t's rule mentions under the edge's label: a flattening that picks an
 unmentioned symbol lies outside the rule's language.  Every rule but
@@ -75,13 +82,12 @@ and the data a round touches stays compact as graphs grow.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 from collections import Counter, deque
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
-from .graph import Graph, Rows
+from .graph import Graph, Inbound
 from .membership import member
 from .rbe import Bag, ParseError, Rbe, Symbol, concat, disj, typed_symbol
 # perfbench/spans.py wraps the inter1 attribute of this module.
@@ -282,7 +288,11 @@ class _RefineEngine:
     graph's successor rows.  Names come back only for the solver (under
     ``refine``, on a memo miss) and for the typing ``run`` returns.  The
     verdict memos live on the schema, so engines over the same schema
-    share them and repeat validations start warm.  ``local_tests`` counts
+    share them and repeat validations start warm.  The frontier goes
+    forward, by (label, target class) pair, only in round 2 after round 1
+    by class, when the losing classes hold a quarter of the nodes or more,
+    and backward over the inbound rows in every other round; both views
+    live on the graph, so no engine builds one.  ``local_tests`` counts
     the pairs tested; a class decided by one representative counts that
     representative's pairs.
     """
@@ -317,10 +327,10 @@ class _RefineEngine:
         self.rows = g.successor_rows()
         self.keys = list(g.label_classes())
         # The types an a-edge into a node that lost ``types`` can affect,
-        # per (label, lost types), and the predecessor lists, both filled
-        # in on first need (see _frontier).
+        # per (label, lost types), filled in on first need, and the
+        # graph's inbound rows, read on first need (see _frontier).
         self._affecting: dict[tuple[str, int], int] = {}
-        self._preds: list[list[tuple[int, str]]] | None = None
+        self._inbound: Inbound | None = None
         self.local_tests = 0
 
     def run(self) -> tuple[dict[str, frozenset[str]], int]:
@@ -329,6 +339,7 @@ class _RefineEngine:
         one, which removes nothing."""
         g, s = self.g, self.s
         order = g.sorted_nodes()
+        losses = []
         if self.algo == "s-refine":
             # The start comes named, in node order, each node holding the
             # set of its label-bag class, so the masks of those few sets
@@ -340,18 +351,21 @@ class _RefineEngine:
             lost = self._test(enumerate(current), current)
             for i, types in lost.items():
                 current[i] &= ~types
+            losses.append(lost)
+            work = self._frontier(lost, current) if lost else None
         else:
             named = None
-            current, lost = self._first_round_by_class(sum(s.bits.values()))
-        losses = [lost]
+            current, lost_by_class = self._first_round_by_class(sum(s.bits.values()))
+            work = self._class_frontier(lost_by_class, current)
+        # ``work`` is None once a round has removed nothing.
         rounds = 1
-        while lost:
+        while work is not None:
             rounds += 1
-            work = self._frontier(lost, current)
             lost = self._test(work.items(), current)
             for n, types in lost.items():
                 current[n] &= ~types
             losses.append(lost)
+            work = self._frontier(lost, current) if lost else None
         sets = s.type_sets
         if named is None:
             return dict(zip(order, map(sets.__getitem__, current))), rounds
@@ -364,63 +378,86 @@ class _RefineEngine:
         """The pairs to re-test once the nodes of ``lost`` have lost their
         types: each (n, t) where n still holds t and has an a-edge into
         such a node m, and t's rule mentions ``a::u`` for a type u that m
-        lost.  When a quarter of the nodes or more lost types, one pass
-        over every row finds them; otherwise the inbound edges of the
-        nodes that lost types do, read off predecessor lists built on
-        first need.  This is the direction switch of frontier-based graph
-        search (Beamer, Asanovic and Patterson, SC 2012): round 2 from the
-        full typing, where most nodes lost types by class, never builds
-        the lists, and a small frontier visits only its own edges."""
+        lost.  They are found backward, over the inbound rows of the
+        nodes that lost types, which the graph keeps; only the round after
+        round 1 by class may go forward (see _class_frontier)."""
+        if self._inbound is None:
+            self._inbound = self.g.inbound_rows()
+        starts, sources, labels = self._inbound
         affecting = self._affecting
         work: dict[int, int] = {}
-        if 4 * len(lost) >= len(current):
-            # Per edge, in C-level passes: the types its target lost, and
-            # the types of its source that this loss can affect; only the
-            # edges where those are not empty are visited one by one.
-            rows = self.rows
-            lost_at = [0] * len(current)
-            for m, types in lost.items():
-                lost_at[m] = types
-            keys = list(zip(rows.labels, map(lost_at.__getitem__, rows.targets)))
-            for key in set(keys).difference(affecting):
-                affecting[key] = self._mentioning(*key)
-            mentioned = list(map(affecting.__getitem__, keys))
-            for k in itertools.compress(range(len(keys)), mentioned):
-                n = bisect.bisect_right(rows.starts, k) - 1
-                affected = mentioned[k] & current[n]
-                if affected:
-                    work[n] = work.get(n, 0) | affected
-            return work
-        if self._preds is None:
-            self._preds = _predecessors(self.rows)
-        preds = self._preds
         for m, types in lost.items():
-            for n, a in preds[m]:
+            for j in range(starts[m], starts[m + 1]):
+                a = labels[j]
                 mentioned = affecting.get((a, types))
                 if mentioned is None:
                     mentioned = affecting[(a, types)] = self._mentioning(a, types)
                 if mentioned:
+                    n = sources[j]
                     affected = mentioned & current[n]
                     if affected:
                         work[n] = work.get(n, 0) | affected
         return work
 
-    def _first_round_by_class(self, full: int) -> tuple[list[int], dict[int, int]]:
+    def _class_frontier(
+        self, lost_by_class: list[int], current: list[int]
+    ) -> dict[int, int] | None:
+        """The pairs to re-test after round 1 by class, in which every
+        node of class c lost ``lost_by_class[c]``, or None when no class
+        lost a type.  When the losing classes hold a quarter of the nodes
+        or more, the edges are taken forward, by their (label, target
+        class) pair (see _pair_frontier); a loss on fewer nodes goes
+        backward from them (see _frontier).  This is the direction switch
+        of frontier-based graph search (Beamer, Asanovic and Patterson,
+        SC 2012), with the losing nodes counted by class."""
+        if not any(lost_by_class):
+            return None
+        sizes = map(len, self.g.label_classes().values())
+        if 4 * sum(itertools.compress(sizes, lost_by_class)) >= len(current):
+            return self._pair_frontier(lost_by_class, current)
+        per_node = map(lost_by_class.__getitem__, self.rows.classes)
+        return self._frontier(
+            {i: types for i, types in enumerate(per_node) if types}, current
+        )
+
+    def _pair_frontier(
+        self, lost_by_class: list[int], current: list[int]
+    ) -> dict[int, int]:
+        """The frontier of :meth:`_frontier` after a loss by class, found
+        forward by (label, target class) pair (:meth:`Graph.edge_pairs`):
+        an edge's target lost the types of its class, so the types the
+        loss can affect at the edge's source are decided once per pair.
+        When no pair can affect a type, as when round 1 took from each
+        target only types that no rule names under the edge's label, no
+        edge is visited and no inbound row is built; otherwise one
+        C-level pass over the pair numbers finds the edges to visit."""
+        numbers, pairs = self.g.edge_pairs()
+        affecting = self._affecting
+        keys = [(a, lost_by_class[c]) for a, c in pairs]
+        for key in set(keys).difference(affecting):
+            affecting[key] = self._mentioning(*key)
+        by_pair = list(map(affecting.__getitem__, keys))
+        work: dict[int, int] = {}
+        if any(by_pair):
+            by_edge = list(map(by_pair.__getitem__, numbers))
+            sources = itertools.compress(self.rows.sources(), by_edge)
+            for n, mentioned in zip(sources, filter(None, by_edge)):
+                affected = mentioned & current[n]
+                if affected:
+                    work[n] = work.get(n, 0) | affected
+        return work
+
+    def _first_round_by_class(self, full: int) -> tuple[list[int], list[int]]:
         """Round 1 from the ``full`` typing, under which every successor
         carries every type, so a node is seen only through its label bag:
         one local test per label-bag class, on its first node.  Returns
-        the typing after the round and the types each node lost."""
+        the typing after the round and the types each class lost."""
         rows = self.rows
         typing = [full] * len(rows.classes)
         failed = self._test(((i, full) for i in rows.firsts), typing, True)
         lost_by_class = [failed.get(i, 0) for i in rows.firsts]
         survivors = [full & ~types for types in lost_by_class]
-        lost = {
-            i: types
-            for i, types in enumerate(map(lost_by_class.__getitem__, rows.classes))
-            if types
-        }
-        return list(map(survivors.__getitem__, rows.classes)), lost
+        return list(map(survivors.__getitem__, rows.classes)), lost_by_class
 
     def _test(
         self, work: Iterable[tuple[int, int]], typing: list[int], full: bool = False
@@ -433,7 +470,7 @@ class _RefineEngine:
         testable = self.testable
         deterministic = self.deterministic
         wants = self.targets
-        labels, targets, starts = self.rows.labels, self.rows.targets, self.rows.starts
+        labels, targets, starts, classes, _ = self.rows
         for i, types in work:
             types &= testable
             if not types:
@@ -444,7 +481,7 @@ class _RefineEngine:
             elif full:
                 # Every successor carries every type, so the
                 # deterministic test reduces to the label check.
-                failed = types & ~_admitted(self.s, self.keys[self.rows.classes[i]])
+                failed = types & ~_admitted(self.s, self.keys[classes[i]])
             else:
                 # The rule uses each label with one target type, so once
                 # the rule admits the label bag, a flattening exists
@@ -523,17 +560,6 @@ class _RefineEngine:
         return sum(
             bit for bit, targets in self.targets.items() if targets.get(a, 0) & types
         )
-
-
-def _predecessors(rows: Rows) -> list[list[tuple[int, str]]]:
-    """Per node position, the (source position, label) pairs of its
-    inbound edges, read off the successor rows."""
-    preds: list[list[tuple[int, str]]] = [[] for _ in rows.classes]
-    labels, targets, starts = rows.labels, rows.targets, rows.starts
-    for i in range(len(rows.classes)):
-        for k in range(starts[i], starts[i + 1]):
-            preds[targets[k]].append((i, labels[k]))
-    return preds
 
 
 def _admitted(s: Schema, bag: tuple[tuple[str, int], ...]) -> int:
@@ -621,15 +647,16 @@ def _remaining(g: Graph, s: Schema, typing: Mapping[str, object]) -> frozenset:
     # The out-edges of the uncovered nodes only, so a typing that covers
     # every node touches no edge.  A node is uncovered when it is untyped
     # or every type it holds has a universal rule (a type the schema does
-    # not know covers its node).  Such a node holds no type or a universal
-    # one, which one ``in`` test per universal type finds (in a string
-    # value, as a substring); the set test decides.
+    # not know covers its node).  Such a node holds no type, uncovered
+    # outright, or a universal one, which one ``in`` test per universal
+    # type finds (in a string value, as a substring); the set test decides.
     universal = frozenset(t for t, rule in s.compiled.items() if rule.universal)
-    held = [n for n, types in typing.items() if not types]
+    held = []
     for u in universal:
         held += [n for n, types in typing.items() if u in types]
     uncovered = g.nodes.difference(typing).union(
-        n for n in held if _types_of(typing[n]) <= universal
+        [n for n, types in typing.items() if not types],
+        [n for n in held if _types_of(typing[n]) <= universal],
     )
     return g.out_edges(uncovered)
 

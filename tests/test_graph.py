@@ -237,6 +237,28 @@ def test_label_classes_list_their_nodes_in_node_order(edges, extra):
 
 
 @settings(max_examples=200, deadline=None)
+@given(edges_st, st.sets(st.sampled_from("pqrstu"), max_size=3))
+def test_the_kept_views_match_the_successor_index(edges, extra):
+    assert_rows_match_the_successor_index(Graph(edges, extra))
+
+
+def test_the_kept_views_are_built_on_first_call_and_kept():
+    g = parse_graph("q\ta\tp\nr\tb\tq\nr\ta\tq\nq\ta\tr\nnode\tlonely\n")
+    assert g._inbound is None and g._pairs is None
+    inbound, pairs = g.inbound_rows(), g.edge_pairs()
+    assert g.inbound_rows() is inbound and g.edge_pairs() is pairs
+    # Positions: lonely 0, p 1, q 2, r 3.  p has an in-edge from q, q two
+    # from r, r one from q.
+    assert list(inbound.starts) == [0, 0, 1, 3, 4]
+    assert list(inbound.sources) == [2, 3, 3, 2]
+    assert inbound.labels[0] == inbound.labels[3] == "a"
+    assert sorted(inbound.labels[1:3]) == ["a", "b"]
+    # Classes: () for lonely and p, {a: 2} for q, {a: 1, b: 1} for r.
+    assert pairs.pairs == (("a", 0), ("a", 1), ("a", 2), ("b", 1))
+    assert_rows_match_the_successor_index(g)
+
+
+@settings(max_examples=200, deadline=None)
 @given(edges_st)
 def test_parse_of_format_is_identity(edges):
     g = Graph(edges, nodes=["spare"])
@@ -370,3 +392,33 @@ def assert_rows_match_the_successor_index(g):
         assert row == g.out_lab_node(n)
         assert keys[rows.classes[i]] == g.label_key(n)
     assert [order[i] for i in rows.firsts] == [nodes[0] for nodes in g.label_classes().values()]
+    # The inbound rows: per node, its in-edges as (source, label) pairs,
+    # ordered by source.
+    inbound = g.inbound_rows()
+    position = {n: i for i, n in enumerate(order)}
+    into = {m: [] for m in order}
+    for n in order:
+        for a, m in g.out_lab_node(n):
+            into[m].append((position[n], a))
+    assert len(inbound.starts) == len(order) + 1
+    assert inbound.starts[0] == 0
+    assert inbound.starts[-1] == len(inbound.sources) == len(inbound.labels)
+    assert len(inbound.labels) == len(g.edges)
+    for i, m in enumerate(order):
+        edges = range(inbound.starts[i], inbound.starts[i + 1])
+        row = [(inbound.sources[j], inbound.labels[j]) for j in edges]
+        assert sorted(row) == sorted(into[m])
+        assert [n for n, _ in row] == sorted(n for n, _ in row)
+    # The edge pairs: each out-edge's label and its target's class, the
+    # distinct pairs sorted.
+    numbers, pairs = g.edge_pairs()
+    assert len(numbers) == len(rows.targets)
+    assert list(pairs) == sorted(set(pairs))
+    seen = set()
+    for i, n in enumerate(order):
+        edges = range(rows.starts[i], rows.starts[i + 1])
+        row = sorted(pairs[numbers[k]] for k in edges)
+        expected = sorted((a, keys.index(g.label_key(m))) for a, m in g.out_lab_node(n))
+        assert row == expected
+        seen.update(expected)
+    assert seen == set(pairs)

@@ -21,6 +21,7 @@ from conftest import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shexval import graph as graph_module
 from shexval import schema as schema_module
 from shexval import validate as validate_module
 from shexval.genbench import GenConfig, generate_graph
@@ -1367,19 +1368,19 @@ def test_cold_refine_tests_each_label_bag_once_per_type_in_round_one(monkeypatch
 
 def test_the_frontier_scans_forward_only_after_a_round_with_many_losses():
     # On fig2, round 1 by class takes types from every node, so round 2
-    # scans the rows forward, finds nothing to re-test and builds no
-    # predecessor lists.
+    # goes forward by (label, target class) pair, finds nothing to re-test
+    # and builds no inbound rows.
     s, g, _, _ = fig2_graph_and_label_bags()
     engine = _RefineEngine(g, s, "refine")
-    assert engine.run()[1] == 2 and engine._preds is None
+    assert engine.run()[1] == 2 and g._inbound is None
     # A chain failing from its tail loses one node per round, which the
-    # predecessor lists find.
+    # graph's inbound rows find.
     chain = Graph(
         [(f"x{i:02}", "a", f"x{i + 1:02}") for i in range(20)] + [("x20", "b", "y")]
     )
     engine = _RefineEngine(chain, parse_schema("t -> a::t?\n"), "refine")
     typing, rounds = engine.run()
-    assert rounds == 22 and engine._preds is not None
+    assert rounds == 22 and chain._inbound is not None
     assert [n for n, types in typing.items() if types] == ["y"]
 
 
@@ -2083,6 +2084,142 @@ def test_cold_refine_of_the_nondet_benchmark_input_counts_its_solver_calls(
     assert report.valid == case.expect.valid
     assert calls == 346
     assert len(s._derived["refine:memo:general"]) == 807
+
+
+def count_view_builds(monkeypatch, untouched_pair_numbers=False) -> Counter:
+    """Counts the builds of the graph's kept views by name.  With
+    ``untouched_pair_numbers``, the per-edge pair numbers fail on any
+    read, so that a run which visits no edge by pair shows it."""
+    builds: Counter = Counter()
+
+    class Untouched:
+        def visited(self, *args):
+            raise AssertionError("an edge was visited by its pair number")
+
+        __len__ = __iter__ = __getitem__ = visited
+
+    def counted(name, build):
+        def run(rows):
+            builds[name] += 1
+            view = build(rows)
+            if name == "pairs" and untouched_pair_numbers:
+                view = view._replace(numbers=Untouched())
+            return view
+
+        return run
+
+    for name, builder in (("inbound", "_inbound_rows"), ("pairs", "_edge_pairs")):
+        monkeypatch.setattr(
+            graph_module, builder, counted(name, getattr(graph_module, builder))
+        )
+    return builds
+
+
+def test_fig2_round_two_builds_no_inbound_rows_and_visits_no_edge(monkeypatch):
+    # Round 1 by class takes types from every node of the fig2 benchmark
+    # input, but no rule names a type its edge's target lost, so every
+    # (label, target class) pair affects nothing.
+    case = _benchmark_inputs().fig2_input(7, 5_000)
+    g, s = parse_graph(case.graph_text), parse_schema(case.schema_text)
+    builds = count_view_builds(monkeypatch, untouched_pair_numbers=True)
+    for _ in ("cold", "warm"):
+        report = validate_multi(g, s, "refine")
+        assert report.valid and report.iterations == 2
+        assert builds == {"pairs": 1} and g._inbound is None
+
+
+def test_a_warm_refine_builds_no_view_of_the_graph_again(monkeypatch):
+    # The nondet-ilp input at seed 7 takes round 2 by pair and the later
+    # rounds backward, so its first refine builds both views; the counts
+    # of the cold run are those of the parent driver.
+    case = _benchmark_inputs().nondet_input(7, 5_000)
+    g, s = parse_graph(case.graph_text), parse_schema(case.schema_text)
+    builds = count_view_builds(monkeypatch)
+    calls = 0
+    solve = sat_core.ilp_feasible
+
+    def counted(*args, **options):
+        nonlocal calls
+        calls += 1
+        return solve(*args, **options)
+
+    monkeypatch.setattr(sat_core, "ilp_feasible", counted)
+    cold = validate_multi(g, s, "refine")
+    assert (cold.iterations, cold.local_tests) == (9, 3632)
+    assert calls == 346 and len(s._derived["refine:memo:general"]) == 807
+    assert builds == {"inbound": 1, "pairs": 1}
+    warm = validate_multi(g, s, "refine")
+    assert (warm.iterations, warm.local_tests) == (9, 3632)
+    assert calls == 346 and len(s._derived["refine:memo:general"]) == 807
+    assert builds == {"inbound": 1, "pairs": 1}
+    assert report_lines(warm) == report_lines(cold)
+
+
+@pytest.mark.parametrize("algo", ["refine", "s-refine", "rbe0-refine"])
+def test_the_chain_builds_its_inbound_rows_once_across_a_cold_and_a_warm_run(
+    monkeypatch, algo
+):
+    # Round 1 takes the type of the tail only, so every round goes
+    # backward and the pair numbers are never built.
+    g = Graph([(f"v{i}", "a", f"v{i + 1}") for i in range(50)])
+    builds = count_view_builds(monkeypatch)
+    s = parse_schema("t -> a::t\n")
+    for _ in ("cold", "warm"):
+        report = validate_multi(g, s, algo)
+        assert not report.valid and report.iterations == 51 + (algo != "s-refine")
+        assert builds == {"inbound": 1}
+
+
+def reference_round_two(g, schema, lost_by_class, current):
+    """The pairs to re-test after round 1 by class, by a scan of every
+    edge: (n, t) where n still holds t, and t's rule uses the edge's label
+    with a type the edge's target lost."""
+    order = g.sorted_nodes()
+    keys = list(g.label_classes())
+    sets = schema.type_sets
+    work = {}
+    for i, n in enumerate(order):
+        for a, m in g.out_lab_node(n):
+            gone = sets[lost_by_class[keys.index(g.label_key(m))]]
+            for t in sets[current[i]]:
+                rule = schema.compiled[t]
+                if not rule.universal and gone & set(rule.targets.get(a, ())):
+                    work[i] = work.get(i, 0) | schema.bits[t]
+    return work
+
+
+@pytest.mark.parametrize("deterministic", [True, False])
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_round_two_by_pair_matches_a_per_edge_scan(deterministic, data):
+    schema = data.draw(
+        st.sampled_from(
+            [s for s in DRIVER_SCHEMAS if s.class_flags.deterministic == deterministic]
+        )
+    )
+    labels = sorted(schema.sigma) or ["a", "b"]
+    nodes = [f"y{i}" for i in range(data.draw(st.integers(1, 6)))]
+    edges = data.draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(nodes), st.sampled_from(labels), st.sampled_from(nodes)
+            ),
+            max_size=14,
+        )
+    )
+    g = Graph(edges, nodes)
+    engine = _RefineEngine(g, schema, "refine")
+    current, lost_by_class = engine._first_round_by_class(sum(schema.bits.values()))
+    expected = reference_round_two(g, schema, lost_by_class, current)
+    # Both directions, whichever the driver picks.
+    assert engine._pair_frontier(lost_by_class, current) == expected
+    per_node = {
+        i: lost_by_class[c] for i, c in enumerate(g.successor_rows().classes)
+        if lost_by_class[c]
+    }
+    assert engine._frontier(per_node, current) == expected
+    chosen = engine._class_frontier(lost_by_class, current)
+    assert chosen == (expected if any(lost_by_class) else None)
 
 # Schemas wider than a machine word, so that masks hold bits 64 and up.
 # WIDE is deterministic, single-occurrence and made of symbol products,

@@ -6,7 +6,10 @@ Run from anywhere, naming the root of a checkout:
 
 For each workload of ``perfbench/bench.py`` at seeds 7 and 11, every
 operation runs cold (a freshly parsed schema) and then warm (the same
-schema again), as the benchmark runs them.  Per run the output gives the
+schema again), as the benchmark runs them, and then a third time with
+the warm schema on a freshly parsed copy of the graph (``fresh-graph``),
+so that a graph whose views are not built yet meets full memos, which
+no benchmark pass runs.  Per run the output gives the
 verdict, the counters of the report, its algorithm, its failure count,
 the SHA-256 of its rendered ``report_lines`` and the entries of each
 refinement memo of the schema.  Two checkouts give the same answers
@@ -31,6 +34,7 @@ def _answers(checkout: Path) -> dict:
     sys.path[:0] = [str(checkout / "src"), str(checkout / "perfbench")]
     import bench
     import shexval
+    from shexval.graph import parse_graph
     from shexval.schema import parse_schema
     from shexval.validate import report_lines
 
@@ -44,8 +48,10 @@ def _answers(checkout: Path) -> dict:
             for op, name in spec.ops:
                 inp, g = inputs[name], graphs[name]
                 s = parse_schema(inp.schema_text)
-                for phase in bench.PHASES:
-                    report = bench._call(op, g, s, inp)
+                runs = [(phase, g) for phase in bench.PHASES]
+                runs.append(("fresh-graph", parse_graph(inp.graph_text)))
+                for phase, graph in runs:
+                    report = bench._call(op, graph, s, inp)
                     lines = "\n".join(report_lines(report)).encode()
                     out[f"{workload}/{seed}/{op}/{phase}"] = {
                         "valid": report.valid,
