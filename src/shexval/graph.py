@@ -39,17 +39,19 @@ class Graph:
     read and kept; validation never reads it.  More views are built on
     first use and kept, so parsing a graph never pays for them: the
     sorted node order, in which every whole-graph typing is built, and,
-    in one pass over it, the label-bag index, which groups the nodes by
-    outbound label bag, each class in node order, together with the
-    successor rows (:class:`Rows`), the out-edges by node position.
-    Two more views are read off the rows on first use and kept: the
-    inbound rows (:class:`Inbound`), the in-edges by node position, and
-    the edge pairs (:class:`EdgePairs`), which number each out-edge by
-    its label and its target's label-bag class.  Every kept view is
-    bounded by the nodes plus the edges, and the rows are arrays and
-    lists of the shared label strings: no Python object per edge.
-    Refinement decides the tests that see a node only through its label
-    bag once per class of that index, and reads the rest off the rows.
+    in one pass over it, the successor rows (:class:`Rows`), the
+    out-edges by node position, each row sorted by label, then target,
+    with each node's label-bag class numbered.  Three more views are
+    read off the rows on first use and kept: the label-bag index
+    (:meth:`label_classes`), whose member tuples group the nodes by
+    outbound label bag, each class in node order; the inbound rows
+    (:class:`Inbound`), the in-edges by node position; and the edge pairs
+    (:class:`EdgePairs`), which number each out-edge by its label and its
+    target's label-bag class.  Every kept view is bounded by the nodes
+    plus the edges, and the rows are arrays and lists of the shared label
+    strings: no Python object per edge.  Refinement and flooding decide
+    the tests that see a node only through its label bag once per class,
+    and read the rest off the rows.
     """
 
     __slots__ = (
@@ -127,18 +129,24 @@ class Graph:
 
         Each class is keyed by its bag's sorted (label, count) pairs and
         lists its nodes in node order; sinks and isolated nodes share the
-        key ``()``.  The classes partition the nodes.  Built on first call,
-        with the successor rows, and kept.  Callers must not modify the
-        result.
+        key ``()``.  The classes partition the nodes and come in the order
+        of their numbers in the successor rows.  The member tuples are
+        built on first call, from the rows' class numbers, and kept.
+        Callers must not modify the result.
         """
         if self._classes is None:
-            self._index_positions()
+            rows = self.successor_rows()
+            members: list[list[str]] = [[] for _ in rows.keys]
+            for n, c in zip(self.sorted_nodes(), rows.classes):
+                members[c].append(n)
+            self._classes = dict(zip(rows.keys, map(tuple, members)))
         return self._classes
 
     def successor_rows(self) -> Rows:
-        """The out-edges of the nodes by position in :meth:`sorted_nodes`
-        (see :class:`Rows`).  Built on first call, with the label-bag
-        index, and kept.  Callers must not modify the result."""
+        """The out-edges of the nodes by position in :meth:`sorted_nodes`,
+        each row sorted by label, then target (see :class:`Rows`).  Built
+        on first call, in one pass over the nodes, and kept.  Callers must
+        not modify the result."""
         if self._rows is None:
             self._index_positions()
         return self._rows
@@ -161,9 +169,11 @@ class Graph:
         return self._pairs
 
     def _index_positions(self) -> None:
-        # One pass over the nodes in order builds both views.  Positions
-        # are what make the rows compact: a whole-graph typing indexed by
-        # them is a list, read without hashing a node name.
+        # One pass over the nodes in order builds the rows.  Positions are
+        # what make them compact: a whole-graph typing indexed by them is
+        # a list, read without hashing a node name.  Positions follow the
+        # names, so a row sorted by (label, target name) is sorted by
+        # (label, target position), and its labels are its class's key.
         order = self.sorted_nodes()
         position = {n: i for i, n in enumerate(order)}
         succ = self._succ
@@ -171,24 +181,29 @@ class Graph:
         targets = array("q")
         starts = array("q", [0])
         classes = array("q")
+        firsts: list[int] = []
         ids: dict[tuple[str, ...], int] = {}
         for n in order:
             pairs = succ.get(n)
-            if pairs:
-                row_labels, row_targets = zip(*pairs)
-                labels += row_labels
-                targets.extend(map(position.__getitem__, row_targets))
-                key = tuple(sorted(row_labels))
-            else:
+            if not pairs:
                 key = ()
+            elif len(pairs) == 1:
+                ((a, m),) = pairs
+                labels.append(a)
+                targets.append(position[m])
+                key = (a,)
+            else:
+                key, names = zip(*sorted(pairs))
+                labels += key
+                targets.extend(map(position.__getitem__, names))
             starts.append(len(labels))
-            classes.append(ids.setdefault(key, len(ids)))
-        members: list[list[str]] = [[] for _ in ids]
-        for n, c in zip(order, classes):
-            members[c].append(n)
-        self._classes = {_label_key(k): tuple(v) for k, v in zip(ids, members)}
+            c = ids.get(key)
+            if c is None:
+                c = ids[key] = len(ids)
+                firsts.append(len(classes))  # the position of n
+            classes.append(c)
         self._rows = Rows(
-            labels, targets, starts, classes, tuple(position[v[0]] for v in members)
+            labels, targets, starts, classes, tuple(firsts), tuple(map(_label_key, ids))
         )
 
     def label_key(self, node: str) -> tuple[tuple[str, int], ...]:
@@ -213,15 +228,19 @@ class Rows(NamedTuple):
     """A graph's out-edges by node position, in compressed rows: the node
     at position i of :meth:`Graph.sorted_nodes` has the edges k in
     ``range(starts[i], starts[i + 1])``, edge k with label ``labels[k]``
-    and target position ``targets[k]``.  ``classes[i]`` numbers the node's
-    label-bag class in the order of :meth:`Graph.label_classes`, and
-    ``firsts[c]`` is the position of class c's first node."""
+    and target position ``targets[k]``.  A row lists its edges sorted by
+    label, then target, which is the order of the sorted (label, target
+    name) pairs.  ``classes[i]`` numbers the node's label-bag class in the
+    order of :meth:`Graph.label_classes`, ``firsts[c]`` is the position of
+    class c's first node and ``keys[c]`` is its key, the sorted (label,
+    count) pairs of its label bag."""
 
     labels: list[str]
     targets: array
     starts: array
     classes: array
     firsts: tuple[int, ...]
+    keys: tuple[tuple[tuple[str, int], ...], ...]
 
     def sources(self) -> Iterator[int]:
         """The source position of each edge, in edge order."""

@@ -73,16 +73,21 @@ frontier, the label-bag verdicts, multi-mode flooding and the keys of
 the general memo hold ints, so removing, testing and projecting types
 allocates no set.  A typing is turned into names once, for its report,
 and every node holding a mask gets the one frozenset the schema keeps
-for it (``Schema.type_sets``).  Refinement also numbers the nodes: its
-typing is a list indexed by a node's position in the graph's sorted
-order, and it reads edges off the graph's successor rows
+for it (``Schema.type_sets``).  Refinement and multi-mode flooding also
+number the nodes: their typings, and the flood's queued types, are
+lists indexed by a node's position in the graph's sorted order, and
+they read edges off the graph's successor rows
 (:meth:`Graph.successor_rows`), so testing an edge hashes no node name
-and the data a round touches stays compact as graphs grow.
+and the data a round or a flood touches stays compact as graphs grow.
+A row lists its edges by label, then target, so the flood meets each
+neighborhood in sorted order without sorting it, and decides each
+label-bag verdict once per class of the rows.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from collections import Counter, deque
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
@@ -325,7 +330,7 @@ class _RefineEngine:
         }
         self.testable = sum(self.names)
         self.rows = g.successor_rows()
-        self.keys = list(g.label_classes())
+        self.keys = self.rows.keys
         # The types an a-edge into a node that lost ``types`` can affect,
         # per (label, lost types), filled in on first need, and the
         # graph's inbound rows, read on first need (see _frontier).
@@ -470,7 +475,7 @@ class _RefineEngine:
         testable = self.testable
         deterministic = self.deterministic
         wants = self.targets
-        labels, targets, starts, classes, _ = self.rows
+        labels, targets, starts, classes, _, _ = self.rows
         for i, types in work:
             types &= testable
             if not types:
@@ -625,15 +630,6 @@ def infer_types(g: Graph, s: Schema) -> dict[str, frozenset[str]]:
     can change (see :class:`_RefineEngine`).
     """
     typing, _ = _RefineEngine(g, s, "refine").run()
-    return typing
-
-
-def _named(s: Schema, typing: dict[str, int]) -> dict[str, frozenset[str]]:
-    """Turns a typing of masks, in place, into one of type names: each
-    node gets the one frozenset ``s.type_sets`` holds for its mask."""
-    sets = s.type_sets
-    for n, types in typing.items():
-        typing[n] = sets[types]
     return typing
 
 
@@ -831,56 +827,80 @@ def _flood(
 
 
 def _flood_multi(g: Graph, s: Schema, pre: Mapping[str, frozenset[str]]) -> tuple:
+    # The flood runs on node positions, off the graph's successor rows:
     # ``typing`` holds the types processed at a node and ``seen`` those
-    # queued there, as masks; the report names them once per distinct mask.
+    # queued there, as masks in lists by position, and the typing is named
+    # once, in node order.  A row lists its edges by (label, target
+    # position), which is the order of the sorted neighborhood, since
+    # positions follow the names.
     bits = s.bits
-    typing: dict[str, int] = {}
-    queue: deque[tuple[str, str]] = deque()
-    seen = {n: s.mask(pre[n]) for n in sorted(pre)}
-    for n in seen:
-        queue.extend((n, t) for t in sorted(pre[n]))
+    order = g.sorted_nodes()
+    labels, targets, starts, classes, _, keys = g.successor_rows()
+    typing = [0] * len(order)
+    seen = [0] * len(order)
+    queue: deque[tuple[int, str]] = deque()
+    for n in sorted(pre):
+        i = bisect_left(order, n)
+        seen[i] = s.mask(pre[n])
+        queue.extend((i, t) for t in sorted(pre[n]))
     # A deterministic rule sends each label to one type, so the typed bag
     # of a node, and with it the verdict, follows from its label bag: the
-    # schema's label-bag verdicts (:func:`_admitted`) decide.  The labels of
-    # the sorted neighborhood spell the bag, so the graph's label-bag index,
-    # which costs a pass over every node, is not needed here.
-    admitted: dict[tuple[str, ...], int] = {}
-    succ = g._succ
+    # schema's label-bag verdicts (:func:`_admitted`) decide, once per
+    # label-bag class of the rows.  Per type to test: its bit and, per
+    # label of its rule, the type the label is sent to with that type's
+    # bit, 0 for TOP, which accepts any node and is not queued.
+    admitted: list[int | None] = [None] * len(keys)
+    steps = {}
+    for t, rule in s.compiled.items():
+        if not rule.universal:
+            sent_to = {a: us[0] for a, us in rule.targets.items()}
+            steps[t] = bits[t], {
+                a: (u, 0 if u == TOP else bits[u]) for a, u in sent_to.items()
+            }
     examined = 0
     processed = 0
     while queue:
-        n, t = queue.popleft()
+        i, t = queue.popleft()
         processed += 1
-        rule = s.compiled[t]
-        if not rule.universal:
-            neighborhood = sorted(succ.get(n, ()))
-            examined += len(neighborhood)
-            labels = tuple([a for a, _ in neighborhood])
-            types = admitted.get(labels)
+        step = steps.get(t)
+        if step is not None:
+            bit, sends = step
+            begin, end = starts[i], starts[i + 1]
+            examined += end - begin
+            c = classes[i]
+            types = admitted[c]
             if types is None:
-                types = admitted[labels] = _admitted(s, tuple(Counter(labels).items()))
-            if not types & bits[t]:
-                reason = _rejection(rule.targets, neighborhood)
-                return _named(s, typing), ((n, t, reason),), processed, examined
-            targets = rule.targets
-            for a, m in neighborhood:
-                u = targets[a][0]
-                if u != TOP:
-                    held = seen.get(m, 0)
-                    bit = bits[u]
-                    if not held & bit:
-                        seen[m] = held | bit
+                types = admitted[c] = _admitted(s, keys[c])
+            if not types & bit:
+                reason = _rejection(s.compiled[t].targets, labels[begin:end])
+                failure = ((order[i], t, reason),)
+                return _named(s, order, typing), failure, processed, examined
+            for k in range(begin, end):
+                u, u_bit = sends[labels[k]]
+                if u_bit:
+                    m = targets[k]
+                    held = seen[m]
+                    if not held & u_bit:
+                        seen[m] = held | u_bit
                         queue.append((m, u))
-        typing[n] = typing.get(n, 0) | bits[t]
-    return _named(s, typing), (), processed, examined
+        typing[i] |= bits[t]
+    return _named(s, order, typing), (), processed, examined
 
 
-def _rejection(
-    targets: Mapping[str, tuple[str, ...]], neighborhood: list[tuple[str, str]]
-) -> str:
-    """Why a rule rejects a sorted neighborhood: the first label it does
-    not use, else the bag as a whole."""
-    for a, _ in neighborhood:
+def _named(
+    s: Schema, order: tuple[str, ...], typing: list[int]
+) -> dict[str, frozenset[str]]:
+    """A typing of masks by node position as one of type names, in node
+    order, without the nodes that hold no type: each node gets the one
+    frozenset ``s.type_sets`` holds for its mask."""
+    names = map(s.type_sets.__getitem__, filter(None, typing))
+    return dict(zip(itertools.compress(order, typing), names))
+
+
+def _rejection(targets: Mapping[str, tuple[str, ...]], labels: Iterable[str]) -> str:
+    """Why a rule rejects a neighborhood whose labels come in sorted
+    order: the first label it does not use, else the bag as a whole."""
+    for a in labels:
         if a not in targets:
             return f"the rule uses no symbol with label {a}"
     return "outbound neighborhood does not match the rule"
@@ -927,7 +947,7 @@ def _flood_single(g: Graph, s: Schema, pre: Mapping[str, frozenset[str]]) -> tup
                     picks = itertools.product(*[targets[a] for a, _ in neighborhood])
                     point = (n, t, neighborhood, picks, len(agenda))
                 else:
-                    reason = _rejection(targets, neighborhood)
+                    reason = _rejection(targets, (a for a, _ in neighborhood))
         if point is not None:
             n, t, neighborhood, picks, base = point
             del agenda[base:]
@@ -942,7 +962,9 @@ def _flood_single(g: Graph, s: Schema, pre: Mapping[str, frozenset[str]]) -> tup
             # Out of picks.  Only a point's first try can be the first
             # failure, and then no pick matched the rule.
             del typing[n]
-            reason = _rejection(s.compiled[t].targets, neighborhood)
+            reason = _rejection(
+                s.compiled[t].targets, (a for a, _ in neighborhood)
+            )
         if failure is None:
             failure = dict(typing), ((n, t, reason),)
         # Undo back to the innermost choice point and resume it.

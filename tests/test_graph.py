@@ -245,6 +245,14 @@ def test_the_kept_views_match_the_successor_index(edges, extra):
 def test_the_kept_views_are_built_on_first_call_and_kept():
     g = parse_graph("q\ta\tp\nr\tb\tq\nr\ta\tq\nq\ta\tr\nnode\tlonely\n")
     assert g._inbound is None and g._pairs is None
+    rows = g.successor_rows()
+    # The rows carry the class keys; the member tuples wait for their
+    # first call.
+    assert g._classes is None and g.successor_rows() is rows
+    assert rows.keys == ((), (("a", 2),), (("a", 1), ("b", 1)))
+    classes = g.label_classes()
+    assert g.label_classes() is classes and list(classes) == list(rows.keys)
+    assert list(classes.values()) == [("lonely", "p"), ("q",), ("r",)]
     inbound, pairs = g.inbound_rows(), g.edge_pairs()
     assert g.inbound_rows() is inbound and g.edge_pairs() is pairs
     # Positions: lonely 0, p 1, q 2, r 3.  p has an in-edge from q, q two
@@ -255,6 +263,18 @@ def test_the_kept_views_are_built_on_first_call_and_kept():
     assert sorted(inbound.labels[1:3]) == ["a", "b"]
     # Classes: () for lonely and p, {a: 2} for q, {a: 1, b: 1} for r.
     assert pairs.pairs == (("a", 0), ("a", 1), ("a", 2), ("b", 1))
+    assert_rows_match_the_successor_index(g)
+
+
+def test_rows_order_targets_by_name_not_by_length():
+    # The generated graphs name nodes with one character, so only a fixed
+    # graph tells name order (m10 before m2) from length order.
+    g = Graph([("x", "b", "a1"), ("x", "a", "m2"), ("x", "a", "m10")])
+    rows = g.successor_rows()
+    i = g.sorted_nodes().index("x")
+    row = range(rows.starts[i], rows.starts[i + 1])
+    named = [(rows.labels[k], g.sorted_nodes()[rows.targets[k]]) for k in row]
+    assert named == [("a", "m10"), ("a", "m2"), ("b", "a1")]
     assert_rows_match_the_successor_index(g)
 
 
@@ -391,7 +411,17 @@ def assert_rows_match_the_successor_index(g):
         assert len(row) == len(edges)
         assert row == g.out_lab_node(n)
         assert keys[rows.classes[i]] == g.label_key(n)
+        # Each row lists its edges by label, then target position, which
+        # is the order of its sorted (label, target name) pairs.
+        in_order = [(rows.labels[k], rows.targets[k]) for k in edges]
+        assert in_order == sorted(in_order)
+        assert [(a, order[m]) for a, m in in_order] == sorted(g.out_lab_node(n))
     assert [order[i] for i in rows.firsts] == [nodes[0] for nodes in g.label_classes().values()]
+    # Each class key is the counted labels of its first node's row.
+    assert list(rows.keys) == keys
+    for c, i in enumerate(rows.firsts):
+        first_row = rows.labels[rows.starts[i] : rows.starts[i + 1]]
+        assert rows.keys[c] == tuple(sorted(Counter(first_row).items()))
     # The inbound rows: per node, its in-edges as (source, label) pairs,
     # ordered by source.
     inbound = g.inbound_rows()

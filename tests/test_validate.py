@@ -2087,10 +2087,26 @@ def test_cold_refine_of_the_nondet_benchmark_input_counts_its_solver_calls(
 
 
 def count_view_builds(monkeypatch, untouched_pair_numbers=False) -> Counter:
-    """Counts the builds of the graph's kept views by name.  With
-    ``untouched_pair_numbers``, the per-edge pair numbers fail on any
-    read, so that a run which visits no edge by pair shows it."""
+    """Counts the builds of the graph's kept views by name: the successor
+    rows, the member tuples of the label-bag index (``classes``), the
+    inbound rows and the edge pairs.  With ``untouched_pair_numbers``, the
+    per-edge pair numbers fail on any read, so that a run which visits no
+    edge by pair shows it."""
     builds: Counter = Counter()
+    index_positions = Graph._index_positions
+    label_classes = Graph.label_classes
+
+    def rows_counted(graph):
+        builds["rows"] += 1
+        index_positions(graph)
+
+    def classes_counted(graph):
+        if graph._classes is None:
+            builds["classes"] += 1
+        return label_classes(graph)
+
+    monkeypatch.setattr(Graph, "_index_positions", rows_counted)
+    monkeypatch.setattr(Graph, "label_classes", classes_counted)
 
     class Untouched:
         def visited(self, *args):
@@ -2125,7 +2141,8 @@ def test_fig2_round_two_builds_no_inbound_rows_and_visits_no_edge(monkeypatch):
     for _ in ("cold", "warm"):
         report = validate_multi(g, s, "refine")
         assert report.valid and report.iterations == 2
-        assert builds == {"pairs": 1} and g._inbound is None
+        assert builds == {"rows": 1, "classes": 1, "pairs": 1}
+        assert g._inbound is None
 
 
 def test_a_warm_refine_builds_no_view_of_the_graph_again(monkeypatch):
@@ -2147,11 +2164,11 @@ def test_a_warm_refine_builds_no_view_of_the_graph_again(monkeypatch):
     cold = validate_multi(g, s, "refine")
     assert (cold.iterations, cold.local_tests) == (9, 3632)
     assert calls == 346 and len(s._derived["refine:memo:general"]) == 807
-    assert builds == {"inbound": 1, "pairs": 1}
+    assert builds == {"rows": 1, "classes": 1, "inbound": 1, "pairs": 1}
     warm = validate_multi(g, s, "refine")
     assert (warm.iterations, warm.local_tests) == (9, 3632)
     assert calls == 346 and len(s._derived["refine:memo:general"]) == 807
-    assert builds == {"inbound": 1, "pairs": 1}
+    assert builds == {"rows": 1, "classes": 1, "inbound": 1, "pairs": 1}
     assert report_lines(warm) == report_lines(cold)
 
 
@@ -2167,7 +2184,60 @@ def test_the_chain_builds_its_inbound_rows_once_across_a_cold_and_a_warm_run(
     for _ in ("cold", "warm"):
         report = validate_multi(g, s, algo)
         assert not report.valid and report.iterations == 51 + (algo != "s-refine")
-        assert builds == {"inbound": 1}
+        assert builds == {"rows": 1, "classes": 1, "inbound": 1}
+
+
+def test_a_flood_builds_only_the_rows_and_a_refine_after_it_none(monkeypatch):
+    # A flood on a fresh graph reads the successor rows and their class
+    # keys only; the refine that follows finds the rows built, and a warm
+    # flood builds nothing.
+    case = _benchmark_inputs().fig2_input(7, 500)
+    g, s = parse_graph(case.graph_text), parse_schema(case.schema_text)
+    builds = count_view_builds(monkeypatch)
+    cold = flood_extension(g, s, case.pre)
+    assert cold.valid and len(cold.typing) == len(g.nodes)
+    assert builds == {"rows": 1}
+    assert g._classes is None and g._inbound is None and g._pairs is None
+    assert list(cold.typing) == list(g.sorted_nodes())
+    refined = validate_multi(g, parse_schema(case.schema_text), "refine")
+    assert refined.valid and builds["rows"] == 1
+    after_refine = builds.copy()
+    warm = flood_extension(g, s, case.pre)
+    assert builds == after_refine
+    assert report_lines(warm) == report_lines(cold)
+    assert warm.iterations == cold.iterations
+    assert warm.edges_examined == cold.edges_examined
+
+
+# Two failing successors of one pre-typed node: the flood reports the one
+# its node's row lists first, by label and then by target name.
+FAILING_SUCCESSORS = parse_schema("t -> a::u* , b::u*\nu -> c::u\n")
+
+
+@pytest.mark.parametrize(
+    "edges, first",
+    [
+        # By label: the a-target fails first, though its name sorts last.
+        ([("x", "b", "y"), ("x", "a", "z")], "z"),
+        # By target name under one label: m10 sorts before m2.
+        ([("x", "a", "m2"), ("x", "a", "m10")], "m10"),
+    ],
+    ids=["label-a-before-b", "m10-before-m2"],
+)
+def test_flood_reports_the_first_failing_successor_in_row_order(edges, first):
+    # w and v hold u on a c-cycle: the flood types w, x and then v before
+    # the failure, and its typing lists them in node order.
+    g = Graph(edges + [("w", "c", "v"), ("v", "c", "w")])
+    pre = {"x": {"t"}, "w": {"u"}}
+    report = flood_extension(g, FAILING_SUCCESSORS, pre)
+    reason = "outbound neighborhood does not match the rule"
+    assert report.failures == ((first, "u", reason),)
+    assert report == reference_flood_multi(
+        g, FAILING_SUCCESSORS, {n: frozenset(ts) for n, ts in pre.items()}
+    )
+    assert list(report.typing) == ["v", "w", "x"]
+    order = iter(g.sorted_nodes())
+    assert all(n in order for n in report.typing)
 
 
 def reference_round_two(g, schema, lost_by_class, current):

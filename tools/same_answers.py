@@ -9,7 +9,14 @@ operation runs cold (a freshly parsed schema) and then warm (the same
 schema again), as the benchmark runs them, and then a third time with
 the warm schema on a freshly parsed copy of the graph (``fresh-graph``),
 so that a graph whose views are not built yet meets full memos, which
-no benchmark pass runs.  Per run the output gives the
+no benchmark pass runs.  Each input that a workload floods gets one more
+flood in the same three runs (``flood-failing``), from a pre-typing
+that fails: the input's own, with its first root (the first node of the
+pre-typing, in its order) given instead the least type of the schema
+that it does not hold.  On fig2 that is ``BugReport`` on an
+``Employee`` root, which fails at the root's first label, in the middle
+of a large graph; the chain's one type leaves nothing to give, and its
+flood already fails at the tail.  Per run the output gives the
 verdict, the counters of the report, its algorithm, its failure count,
 the SHA-256 of its rendered ``report_lines`` and the entries of each
 refinement memo of the schema.  Two checkouts give the same answers
@@ -22,6 +29,7 @@ package is imported from the checkout's ``src/``.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import sys
@@ -45,15 +53,19 @@ def _answers(checkout: Path) -> dict:
         for seed in SEEDS:
             inputs = bench.build_inputs(workload, seed)
             graphs = bench.setup(inputs)
+            runs_of = [(op, op, inputs[name], graphs[name]) for op, name in spec.ops]
             for op, name in spec.ops:
-                inp, g = inputs[name], graphs[name]
+                failing = _failing(inputs[name]) if op == "flood" else None
+                if failing is not None:
+                    runs_of.append(("flood-failing", op, failing, graphs[name]))
+            for run, op, inp, g in runs_of:
                 s = parse_schema(inp.schema_text)
                 runs = [(phase, g) for phase in bench.PHASES]
                 runs.append(("fresh-graph", parse_graph(inp.graph_text)))
                 for phase, graph in runs:
                     report = bench._call(op, graph, s, inp)
                     lines = "\n".join(report_lines(report)).encode()
-                    out[f"{workload}/{seed}/{op}/{phase}"] = {
+                    out[f"{workload}/{seed}/{run}/{phase}"] = {
                         "valid": report.valid,
                         "iterations": report.iterations,
                         "local_tests": report.local_tests,
@@ -68,6 +80,18 @@ def _answers(checkout: Path) -> dict:
                         },
                     }
     return out
+
+
+def _failing(inp):
+    """The input with its first root given the least type of the schema
+    that the root does not hold, or None when it holds every type."""
+    from shexval.schema import parse_schema
+
+    root = next(iter(inp.pre))
+    others = sorted(set(parse_schema(inp.schema_text).gamma) - inp.pre[root])
+    if not others:
+        return None
+    return dataclasses.replace(inp, pre={**inp.pre, root: frozenset(others[:1])})
 
 
 def main(argv: list[str]) -> int:
