@@ -74,14 +74,15 @@ the general memo hold ints, so removing, testing and projecting types
 allocates no set.  A typing is turned into names once, for its report,
 and every node holding a mask gets the one frozenset the schema keeps
 for it (``Schema.type_sets``).  Refinement and multi-mode flooding also
-number the nodes: their typings, and the flood's queued types, are
-lists indexed by a node's position in the graph's sorted order, and
-they read edges off the graph's successor rows
-(:meth:`Graph.successor_rows`), so testing an edge hashes no node name
-and the data a round or a flood touches stays compact as graphs grow.
-A row lists its edges by label, then target, so the flood meets each
-neighborhood in sorted order without sorting it, and decides each
-label-bag verdict once per class of the rows.
+number the nodes by their position in the graph's sorted order and read
+edges off the graph's successor rows (:meth:`Graph.successor_rows`), so
+testing an edge hashes no node name.  Refinement's typing is a list by
+position, so the data a round touches stays compact as graphs grow; the
+flood's queued types are a dict by position, so a flood's own work
+follows the nodes it reaches.  A row lists its edges by label, then
+target, so the flood meets each neighborhood in sorted order without
+sorting it, and decides each label-bag verdict once per class of the
+rows.
 """
 
 from __future__ import annotations
@@ -827,17 +828,19 @@ def _flood(
 
 
 def _flood_multi(g: Graph, s: Schema, pre: Mapping[str, frozenset[str]]) -> tuple:
-    # The flood runs on node positions, off the graph's successor rows:
-    # ``typing`` holds the types processed at a node and ``seen`` those
-    # queued there, as masks in lists by position, and the typing is named
-    # once, in node order.  A row lists its edges by (label, target
-    # position), which is the order of the sorted neighborhood, since
-    # positions follow the names.
+    # The flood runs on node positions, off the graph's successor rows.
+    # ``seen`` holds the types queued at a node, as masks in a dict by
+    # position, so that the flood's own work follows the nodes it reaches,
+    # not the graph.  Each (node, type) is queued once, so the types
+    # processed at a node are those queued there less those still waiting,
+    # and the typing is read off ``seen`` once, in node order.  A row
+    # lists its edges by (label, target position), which is the order of
+    # the sorted neighborhood, since positions follow the names.
     bits = s.bits
     order = g.sorted_nodes()
     labels, targets, starts, classes, _, keys = g.successor_rows()
-    typing = [0] * len(order)
-    seen = [0] * len(order)
+    seen: dict[int, int] = {}
+    seen_get = seen.get
     queue: deque[tuple[int, str]] = deque()
     for n in sorted(pre):
         i = bisect_left(order, n)
@@ -874,27 +877,31 @@ def _flood_multi(g: Graph, s: Schema, pre: Mapping[str, frozenset[str]]) -> tupl
             if not types & bit:
                 reason = _rejection(s.compiled[t].targets, labels[begin:end])
                 failure = ((order[i], t, reason),)
-                return _named(s, order, typing), failure, processed, examined
+                # The typing holds what was processed: neither this type
+                # nor those still waiting.
+                queue.append((i, t))
+                for j, u in queue:
+                    seen[j] &= ~bits[u]
+                return _named(s, order, seen), failure, processed, examined
             for k in range(begin, end):
                 u, u_bit = sends[labels[k]]
                 if u_bit:
                     m = targets[k]
-                    held = seen[m]
+                    held = seen_get(m, 0)
                     if not held & u_bit:
                         seen[m] = held | u_bit
                         queue.append((m, u))
-        typing[i] |= bits[t]
-    return _named(s, order, typing), (), processed, examined
+    return _named(s, order, seen), (), processed, examined
 
 
 def _named(
-    s: Schema, order: tuple[str, ...], typing: list[int]
+    s: Schema, order: tuple[str, ...], typing: dict[int, int]
 ) -> dict[str, frozenset[str]]:
     """A typing of masks by node position as one of type names, in node
     order, without the nodes that hold no type: each node gets the one
     frozenset ``s.type_sets`` holds for its mask."""
-    names = map(s.type_sets.__getitem__, filter(None, typing))
-    return dict(zip(itertools.compress(order, typing), names))
+    sets = s.type_sets
+    return {order[i]: sets[typing[i]] for i in sorted(typing) if typing[i]}
 
 
 def _rejection(targets: Mapping[str, tuple[str, ...]], labels: Iterable[str]) -> str:

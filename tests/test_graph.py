@@ -243,38 +243,36 @@ def test_the_kept_views_match_the_successor_index(edges, extra):
 
 
 def test_the_kept_views_are_built_on_first_call_and_kept():
-    g = parse_graph("q\ta\tp\nr\tb\tq\nr\ta\tq\nq\ta\tr\nnode\tlonely\n")
+    # x's a-edges tell name order (s10 before s2) from length order, which
+    # the generated graphs, whose nodes have one-character names, cannot.
+    g = parse_graph(
+        "q\ta\tp\nr\tb\tq\nr\ta\tq\nq\ta\tr\nnode\tlonely\n"
+        "x\ta\ts2\nx\ta\ts10\n"
+    )
     assert g._inbound is None and g._pairs is None
     rows = g.successor_rows()
     # The rows carry the class keys; the member tuples wait for their
     # first call.
     assert g._classes is None and g.successor_rows() is rows
     assert rows.keys == ((), (("a", 2),), (("a", 1), ("b", 1)))
+    # Positions: lonely 0, p 1, q 2, r 3, s10 4, s2 5, x 6.
+    assert list(rows.targets[rows.starts[6]:rows.starts[7]]) == [4, 5]
     classes = g.label_classes()
     assert g.label_classes() is classes and list(classes) == list(rows.keys)
-    assert list(classes.values()) == [("lonely", "p"), ("q",), ("r",)]
+    assert list(classes.values()) == [
+        ("lonely", "p", "s10", "s2"), ("q", "x"), ("r",)
+    ]
     inbound, pairs = g.inbound_rows(), g.edge_pairs()
     assert g.inbound_rows() is inbound and g.edge_pairs() is pairs
-    # Positions: lonely 0, p 1, q 2, r 3.  p has an in-edge from q, q two
-    # from r, r one from q.
-    assert list(inbound.starts) == [0, 0, 1, 3, 4]
-    assert list(inbound.sources) == [2, 3, 3, 2]
+    # p has an in-edge from q, q two from r, r one from q, s10 and s2 one
+    # each from x.
+    assert list(inbound.starts) == [0, 0, 1, 3, 4, 5, 6, 6]
+    assert list(inbound.sources) == [2, 3, 3, 2, 6, 6]
     assert inbound.labels[0] == inbound.labels[3] == "a"
     assert sorted(inbound.labels[1:3]) == ["a", "b"]
-    # Classes: () for lonely and p, {a: 2} for q, {a: 1, b: 1} for r.
+    # Classes: () for lonely, p, s10 and s2, {a: 2} for q and x,
+    # {a: 1, b: 1} for r.
     assert pairs.pairs == (("a", 0), ("a", 1), ("a", 2), ("b", 1))
-    assert_rows_match_the_successor_index(g)
-
-
-def test_rows_order_targets_by_name_not_by_length():
-    # The generated graphs name nodes with one character, so only a fixed
-    # graph tells name order (m10 before m2) from length order.
-    g = Graph([("x", "b", "a1"), ("x", "a", "m2"), ("x", "a", "m10")])
-    rows = g.successor_rows()
-    i = g.sorted_nodes().index("x")
-    row = range(rows.starts[i], rows.starts[i + 1])
-    named = [(rows.labels[k], g.sorted_nodes()[rows.targets[k]]) for k in row]
-    assert named == [("a", "m10"), ("a", "m2"), ("b", "a1")]
     assert_rows_match_the_successor_index(g)
 
 
