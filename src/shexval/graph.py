@@ -40,22 +40,21 @@ class Graph:
     first use and kept, so parsing a graph never pays for them: the
     sorted node order, in which every whole-graph typing is built, and,
     in one pass over it, the successor rows (:class:`Rows`), the
-    out-edges by node position, each row sorted by label, then target,
-    with each node's label-bag class numbered.  Three more views are
-    read off the rows on first use and kept: the label-bag index
-    (:meth:`label_classes`), whose member tuples group the nodes by
-    outbound label bag, each class in node order; the inbound rows
-    (:class:`Inbound`), the in-edges by node position; and the edge pairs
-    (:class:`EdgePairs`), which number each out-edge by its label and its
-    target's label-bag class.  Every kept view is bounded by the nodes
-    plus the edges, and the rows are arrays and lists of the shared label
-    strings: no Python object per edge.  Refinement and flooding decide
-    the tests that see a node only through its label bag once per class,
-    and read the rest off the rows.
+    out-edges by node position, each row sorted by label, then target.
+    The rows are the graph's one label-bag index: they number each
+    node's class and give each class its key, its size and its first
+    node.  Two more views are read off the rows on first use and kept:
+    the inbound rows (:class:`Inbound`), the in-edges by node position;
+    and the edge pairs (:class:`EdgePairs`), which number each out-edge
+    by its label and its target's label-bag class.  Every kept view is
+    bounded by the nodes plus the edges, and the rows are arrays and
+    lists of the shared label strings: no Python object per edge.
+    Refinement and flooding decide the tests that see a node only through
+    its label bag once per class, and read the rest off the rows.
     """
 
     __slots__ = (
-        "nodes", "_succ", "_edges", "_sorted", "_classes", "_rows", "_inbound", "_pairs"
+        "nodes", "_succ", "_edges", "_sorted", "_rows", "_inbound", "_pairs"
     )
 
     def __init__(self, edges=(), nodes=()):
@@ -87,7 +86,6 @@ class Graph:
         self._succ = {n: frozenset(pairs) for n, pairs in succ.items()}
         self._edges: frozenset[tuple[str, str, str]] | None = None
         self._sorted: tuple[str, ...] | None = None
-        self._classes: dict[tuple, tuple[str, ...]] | None = None
         self._rows: Rows | None = None
         self._inbound: Inbound | None = None
         self._pairs: EdgePairs | None = None
@@ -123,24 +121,6 @@ class Graph:
         if self._sorted is None:
             self._sorted = tuple(sorted(self.nodes))
         return self._sorted
-
-    def label_classes(self) -> dict[tuple[tuple[str, int], ...], tuple[str, ...]]:
-        """The nodes grouped by outbound label bag.
-
-        Each class is keyed by its bag's sorted (label, count) pairs and
-        lists its nodes in node order; sinks and isolated nodes share the
-        key ``()``.  The classes partition the nodes and come in the order
-        of their numbers in the successor rows.  The member tuples are
-        built on first call, from the rows' class numbers, and kept.
-        Callers must not modify the result.
-        """
-        if self._classes is None:
-            rows = self.successor_rows()
-            members: list[list[str]] = [[] for _ in rows.keys]
-            for n, c in zip(self.sorted_nodes(), rows.classes):
-                members[c].append(n)
-            self._classes = dict(zip(rows.keys, map(tuple, members)))
-        return self._classes
 
     def successor_rows(self) -> Rows:
         """The out-edges of the nodes by position in :meth:`sorted_nodes`,
@@ -202,14 +182,12 @@ class Graph:
                 c = ids[key] = len(ids)
                 firsts.append(len(classes))  # the position of n
             classes.append(c)
-        self._rows = Rows(
-            labels, targets, starts, classes, tuple(firsts), tuple(map(_label_key, ids))
-        )
-
-    def label_key(self, node: str) -> tuple[tuple[str, int], ...]:
-        """The key of the node's label-bag class: its outbound label bag
-        as sorted (label, count) pairs."""
-        return _label_key(sorted([a for a, _ in self.out_lab_node(node)]))
+        # Counting sorted labels keeps them in order, and counting the
+        # class numbers meets each class first at its first node, so in
+        # class order.
+        keys = tuple(tuple(Counter(key).items()) for key in ids)
+        sizes = tuple(Counter(classes).values())
+        self._rows = Rows(labels, targets, starts, classes, tuple(firsts), keys, sizes)
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
@@ -230,10 +208,12 @@ class Rows(NamedTuple):
     ``range(starts[i], starts[i + 1])``, edge k with label ``labels[k]``
     and target position ``targets[k]``.  A row lists its edges sorted by
     label, then target, which is the order of the sorted (label, target
-    name) pairs.  ``classes[i]`` numbers the node's label-bag class in the
-    order of :meth:`Graph.label_classes`, ``firsts[c]`` is the position of
-    class c's first node and ``keys[c]`` is its key, the sorted (label,
-    count) pairs of its label bag."""
+    name) pairs.  The rows are the graph's index of its label-bag
+    classes, numbered in the order of their first nodes: ``classes[i]``
+    is the number of the node's class, ``firsts[c]`` is the position of
+    class c's first node, ``keys[c]`` is its key, the sorted (label,
+    count) pairs of its label bag, and ``sizes[c]`` its number of nodes.
+    Sinks and isolated nodes share the key ``()``."""
 
     labels: list[str]
     targets: array
@@ -241,6 +221,7 @@ class Rows(NamedTuple):
     classes: array
     firsts: tuple[int, ...]
     keys: tuple[tuple[tuple[str, int], ...], ...]
+    sizes: tuple[int, ...]
 
     def sources(self) -> Iterator[int]:
         """The source position of each edge, in edge order."""
@@ -305,8 +286,8 @@ def _edge_pairs(rows: Rows) -> EdgePairs:
     base = {a: i * width for i, a in enumerate(names)}
 
     def codes():
-        target_classes = map(rows.classes.__getitem__, rows.targets)
-        return map(add, map(base.__getitem__, rows.labels), target_classes)
+        target_class = map(rows.classes.__getitem__, rows.targets)
+        return map(add, map(base.__getitem__, rows.labels), target_class)
 
     distinct = sorted(set(codes()))
     number = {code: i for i, code in enumerate(distinct)}
@@ -314,11 +295,6 @@ def _edge_pairs(rows: Rows) -> EdgePairs:
         array("q", map(number.__getitem__, codes())),
         tuple((names[code // width], code % width) for code in distinct),
     )
-
-
-def _label_key(labels) -> tuple[tuple[str, int], ...]:
-    # Counting sorted labels keeps them in order.
-    return tuple(Counter(labels).items())
 
 
 @dataclass(frozen=True)

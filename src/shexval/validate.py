@@ -57,12 +57,13 @@ unmentioned types share one verdict, and a label whose types all go
 unmentioned fails the pair.
 
 Tests that see a node only through its outbound label bag are decided
-once per label-bag class of the graph (:meth:`Graph.label_classes`), in
-the manner of partition refinement (Paige and Tarjan, SIAM J. Comput.
-1987): the types that admit a label bag, cached on the schema per bag and
-read by both the structure-filtered initial typing and the shortcut's
-label check, and round 1 of refinement from the full typing, under which
-every successor carries every type.  Flooding reads the same verdicts on
+once per label-bag class of the graph, as its successor rows number them
+(:class:`~shexval.graph.Rows`), in the manner of partition refinement
+(Paige and Tarjan, SIAM J. Comput. 1987): the types that admit a label
+bag, cached on the schema per bag and read by both the
+structure-filtered initial typing and the shortcut's label check, and
+round 1 of refinement from the full typing, under which every successor
+carries every type.  Flooding reads the same verdicts on
 deterministic schemas, since a deterministic rule turns a label bag into
 one typed bag.
 
@@ -93,7 +94,7 @@ from collections import Counter, deque
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
-from .graph import Graph, Inbound
+from .graph import Graph
 from .membership import member
 from .rbe import Bag, ParseError, Rbe, Symbol, concat, disj, typed_symbol
 # perfbench/spans.py wraps the inter1 attribute of this module.
@@ -333,10 +334,8 @@ class _RefineEngine:
         self.rows = g.successor_rows()
         self.keys = self.rows.keys
         # The types an a-edge into a node that lost ``types`` can affect,
-        # per (label, lost types), filled in on first need, and the
-        # graph's inbound rows, read on first need (see _frontier).
+        # per (label, lost types), filled in on first need.
         self._affecting: dict[tuple[str, int], int] = {}
-        self._inbound: Inbound | None = None
         self.local_tests = 0
 
     def run(self) -> tuple[dict[str, frozenset[str]], int]:
@@ -348,12 +347,12 @@ class _RefineEngine:
         losses = []
         if self.algo == "s-refine":
             # The start comes named, in node order, each node holding the
-            # set of its label-bag class, so the masks of those few sets
-            # turn it into the typing; only the nodes that lose types are
-            # named again at the end.
+            # set of its label-bag class; the typing takes the masks of
+            # the same classes.  Only the nodes that lose types are named
+            # again at the end.
             named = structure_filtered_init(g, s)
-            masks = {s.type_sets[m]: m for m in (_admitted(s, k) for k in self.keys)}
-            current = list(map(masks.__getitem__, named.values()))
+            admitted = [_admitted(s, key) for key in self.keys]
+            current = list(map(admitted.__getitem__, self.rows.classes))
             lost = self._test(enumerate(current), current)
             for i, types in lost.items():
                 current[i] &= ~types
@@ -387,9 +386,7 @@ class _RefineEngine:
         lost.  They are found backward, over the inbound rows of the
         nodes that lost types, which the graph keeps; only the round after
         round 1 by class may go forward (see _class_frontier)."""
-        if self._inbound is None:
-            self._inbound = self.g.inbound_rows()
-        starts, sources, labels = self._inbound
+        starts, sources, labels = self.g.inbound_rows()
         affecting = self._affecting
         work: dict[int, int] = {}
         for m, types in lost.items():
@@ -418,8 +415,7 @@ class _RefineEngine:
         SC 2012), with the losing nodes counted by class."""
         if not any(lost_by_class):
             return None
-        sizes = map(len, self.g.label_classes().values())
-        if 4 * sum(itertools.compress(sizes, lost_by_class)) >= len(current):
+        if 4 * sum(itertools.compress(self.rows.sizes, lost_by_class)) >= len(current):
             return self._pair_frontier(lost_by_class, current)
         per_node = map(lost_by_class.__getitem__, self.rows.classes)
         return self._frontier(
@@ -476,7 +472,7 @@ class _RefineEngine:
         testable = self.testable
         deterministic = self.deterministic
         wants = self.targets
-        labels, targets, starts, classes, _, _ = self.rows
+        labels, targets, starts, classes, _, _, _ = self.rows
         for i, types in work:
             types &= testable
             if not types:
@@ -603,21 +599,14 @@ def structure_filtered_init(g: Graph, s: Schema) -> dict[str, frozenset[str]]:
 
     Types dropped here could never survive a refinement round, so starting
     from this typing reaches the same fixpoint as starting from the full
-    one.  The type set is computed once per label-bag class of the graph
-    (:func:`_admitted`), and every node of the class gets that one set.
-    The nodes come in the graph's node order.
+    one.  The type set is computed once per label-bag class of the
+    graph's successor rows (:func:`_admitted`), and every node of the
+    class gets that one set.  The nodes come in the graph's node order.
     """
-    classes = g.label_classes()
+    rows = g.successor_rows()
     sets = s.type_sets
-    # Seeding every node with the largest class's set leaves only the
-    # other classes to overwrite; on large graphs each overwrite is a
-    # cache miss.
-    largest = max(classes, key=lambda key: len(classes[key]), default=())
-    out = dict.fromkeys(g.sorted_nodes(), sets[_admitted(s, largest)])
-    for key, nodes in classes.items():
-        if key != largest:
-            out.update(dict.fromkeys(nodes, sets[_admitted(s, key)]))
-    return out
+    by_class = [sets[_admitted(s, key)] for key in rows.keys]
+    return dict(zip(g.sorted_nodes(), map(by_class.__getitem__, rows.classes)))
 
 
 def infer_types(g: Graph, s: Schema) -> dict[str, frozenset[str]]:
@@ -813,9 +802,10 @@ def _flood(
         # A successful flood checked every edge of a node holding a
         # non-universal type, and an untyped successor of such a node was
         # sent to TOP, which accepts it.
+        universal = frozenset(t for t, rule in s.compiled.items() if rule.universal)
         reached = set(typing)
         for n, types in typing.items():
-            if not all(s.compiled[t].universal for t in _types_of(types)):
+            if not _types_of(types) <= universal:
                 reached.update(m for _, m in g.out_lab_node(n))
         failures = tuple(
             (n, "-", "not reached from the pre-typing")
@@ -838,7 +828,7 @@ def _flood_multi(g: Graph, s: Schema, pre: Mapping[str, frozenset[str]]) -> tupl
     # the sorted neighborhood, since positions follow the names.
     bits = s.bits
     order = g.sorted_nodes()
-    labels, targets, starts, classes, _, keys = g.successor_rows()
+    labels, targets, starts, classes, _, keys, _ = g.successor_rows()
     seen: dict[int, int] = {}
     seen_get = seen.get
     queue: deque[tuple[int, str]] = deque()

@@ -9,7 +9,7 @@ from shexval.genbench import (
     generate_graph,
 )
 from shexval.schema import parse_schema
-from shexval.validate import flood_extension, validate_multi
+from shexval.validate import flood_extension, validate_multi, validate_single
 
 CHAIN = parse_schema("t -> a::u\nu -> eps\n")
 MUTUAL = parse_schema("t -> a::u\nu -> a::t\n")
@@ -88,11 +88,9 @@ class TestGenConfig:
         [
             {"n_nodes": -1},
             {"plus_range": (0, 15)},
-            {"opt_range": (0, 2)},
             {"star_range": (5, 3)},
             {"star_range": (-1, 4)},
             {"star_range": (0, 0)},
-            {"interval_span": -1},
         ],
     )
     def test_rejects_bad_parameters(self, kwargs):
@@ -218,6 +216,13 @@ class TestBench:
         schema = parse_schema("t -> a::u , extra::TOP*\nu -> eps\n")
         rows = bench(schema, [10, 20], ["flood", "refine"], repeats=2, seed=3)
         assert [r.algo for r in rows] == ["flood", "refine"] * 2
+
+    def test_validation_by_flood_passes_graphs_with_top_leaves(self):
+        # Every fresh leaf behind a ::TOP edge is reached from a typed node.
+        schema = parse_schema("t -> a::TOP* , b::u?\nu -> c::TOP , d::t*\n")
+        g, pre = generate_graph(GenConfig(schema=schema, n_nodes=200, seed=3))
+        assert validate_multi(g, schema, "flood", pre).valid
+        assert validate_single(g, schema, "flood", pre).valid
 
     def test_recorded_seed_reproduces_the_graph(self, fig2_schema):
         (row,) = bench(fig2_schema, [25], ["refine"], repeats=2, seed=100)

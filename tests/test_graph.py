@@ -43,36 +43,48 @@ class TestNeighborhoods:
         assert g.out_lab("s") == Counter({"a": 2})
 
 
+def class_key(g, n):
+    """The key of node n's label-bag class in the successor rows."""
+    rows = g.successor_rows()
+    return rows.keys[rows.classes[g.sorted_nodes().index(n)]]
+
+
+def named_classes(g):
+    """The label-bag classes of the successor rows as sets of node names,
+    by key."""
+    rows = g.successor_rows()
+    classes = defaultdict(set)
+    for n, c in zip(g.sorted_nodes(), rows.classes):
+        classes[rows.keys[c]].add(n)
+    return dict(classes)
+
+
 class TestLabelClasses:
     def test_sinks_and_isolated_nodes_share_the_empty_key(self, g2):
         g = Graph(g2.edges, nodes=["lonely"])
-        assert g.label_key("n2") == g.label_key("lonely") == ()
-        assert set(g.label_classes()[()]) == {"n2", "lonely"}
+        assert class_key(g, "n2") == class_key(g, "lonely") == ()
+        assert named_classes(g)[()] == {"n2", "lonely"}
 
     def test_key_counts_parallel_labels(self):
         g = Graph([("s", "b", "t1"), ("s", "a", "t1"), ("s", "a", "t2")])
-        assert g.label_key("s") == (("a", 2), ("b", 1))
-
-    def test_unknown_node(self, g0):
-        with pytest.raises(KeyError):
-            g0.label_key("missing")
+        assert class_key(g, "s") == (("a", 2), ("b", 1))
 
     def test_relabeled_graph_has_its_own_index(self):
         g = Graph([("s", "ex:x", "t"), ("s", "ex:y", "u"), ("r", "b", "t")])
-        assert g.label_key("s") == (("ex:x", 1), ("ex:y", 1))
+        assert class_key(g, "s") == (("ex:x", 1), ("ex:y", 1))
         relabeled = relabel_wildcards(
             g, [WildcardDecl("EX", prefix="ex:"), WildcardDecl("R", rest=True)]
         )
-        assert relabeled.label_key("s") == (("EX", 2),)
-        assert relabeled.label_key("r") == (("R", 1),)
-        assert g.label_key("s") == (("ex:x", 1), ("ex:y", 1))
+        assert class_key(relabeled, "s") == (("EX", 2),)
+        assert class_key(relabeled, "r") == (("R", 1),)
+        assert class_key(g, "s") == (("ex:x", 1), ("ex:y", 1))
 
 
 class TestNodeOrder:
     def test_parse_leaves_the_order_and_the_classes_unbuilt(self):
         g = parse_graph("q\ta\tp\nnode\tlonely\n")
         assert g._sorted is None
-        assert g._classes is None
+        assert g._rows is None
 
     def test_sorted_nodes_is_one_tuple_built_on_first_call(self):
         g = parse_graph("q\ta\tp\nr\tb\tq\nnode\tlonely\n")
@@ -212,28 +224,32 @@ def test_out_lab_total_matches_neighborhood_size(edges, extra):
 
 @settings(max_examples=200, deadline=None)
 @given(edges_st, st.sets(st.sampled_from("pqrstu"), max_size=3))
-def test_label_classes_partition_nodes_by_label_bag(edges, extra):
-    g = Graph(edges, extra)
-    classes = g.label_classes()
-    members = [n for nodes in classes.values() for n in nodes]
-    assert sorted(members) == sorted(g.nodes)
-    for key, nodes in classes.items():
-        for n in nodes:
-            assert key == g.label_key(n) == tuple(sorted(g.out_lab(n).items()))
-
-
-@settings(max_examples=200, deadline=None)
-@given(edges_st, st.sets(st.sampled_from("pqrstu"), max_size=3))
-def test_label_classes_list_their_nodes_in_node_order(edges, extra):
+def test_rows_number_the_label_bag_classes(edges, extra):
     g = Graph(edges, extra)
     order = g.sorted_nodes()
     assert order == tuple(sorted(g.nodes))
-    classes = g.label_classes()
-    for key, nodes in classes.items():
-        assert list(nodes) == [n for n in order if n in nodes]
-    sinks = [n for n in order if not g.out_lab_node(n)]
-    assert classes.get((), ()) == tuple(sinks)
-    assert g.sorted_nodes() is order
+    rows = g.successor_rows()
+    # The reference: the positions grouped by each node's label bag, read
+    # off its successors by name.
+    by_bag = defaultdict(list)
+    for i, n in enumerate(order):
+        by_bag[tuple(sorted(g.out_lab(n).items()))].append(i)
+    members = defaultdict(list)
+    for i, c in enumerate(rows.classes):
+        members[c].append(i)
+    assert sorted(members.values()) == sorted(by_bag.values())
+    assert sorted(members) == list(range(len(rows.keys)))
+    assert len(rows.sizes) == len(rows.firsts) == len(rows.keys)
+    for c, positions in members.items():
+        assert positions == by_bag[rows.keys[c]]
+        for i in positions:
+            row = rows.labels[rows.starts[i] : rows.starts[i + 1]]
+            assert rows.keys[c] == tuple(sorted(Counter(row).items()))
+        assert rows.sizes[c] == len(positions)
+        assert rows.firsts[c] == min(positions)
+    # Classes are numbered in the order of their first nodes.
+    assert list(rows.firsts) == sorted(rows.firsts)
+    assert g.sorted_nodes() is order and g.successor_rows() is rows
 
 
 @settings(max_examples=200, deadline=None)
@@ -251,17 +267,12 @@ def test_the_kept_views_are_built_on_first_call_and_kept():
     )
     assert g._inbound is None and g._pairs is None
     rows = g.successor_rows()
-    # The rows carry the class keys; the member tuples wait for their
-    # first call.
-    assert g._classes is None and g.successor_rows() is rows
+    assert g.successor_rows() is rows
     assert rows.keys == ((), (("a", 2),), (("a", 1), ("b", 1)))
     # Positions: lonely 0, p 1, q 2, r 3, s10 4, s2 5, x 6.
     assert list(rows.targets[rows.starts[6]:rows.starts[7]]) == [4, 5]
-    classes = g.label_classes()
-    assert g.label_classes() is classes and list(classes) == list(rows.keys)
-    assert list(classes.values()) == [
-        ("lonely", "p", "s10", "s2"), ("q", "x"), ("r",)
-    ]
+    assert list(rows.classes) == [0, 0, 1, 2, 0, 0, 1]
+    assert rows.firsts == (0, 2, 3) and rows.sizes == (4, 2, 1)
     inbound, pairs = g.inbound_rows(), g.edge_pairs()
     assert g.inbound_rows() is inbound and g.edge_pairs() is pairs
     # p has an in-edge from q, q two from r, r one from q, s10 and s2 one
@@ -392,15 +403,14 @@ def test_parse_matches_the_per_pass_reference(text):
     assert g.edges == edges
     for n in nodes:
         assert g.out_lab_node(n) == succ.get(n, frozenset())
-    classes = {key: set(members) for key, members in g.label_classes().items()}
-    assert classes == _label_classes(nodes, succ)
+    assert named_classes(g) == _label_classes(nodes, succ)
     assert_rows_match_the_successor_index(g)
 
 
 def assert_rows_match_the_successor_index(g):
     order = g.sorted_nodes()
     rows = g.successor_rows()
-    keys = list(g.label_classes())
+    keys = list(rows.keys)
     assert len(rows.starts) == len(order) + 1 == len(rows.classes) + 1
     assert rows.starts[0] == 0 and rows.starts[-1] == len(rows.labels) == len(rows.targets)
     for i, n in enumerate(order):
@@ -408,15 +418,14 @@ def assert_rows_match_the_successor_index(g):
         row = {(rows.labels[k], order[rows.targets[k]]) for k in edges}
         assert len(row) == len(edges)
         assert row == g.out_lab_node(n)
-        assert keys[rows.classes[i]] == g.label_key(n)
+        assert keys[rows.classes[i]] == tuple(sorted(g.out_lab(n).items()))
         # Each row lists its edges by label, then target position, which
         # is the order of its sorted (label, target name) pairs.
         in_order = [(rows.labels[k], rows.targets[k]) for k in edges]
         assert in_order == sorted(in_order)
         assert [(a, order[m]) for a, m in in_order] == sorted(g.out_lab_node(n))
-    assert [order[i] for i in rows.firsts] == [nodes[0] for nodes in g.label_classes().values()]
+    assert list(rows.firsts) == [list(rows.classes).index(c) for c in range(len(keys))]
     # Each class key is the counted labels of its first node's row.
-    assert list(rows.keys) == keys
     for c, i in enumerate(rows.firsts):
         first_row = rows.labels[rows.starts[i] : rows.starts[i + 1]]
         assert rows.keys[c] == tuple(sorted(Counter(first_row).items()))
@@ -446,7 +455,10 @@ def assert_rows_match_the_successor_index(g):
     for i, n in enumerate(order):
         edges = range(rows.starts[i], rows.starts[i + 1])
         row = sorted(pairs[numbers[k]] for k in edges)
-        expected = sorted((a, keys.index(g.label_key(m))) for a, m in g.out_lab_node(n))
+        expected = sorted(
+            (a, keys.index(tuple(sorted(g.out_lab(m).items()))))
+            for a, m in g.out_lab_node(n)
+        )
         assert row == expected
         seen.update(expected)
     assert seen == set(pairs)

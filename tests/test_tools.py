@@ -34,6 +34,12 @@ def test_bench_pairs_writes_alternated_pairs_and_their_summary(tmp_path):
     assert set(workload["summary"]) == set(workload["pairs"][0]["parent"]["result"]["metrics"])
     assert bench["trace"]["parent"]["graph.nodes"] == bench["trace"]["change"]["graph.nodes"]
     assert bench["claim"] == {"workload": "chain-tail", "metric": "cold_s", **summary}
+    # Both sides are this checkout, whose src/ has code and comment lines.
+    lines = bench["src_lines"]["parent"]
+    assert bench["src_lines"]["change"] == lines
+    texts = [path.read_text() for path in (ROOT / "src").rglob("*.py")]
+    assert lines["lines"] == sum(len(text.splitlines()) for text in texts)
+    assert 0 < lines["code"] < lines["lines"]
 
 
 def test_bench_pairs_refuses_a_claim_on_a_workload_it_does_not_run(tmp_path):

@@ -1734,7 +1734,7 @@ def test_refinement_stays_within_its_counted_bounds(family, size):
     n_types, n_edges = len(s.gamma), len(g.edges)
     for algo in admissible_algorithms(s):
         report = validate_multi(g, s, algo)
-        first = len(g.nodes) if algo == "s-refine" else len(g.label_classes())
+        first = len(g.nodes) if algo == "s-refine" else len(g.successor_rows().keys)
         assert report.iterations <= len(g.nodes) * n_types + 1
         assert report.local_tests <= n_types * first + n_types**2 * n_edges
 
@@ -1758,7 +1758,7 @@ def test_flooding_stays_within_its_counted_bounds(monkeypatch, family, size):
         monkeypatch.setattr(module, "member", counted)
     report = flood_extension(g, s, pre, mode="multi")
     assert 0 < report.edges_examined <= len(s.gamma) * len(g.edges)
-    assert 0 < calls["member"] <= len(s.gamma) * len(g.label_classes())
+    assert 0 < calls["member"] <= len(s.gamma) * len(g.successor_rows().keys)
     report = flood_extension(g, s, pre, mode="single")
     assert 0 < report.edges_examined <= len(g.edges)
 
@@ -1782,7 +1782,7 @@ def test_single_mode_flooding_decides_each_label_bag_once_per_type(
         monkeypatch.setattr(module, "member", counted)
     report = flood_extension(g, s, pre, mode="single")
     assert report.iterations > 0
-    assert 0 < calls["member"] <= len(s.gamma) * len(g.label_classes())
+    assert 0 < calls["member"] <= len(s.gamma) * len(g.successor_rows().keys)
 
 
 def test_flood_single_takes_a_universal_type_whatever_its_edges():
@@ -2019,6 +2019,11 @@ def test_multi_mode_flooding_takes_a_universal_type_whatever_its_edges():
     }
     report = validate_multi(g, s, "flood", {"x": {"u"}})
     assert report.failures == (("z", "-", "not reached from the pre-typing"),)
+    # x holding t alone reaches none of its successors either.
+    unreached = tuple((n, "-", "not reached from the pre-typing") for n in "yz")
+    for validate in (validate_multi, validate_single):
+        report = validate(g, s, "flood", {"x": {"t"}})
+        assert report.failures == unreached
 
 
 def test_typings_hold_one_set_object_per_distinct_type_set():
@@ -2088,25 +2093,17 @@ def test_cold_refine_of_the_nondet_benchmark_input_counts_its_solver_calls(
 
 def count_view_builds(monkeypatch, untouched_pair_numbers=False) -> Counter:
     """Counts the builds of the graph's kept views by name: the successor
-    rows, the member tuples of the label-bag index (``classes``), the
-    inbound rows and the edge pairs.  With ``untouched_pair_numbers``, the
-    per-edge pair numbers fail on any read, so that a run which visits no
-    edge by pair shows it."""
+    rows, the inbound rows and the edge pairs.  With
+    ``untouched_pair_numbers``, the per-edge pair numbers fail on any
+    read, so that a run which visits no edge by pair shows it."""
     builds: Counter = Counter()
     index_positions = Graph._index_positions
-    label_classes = Graph.label_classes
 
     def rows_counted(graph):
         builds["rows"] += 1
         index_positions(graph)
 
-    def classes_counted(graph):
-        if graph._classes is None:
-            builds["classes"] += 1
-        return label_classes(graph)
-
     monkeypatch.setattr(Graph, "_index_positions", rows_counted)
-    monkeypatch.setattr(Graph, "label_classes", classes_counted)
 
     class Untouched:
         def visited(self, *args):
@@ -2141,7 +2138,7 @@ def test_fig2_round_two_builds_no_inbound_rows_and_visits_no_edge(monkeypatch):
     for _ in ("cold", "warm"):
         report = validate_multi(g, s, "refine")
         assert report.valid and report.iterations == 2
-        assert builds == {"rows": 1, "classes": 1, "pairs": 1}
+        assert builds == {"rows": 1, "pairs": 1}
         assert g._inbound is None
 
 
@@ -2164,11 +2161,11 @@ def test_a_warm_refine_builds_no_view_of_the_graph_again(monkeypatch):
     cold = validate_multi(g, s, "refine")
     assert (cold.iterations, cold.local_tests) == (9, 3632)
     assert calls == 346 and len(s._derived["refine:memo:general"]) == 807
-    assert builds == {"rows": 1, "classes": 1, "inbound": 1, "pairs": 1}
+    assert builds == {"rows": 1, "inbound": 1, "pairs": 1}
     warm = validate_multi(g, s, "refine")
     assert (warm.iterations, warm.local_tests) == (9, 3632)
     assert calls == 346 and len(s._derived["refine:memo:general"]) == 807
-    assert builds == {"rows": 1, "classes": 1, "inbound": 1, "pairs": 1}
+    assert builds == {"rows": 1, "inbound": 1, "pairs": 1}
     assert report_lines(warm) == report_lines(cold)
 
 
@@ -2184,20 +2181,19 @@ def test_the_chain_builds_its_inbound_rows_once_across_a_cold_and_a_warm_run(
     for _ in ("cold", "warm"):
         report = validate_multi(g, s, algo)
         assert not report.valid and report.iterations == 51 + (algo != "s-refine")
-        assert builds == {"rows": 1, "classes": 1, "inbound": 1}
+        assert builds == {"rows": 1, "inbound": 1}
 
 
 def test_a_flood_builds_only_the_rows_and_a_refine_after_it_none(monkeypatch):
-    # A flood on a fresh graph reads the successor rows and their class
-    # keys only; the refine that follows finds the rows built, and a warm
-    # flood builds nothing.
+    # A flood on a fresh graph builds the successor rows only; the refine
+    # that follows finds the rows built, and a warm flood builds nothing.
     case = _benchmark_inputs().fig2_input(7, 500)
     g, s = parse_graph(case.graph_text), parse_schema(case.schema_text)
     builds = count_view_builds(monkeypatch)
     cold = flood_extension(g, s, case.pre)
     assert cold.valid and len(cold.typing) == len(g.nodes)
     assert builds == {"rows": 1}
-    assert g._classes is None and g._inbound is None and g._pairs is None
+    assert g._inbound is None and g._pairs is None
     assert list(cold.typing) == list(g.sorted_nodes())
     refined = validate_multi(g, parse_schema(case.schema_text), "refine")
     assert refined.valid and builds["rows"] == 1
@@ -2245,12 +2241,12 @@ def reference_round_two(g, schema, lost_by_class, current):
     edge: (n, t) where n still holds t, and t's rule uses the edge's label
     with a type the edge's target lost."""
     order = g.sorted_nodes()
-    keys = list(g.label_classes())
+    keys = list(g.successor_rows().keys)
     sets = schema.type_sets
     work = {}
     for i, n in enumerate(order):
         for a, m in g.out_lab_node(n):
-            gone = sets[lost_by_class[keys.index(g.label_key(m))]]
+            gone = sets[lost_by_class[keys.index(tuple(sorted(g.out_lab(m).items())))]]
             for t in sets[current[i]]:
                 rule = schema.compiled[t]
                 if not rule.universal and gone & set(rule.targets.get(a, ())):

@@ -20,8 +20,10 @@ end-to-end metric, the parent's median and quartiles, the change's
 median, and in how many pairs the change read lower.  The two sides are
 labelled with their checkouts' directory names.  ``--claim W:M`` names
 the metric M of workload W that the pairs test, and writes its summary
-line as the file's ``claim``.  ``--quick`` passes ``--quick`` on to
-``perfbench/run.py``, so that the tool's own test runs in seconds.
+line as the file's ``claim``.  ``src_lines`` gives each checkout's line
+count of the Python files under ``src/``: all lines, and the code lines,
+which are neither blank nor comments.  ``--quick`` passes ``--quick`` on
+to ``perfbench/run.py``, so that the tool's own test runs in seconds.
 """
 
 from __future__ import annotations
@@ -129,6 +131,16 @@ def _pair(args, workload: str, seed: int, index: int, trace: int) -> dict:
     return pair
 
 
+def _src_lines(checkout: Path) -> dict:
+    lines = code = 0
+    for path in sorted((checkout / "src").rglob("*.py")):
+        for line in path.read_text().splitlines():
+            lines += 1
+            stripped = line.strip()
+            code += bool(stripped) and not stripped.startswith("#")
+    return {"lines": lines, "code": code}
+
+
 def _summary(pairs: list[dict]) -> dict:
     summary = {}
     for name in pairs[0]["parent"]["result"]["metrics"]:
@@ -163,6 +175,7 @@ def main(argv: list[str] | None = None) -> int:
         "pairing": "parent and change alternated per seed, the parent first in odd"
         " pairs of each workload; each run in a fresh process in its own checkout",
         "fields": FIELDS,
+        "src_lines": {"parent": _src_lines(args.parent), "change": _src_lines(args.change)},
         "claim": None,
         "workloads": {},
     }
