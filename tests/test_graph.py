@@ -224,6 +224,34 @@ def test_out_lab_total_matches_neighborhood_size(edges, extra):
 
 @settings(max_examples=200, deadline=None)
 @given(edges_st, st.sets(st.sampled_from("pqrstu"), max_size=3))
+def test_label_classes_partition_nodes_by_label_bag(edges, extra):
+    g = Graph(edges, extra)
+    classes = named_classes(g)
+    members = [n for nodes in classes.values() for n in nodes]
+    assert sorted(members) == sorted(g.nodes)
+    for key, nodes in classes.items():
+        for n in nodes:
+            assert key == class_key(g, n) == tuple(sorted(g.out_lab(n).items()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(edges_st, st.sets(st.sampled_from("pqrstu"), max_size=3))
+def test_label_classes_list_their_nodes_in_node_order(edges, extra):
+    g = Graph(edges, extra)
+    order = g.sorted_nodes()
+    rows = g.successor_rows()
+    listed = defaultdict(list)
+    for n, c in zip(order, rows.classes):
+        listed[rows.keys[c]].append(n)
+    for key, nodes in listed.items():
+        assert nodes == sorted(nodes)
+    sinks = [n for n in order if not g.out_lab_node(n)]
+    assert listed.get((), []) == sinks
+    assert list(listed) == list(rows.keys)
+
+
+@settings(max_examples=200, deadline=None)
+@given(edges_st, st.sets(st.sampled_from("pqrstu"), max_size=3))
 def test_rows_number_the_label_bag_classes(edges, extra):
     g = Graph(edges, extra)
     order = g.sorted_nodes()
