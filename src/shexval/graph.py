@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import accumulate, chain, islice, repeat
 from operator import add, sub
@@ -109,12 +109,6 @@ class Graph:
         if node not in self.nodes:
             raise KeyError(node)
         return self._succ.get(node, frozenset())
-
-    def out_edges(self, nodes: Iterable[str]) -> frozenset[tuple[str, str, str]]:
-        """The edges leaving any of ``nodes``; names that are not nodes of
-        the graph have none."""
-        succ = self._succ
-        return frozenset([(n, a, m) for n in nodes if n in succ for a, m in succ[n]])
 
     def sorted_nodes(self) -> tuple[str, ...]:
         """The nodes in sorted order, built on first call and kept."""

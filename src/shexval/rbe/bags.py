@@ -3,31 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable
 
-__all__ = ["Bag", "BagKey", "bag", "bag_key", "bag_from_key", "bag_sum"]
+__all__ = ["Bag"]
 
 Bag = Counter
-# Canonical hashable form: sorted (symbol, count) pairs with count > 0.
-BagKey = tuple[tuple[str, int], ...]
-
-
-def bag(symbols: Iterable[str] = ()) -> Counter[str]:
-    """Build a bag from an iterable of symbol occurrences."""
-    return Counter(symbols)
-
-
-def bag_key(b: Counter[str]) -> BagKey:
-    """Canonical hashable form of a bag; zero and negative counts are dropped."""
-    return tuple(sorted((s, c) for s, c in b.items() if c > 0))
-
-
-def bag_from_key(key: BagKey) -> Counter[str]:
-    return Counter(dict(key))
-
-
-def bag_sum(a: Counter[str], b: Counter[str]) -> Counter[str]:
-    """Multiset union with added multiplicities."""
-    out = Counter(a)
-    out.update(b)
-    return out

@@ -18,24 +18,17 @@ from .ast import (
     split_symbol,
     walk,
 )
-from .bags import BagKey, bag_from_key, bag_key, bag_sum
 from .intervals import ONCE, Interval, interval_add, interval_intersect
 
 __all__ = [
-    "EnumerationLimit",
     "nullable",
     "alphabet",
     "is_sorbe",
     "is_symbol_product",
     "choice_groups",
     "project_sigma",
-    "enumerate_language",
     "normalize_product",
 ]
-
-
-class EnumerationLimit(Exception):
-    """Raised when language enumeration exceeds its bag budget."""
 
 
 def nullable(e: Rbe) -> bool:
@@ -94,61 +87,6 @@ def choice_groups(e: Rbe) -> list[frozenset[str]] | None:
 def project_sigma(e: Rbe) -> Rbe:
     """Erase the type part of every ``label::type`` symbol, keeping intervals."""
     return map_symbols(e, lambda s: Symbol(split_symbol(s.name)[0], s.bounds))
-
-
-def enumerate_language(e: Rbe, max_size: int, limit: int = 1_000_000) -> set[BagKey]:
-    """All bags of the language with at most ``max_size`` total occurrences.
-
-    Raises EnumerationLimit when any intermediate result holds more than
-    ``limit`` bags.
-    """
-
-    def guard(bags: set[BagKey]) -> set[BagKey]:
-        if len(bags) > limit:
-            raise EnumerationLimit(f"more than {limit} bags of size <= {max_size}")
-        return bags
-
-    def sums(xs: set[BagKey], ys: set[BagKey]) -> set[BagKey]:
-        out: set[BagKey] = set()
-        for kx in xs:
-            sx = sum(c for _, c in kx)
-            bx = bag_from_key(kx)
-            for ky in ys:
-                if sx + sum(c for _, c in ky) <= max_size:
-                    out.add(bag_key(bag_sum(bx, bag_from_key(ky))))
-        return guard(out)
-
-    def closure(base: set[BagKey]) -> set[BagKey]:
-        acc: set[BagKey] = {()}
-        frontier: set[BagKey] = {()}
-        while frontier:
-            frontier = sums(frontier, base) - acc
-            acc = guard(acc | frontier)
-        return acc
-
-    def step(node: Rbe, parts: list[set[BagKey]]) -> set[BagKey]:
-        match node:
-            case Epsilon():
-                return {()}
-            case Symbol(name, bounds):
-                if bounds.is_empty:
-                    return set()
-                hi = max_size if bounds.hi is None else min(bounds.hi, max_size)
-                return guard(
-                    {((name, c),) if c else () for c in range(bounds.lo, hi + 1)}
-                )
-            case Disj():
-                return guard(set().union(*parts))
-            case Concat():
-                return functools.reduce(sums, parts)
-            case Star():
-                return closure(parts[0])
-            case Plus():
-                return sums(parts[0], closure(parts[0]))
-        # Isect
-        return set.intersection(*parts)
-
-    return fold(e, step)
 
 
 _ZERO = Interval(0, 0)

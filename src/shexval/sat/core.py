@@ -50,7 +50,6 @@ __all__ = [
     "inter1_groups",
     "SatResult",
     "rbe_satisfiable",
-    "normal_form_isect",
     "AmbiguityResult",
     "is_unambiguous",
 ]
@@ -269,21 +268,6 @@ def inter1(choice_expr: Rbe, other: Rbe) -> bool:
 class SatResult:
     status: str  # "sat" | "unsat" | "unknown"
     witness: Counter[str] | None
-
-
-def normal_form_isect(e1: Rbe, e2: Rbe) -> dict[str, Interval] | None:
-    """Per-symbol intervals of the intersection of two interval-product
-    languages; None when the intersection is empty.
-
-    A symbol missing on one side is constrained to zero occurrences there.
-    """
-    try:
-        return normalize_product(Isect(e1, e2))
-    except ValueError:
-        raise ValueError(
-            "operands are not built from interval symbols, unordered "
-            "concatenation, and intersection"
-        ) from None
 
 
 def _structurally_nonempty(e: Rbe) -> Counter[str] | None:

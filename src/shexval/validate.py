@@ -33,26 +33,18 @@ simulation (Henzinger, Henzinger and Kopke, FOCS 1995) and arc
 consistency (AC-3, Mackworth 1977).  Its first round tests every
 (node, type) pair; later rounds re-test only the pairs (n, t) where n has
 an a-edge into a node m that lost a type u in the round before and the
-rule of t mentions ``a::u``.  It finds them in the manner of
-direction-optimizing search (Beamer, Asanovic and Patterson, SC 2012).
-Round 1 from the full typing takes types by label-bag class, so when the
-losing classes hold a quarter of the nodes or more, round 2 goes
-forward, deciding once per (label, target class) pair of the graph's
-edges what the loss can affect, and visits edges one by one only where
-a pair affects something.  Every other round goes backward, over the
-inbound edges of the nodes that lost types.  Both views of the edges
-are kept on the graph (:meth:`Graph.edge_pairs`,
-:meth:`Graph.inbound_rows`), so a repeat validation of a graph builds
-neither again.  The local verdict
-of (n, t) depends on each successor m only through the types of m that
-t's rule mentions under the edge's label: a flattening that picks an
-unmentioned symbol lies outside the rule's language.  Every rule but
-the universal one is an expression, product and powerset rules included,
-so this holds for every schema.  So a pair off the frontier keeps the
-verdict it had a round earlier, and every round removes exactly the
-pairs the synchronous round removes.  The general test rests on the same
-fact: it decides (n, t) on the neighborhood projected onto the types t's
-rule mentions under each label, so neighborhoods that differ only in
+rule of t mentions ``a::u``, found forward or backward as in
+direction-optimizing search (Beamer, Asanovic and Patterson, SC 2012;
+see :class:`_RefineEngine`).  The local verdict of (n, t) depends on
+each successor m only through the types of m that t's rule mentions
+under the edge's label: a flattening that picks an unmentioned symbol
+lies outside the rule's language.  Every rule but the universal one is
+an expression, product and powerset rules included, so this holds for
+every schema.  So a pair off the frontier keeps the verdict it had a
+round earlier, and every round removes exactly the pairs the
+synchronous round removes.  The general test rests on the same fact: it
+decides (n, t) on the neighborhood projected onto the types t's rule
+mentions under each label, so neighborhoods that differ only in
 unmentioned types share one verdict, and a label whose types all go
 unmentioned fails the pair.
 
@@ -69,21 +61,18 @@ one typed bag.
 
 Inside, a set of types is a bit mask over the schema's numbering of its
 types (``Schema.bits``), in the manner of bit-vector simulation
-algorithms (Ranzato and Tapparo, LICS 2007): the refinement typing, the
-frontier, the label-bag verdicts, multi-mode flooding and the keys of
-the general memo hold ints, so removing, testing and projecting types
-allocates no set.  A typing is turned into names once, for its report,
-and every node holding a mask gets the one frozenset the schema keeps
-for it (``Schema.type_sets``).  Refinement and multi-mode flooding also
-number the nodes by their position in the graph's sorted order and read
-edges off the graph's successor rows (:meth:`Graph.successor_rows`), so
-testing an edge hashes no node name.  Refinement's typing is a list by
-position, so the data a round touches stays compact as graphs grow; the
-flood's queued types are a dict by position, so a flood's own work
-follows the nodes it reaches.  A row lists its edges by label, then
-target, so the flood meets each neighborhood in sorted order without
-sorting it, and decides each label-bag verdict once per class of the
-rows.
+algorithms (Ranzato and Tapparo, LICS 2007): the typings, the frontier,
+the label-bag verdicts and the keys of the general memo hold ints, so
+removing, testing and projecting types allocates no set.  Nodes are
+positions in the graph's sorted order and edges are read off its
+successor rows (:meth:`Graph.successor_rows`), so testing an edge hashes
+no node name.  Refinement's typing is a list by position; the flood's
+queued types are a dict by position, so its own work follows the nodes
+it reaches.  A typing stays masks by position into its report, whose
+typing and remaining edges are views over the masks, the sorted order
+and the rows (:class:`ValidationReport`): names appear only where the
+report is read, each mask as the one frozenset ``Schema.type_sets``
+keeps for it.
 """
 
 from __future__ import annotations
@@ -91,8 +80,9 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from collections import Counter, deque
-from collections.abc import Iterable, Mapping
+from collections.abc import ItemsView, Iterable, Mapping, Set, ValuesView
 from dataclasses import dataclass
+from operator import not_, sub
 
 from .graph import Graph
 from .membership import member
@@ -111,7 +101,6 @@ __all__ = [
     "flatten",
     "check_s_typing",
     "check_m_typing",
-    "m_typing_leq",
     "structure_filtered_init",
     "infer_types",
     "validate_multi",
@@ -141,29 +130,31 @@ class ValidationReport:
 
     Every report of this module comes from one builder, ``_report``, which
     sets ``valid`` and ``remaining_edges`` from the other fields.
-    ``typing`` maps nodes either to a single type (single-type modes) or
-    to a frozenset of types; nodes never reached by flooding are absent.
+    ``typing`` maps nodes either to a single type, a ``str`` (single-type
+    modes), or to a frozenset of types, one shared frozenset per distinct
+    set; nodes never reached by flooding are absent, and refinement lists
+    every node, nodes that can carry no type with the empty set.
     ``failures`` holds (node, type, reason) triples; ``valid`` holds
-    exactly when it is empty.  ``remaining_edges`` are the out-edges of
-    the nodes the typing leaves uncovered: absent from it, or holding only
-    types with a universal rule.  ``iterations`` counts refinement
-    rounds, including the last one, which removes nothing, or processed
-    flooding obligations.  A refinement round is synchronous: it tests
-    every (node, type) pair against the typing the round before left and
-    removes the failing pairs together.  The driver re-tests only a
-    frontier of pairs in each round, but counts these rounds.
+    exactly when it is empty.  ``remaining_edges`` are the (subject,
+    label, object) out-edges of the nodes the typing leaves uncovered:
+    absent from it, or holding only types with a universal rule.  Both are
+    read-only views of validation's masks by node position over the
+    graph's sorted order and successor rows: a ``Mapping`` that iterates
+    in node order and a ``Set`` that iterates in sorted order, equal to
+    the ``dict`` and ``frozenset`` a report built by hand may hold.
+    ``iterations`` counts refinement rounds, including the last one,
+    which removes nothing, or processed flooding obligations.
     ``local_tests`` counts the (node, type) local tests the refinement
-    driver ran over all rounds; from the full typing, round 1 counts one
-    test per type for one representative node of each label-bag class.
-    It is 0 for flooding and brute force.
-    ``edges_examined`` counts outbound neighborhood scans during flooding,
-    including repeats on backtracking.
+    driver ran over all rounds, 0 for flooding and brute force; from the
+    full typing, round 1 counts one test per type for one representative
+    node of each label-bag class.  ``edges_examined`` counts outbound
+    neighborhood scans during flooding, including repeats on backtracking.
     """
 
     valid: bool
     typing: Mapping[str, object]
     failures: tuple[tuple[str, str, str], ...] = ()
-    remaining_edges: frozenset[tuple[str, str, str]] = frozenset()
+    remaining_edges: Set[tuple[str, str, str]] = frozenset()
     iterations: int = 0
     algorithm: str = ""
     edges_examined: int = 0
@@ -229,11 +220,6 @@ def check_m_typing(g: Graph, s: Schema, typing: Mapping[str, Iterable[str]]) -> 
     )
 
 
-def m_typing_leq(first: Mapping[str, Iterable[str]], second: Mapping[str, Iterable[str]]) -> bool:
-    """Pointwise containment of set-valued typings (absent nodes are empty)."""
-    return all(set(ts) <= set(second.get(n, ())) for n, ts in first.items())
-
-
 def _some_flattening_member(
     s: Schema, neighborhood: Counter[tuple[str, frozenset[str]]], t: str
 ) -> bool:
@@ -291,9 +277,9 @@ class _RefineEngine:
     losing types is ``mask & ~lost``, and a rule's targets under a label
     are a mask too, so the deterministic test, the projection and the
     frontier are each an ``&``.  Nodes are positions in the graph's sorted
-    order: the typing is a list, and a node's edges are its row of the
-    graph's successor rows.  Names come back only for the solver (under
-    ``refine``, on a memo miss) and for the typing ``run`` returns.  The
+    order: the typing is a list, which ``run`` returns as it is, and a
+    node's edges are its row of the graph's successor rows.  Names come
+    back only for the solver (under ``refine``, on a memo miss).  The
     verdict memos live on the schema, so engines over the same schema
     share them and repeat validations start warm.  The frontier goes
     forward, by (label, target class) pair, only in round 2 after round 1
@@ -338,29 +324,21 @@ class _RefineEngine:
         self._affecting: dict[tuple[str, int], int] = {}
         self.local_tests = 0
 
-    def run(self) -> tuple[dict[str, frozenset[str]], int]:
-        """The fixpoint below the algorithm's start, in the graph's node
-        order, and its number of rounds, counting the first and the last
-        one, which removes nothing."""
-        g, s = self.g, self.s
-        order = g.sorted_nodes()
-        losses = []
+    def run(self) -> tuple[list[int], int]:
+        """The fixpoint below the algorithm's start, as masks by node
+        position, and its number of rounds, counting the first and the
+        last one, which removes nothing."""
         if self.algo == "s-refine":
-            # The start comes named, in node order, each node holding the
-            # set of its label-bag class; the typing takes the masks of
-            # the same classes.  Only the nodes that lose types are named
-            # again at the end.
-            named = structure_filtered_init(g, s)
-            admitted = [_admitted(s, key) for key in self.keys]
-            current = list(map(admitted.__getitem__, self.rows.classes))
+            # The start is a view of the masks of the label-bag classes by
+            # position; the engine takes its own copy of them.
+            current = list(structure_filtered_init(self.g, self.s)._masks)
             lost = self._test(enumerate(current), current)
             for i, types in lost.items():
                 current[i] &= ~types
-            losses.append(lost)
             work = self._frontier(lost, current) if lost else None
         else:
-            named = None
-            current, lost_by_class = self._first_round_by_class(sum(s.bits.values()))
+            full = sum(self.s.bits.values())
+            current, lost_by_class = self._first_round_by_class(full)
             work = self._class_frontier(lost_by_class, current)
         # ``work`` is None once a round has removed nothing.
         rounds = 1
@@ -369,15 +347,8 @@ class _RefineEngine:
             lost = self._test(work.items(), current)
             for n, types in lost.items():
                 current[n] &= ~types
-            losses.append(lost)
             work = self._frontier(lost, current) if lost else None
-        sets = s.type_sets
-        if named is None:
-            return dict(zip(order, map(sets.__getitem__, current))), rounds
-        for lost in losses:
-            for i in lost:
-                named[order[i]] = sets[current[i]]
-        return named, rounds
+        return current, rounds
 
     def _frontier(self, lost: dict[int, int], current: list[int]) -> dict[int, int]:
         """The pairs to re-test once the nodes of ``lost`` have lost their
@@ -593,7 +564,7 @@ def _admitted(s: Schema, bag: tuple[tuple[str, int], ...]) -> int:
     return types
 
 
-def structure_filtered_init(g: Graph, s: Schema) -> dict[str, frozenset[str]]:
+def structure_filtered_init(g: Graph, s: Schema) -> Mapping[str, frozenset[str]]:
     """Initial typing keeping only the types whose rule admits the node's
     outbound label bag.
 
@@ -601,12 +572,14 @@ def structure_filtered_init(g: Graph, s: Schema) -> dict[str, frozenset[str]]:
     from this typing reaches the same fixpoint as starting from the full
     one.  The type set is computed once per label-bag class of the
     graph's successor rows (:func:`_admitted`), and every node of the
-    class gets that one set.  The nodes come in the graph's node order.
+    class gets that one set.  The typing is a view by name of the masks
+    by position (see :class:`ValidationReport`), in the graph's node
+    order.
     """
     rows = g.successor_rows()
-    sets = s.type_sets
-    by_class = [sets[_admitted(s, key)] for key in rows.keys]
-    return dict(zip(g.sorted_nodes(), map(by_class.__getitem__, rows.classes)))
+    by_class = [_admitted(s, key) for key in rows.keys]
+    masks = list(map(by_class.__getitem__, rows.classes))
+    return _Typing(g.sorted_nodes(), masks, s.type_sets, sparse=False)
 
 
 def infer_types(g: Graph, s: Schema) -> dict[str, frozenset[str]]:
@@ -619,8 +592,8 @@ def infer_types(g: Graph, s: Schema) -> dict[str, frozenset[str]]:
     at most |nodes|·|types| + 1, but each round costs only the pairs it
     can change (see :class:`_RefineEngine`).
     """
-    typing, _ = _RefineEngine(g, s, "refine").run()
-    return typing
+    current, _ = _RefineEngine(g, s, "refine").run()
+    return dict(zip(g.sorted_nodes(), map(s.type_sets.__getitem__, current)))
 
 
 def _types_of(value) -> frozenset[str]:
@@ -629,45 +602,174 @@ def _types_of(value) -> frozenset[str]:
     return frozenset(value)
 
 
-def _remaining(g: Graph, s: Schema, typing: Mapping[str, object]) -> frozenset:
-    # The out-edges of the uncovered nodes only, so a typing that covers
-    # every node touches no edge.  A node is uncovered when it is untyped
-    # or every type it holds has a universal rule (a type the schema does
-    # not know covers its node).  Such a node holds no type, uncovered
-    # outright, or a universal one, which one ``in`` test per universal
-    # type finds (in a string value, as a substring); the set test decides.
-    universal = frozenset(t for t, rule in s.compiled.items() if rule.universal)
-    held = []
-    for u in universal:
-        held += [n for n, types in typing.items() if u in types]
-    uncovered = g.nodes.difference(typing).union(
-        [n for n, types in typing.items() if not types],
-        [n for n in held if _types_of(typing[n]) <= universal],
-    )
-    return g.out_edges(uncovered)
+def _position(order: tuple[str, ...], n) -> int | None:
+    """The position of ``n`` in the sorted ``order``, or None."""
+    i = bisect_left(order, n) if isinstance(n, str) else len(order)
+    return i if i < len(order) and order[i] == n else None
 
 
-def remaining_edges(g: Graph, s: Schema, report: ValidationReport) -> frozenset:
+class _Typing(Mapping):
+    """A typing by name, a view of a list of masks by node position:
+    ``values`` gives a mask's public value, and a ``sparse`` typing
+    leaves out the positions whose mask is 0.  The view iterates in node
+    order; a lookup by name bisects the order."""
+
+    def __init__(self, order: tuple[str, ...], masks: list[int], values, sparse: bool):
+        self._order, self._masks, self._values = order, masks, values
+        self._sparse = sparse
+
+    def _values_in_order(self):
+        masks = filter(None, self._masks) if self._sparse else self._masks
+        return map(self._values.__getitem__, masks)
+
+    def _pairs(self):
+        return zip(self, self._values_in_order())
+
+    def __getitem__(self, n):
+        i = _position(self._order, n)
+        if i is None or (self._sparse and not self._masks[i]):
+            raise KeyError(n)
+        return self._values[self._masks[i]]
+
+    def __iter__(self):
+        order = self._order
+        return itertools.compress(order, self._masks) if self._sparse else iter(order)
+
+    def __len__(self):
+        masks = self._masks
+        return len(masks) - masks.count(0) if self._sparse else len(masks)
+
+    def items(self):
+        return _TypingItems(self)
+
+    def values(self):
+        return _TypingValues(self)
+
+    def __repr__(self):
+        return repr(dict(self._pairs()))
+
+
+class _TypingItems(ItemsView):
+    def __iter__(self):
+        return self._mapping._pairs()
+
+
+class _TypingValues(ValuesView):
+    def __iter__(self):
+        return self._mapping._values_in_order()
+
+
+class _Remaining(Set):
+    """The out-edges of the nodes whose mask holds no type of ``testable``,
+    read off the graph's successor rows on each pass.  The runs of such
+    positions are found on first use; a run owns one stretch of the rows,
+    so the edges come in sorted order."""
+
+    def __init__(self, g: Graph, masks: list[int], testable: int):
+        self._g, self._masks, self._testable, self._found = g, masks, testable, None
+
+    @property
+    def _runs(self) -> list[tuple[int, int]]:
+        if self._found is None:
+            self._found = _uncovered(self._masks, self._testable)
+        return self._found
+
+    @classmethod
+    def _from_iterable(cls, edges):
+        return frozenset(edges)
+
+    def _edges(self, begin: int, end: int):
+        order = self._g.sorted_nodes()
+        labels, targets, starts = self._g.successor_rows()[:3]
+        first, last = starts[begin], starts[end]
+        lengths = map(sub, starts[begin + 1 : end + 1], starts[begin:end])
+        sources = map(itertools.repeat, order[begin:end], lengths)
+        return zip(
+            itertools.chain.from_iterable(sources),
+            labels[first:last],
+            map(order.__getitem__, targets[first:last]),
+        )
+
+    def __iter__(self):
+        return itertools.chain.from_iterable(itertools.starmap(self._edges, self._runs))
+
+    def __len__(self):
+        starts = self._g.successor_rows().starts
+        return sum(starts[end] - starts[begin] for begin, end in self._runs)
+
+    def __contains__(self, edge):
+        if type(edge) is not tuple or not edge:
+            return False
+        i = _position(self._g.sorted_nodes(), edge[0])
+        if i is None or not any(begin <= i < end for begin, end in self._runs):
+            return False
+        return edge in set(self._edges(i, i + 1))
+
+    def __repr__(self):
+        return repr(frozenset(self))
+
+
+def _uncovered(masks: list[int], testable: int) -> list[tuple[int, int]]:
+    """The runs [begin, end) of the positions whose mask holds no type of
+    ``testable``, in order."""
+    # Few masks are distinct, so each is tested once.
+    covers = {mask: mask & testable != 0 for mask in set(masks)}
+    if all(covers.values()):
+        return []
+    flags = bytes(map(covers.__getitem__, masks)) + b"\1"  # the last run stops
+    runs, end = [], 0
+    while (begin := flags.find(0, end)) != -1:
+        end = flags.find(1, begin)
+        runs.append((begin, end))
+    return runs
+
+
+def _testable(s: Schema) -> int:
+    """The mask of the types that cover a node: those whose rule is not
+    universal, and a type ``s`` does not know (see :func:`_by_position`)."""
+    return sum(
+        s.bits[t] for t, rule in s.compiled.items() if not rule.universal
+    ) | 1 << len(s.bits)
+
+
+def _by_position(g: Graph, s: Schema, typing: Mapping[str, object]) -> list[int]:
+    """A typing by name as masks by node position, 0 where it names no
+    type, without the names that are not nodes of ``g``; a type ``s`` does
+    not know takes the bit past its types."""
+    order, bits, unknown = g.sorted_nodes(), s.bits, 1 << len(s.bits)
+    masks = [0] * len(order)
+    for n, value in typing.items():
+        i = _position(order, n)
+        if i is not None:
+            masks[i] = sum({bits.get(t, unknown) for t in _types_of(value)})
+    return masks
+
+
+def remaining_edges(g: Graph, s: Schema, report: ValidationReport) -> Set:
     """Edges whose source node received no type but universal ones of
-    ``s`` — the part of the graph the typing says nothing about."""
-    return _remaining(g, s, report.typing)
+    ``s`` — the part of the graph the typing says nothing about.  Any
+    typing by name will do; a type ``s`` does not know covers its node."""
+    return _Remaining(g, _by_position(g, s, report.typing), _testable(s))
 
 
 def _report(
     g: Graph,
     s: Schema,
-    typing: Mapping[str, object],
+    masks: list[int],
+    values: Mapping[int, object],
     algorithm: str,
     failures: tuple[tuple[str, str, str], ...] = (),
+    sparse: bool = True,
     **counts: int,
 ) -> ValidationReport:
-    """The one constructor of reports: valid exactly when nothing failed,
-    with the remaining edges of ``typing`` on ``g``."""
+    """The one constructor of reports: valid exactly when nothing failed.
+    The typing and the remaining edges are views of ``masks``, the typing
+    as a list by node position of ``g`` (see :class:`_Typing`)."""
     return ValidationReport(
         valid=not failures,
-        typing=typing,
+        typing=_Typing(g.sorted_nodes(), masks, values, sparse),
         failures=failures,
-        remaining_edges=_remaining(g, s, typing),
+        remaining_edges=_Remaining(g, masks, _testable(s)),
         algorithm=algorithm,
         **counts,
     )
@@ -689,13 +791,13 @@ def validate_multi(
     """
     if algo in ("refine", "s-refine", "rbe0-refine"):
         engine = _RefineEngine(g, s, algo)
-        typing, rounds = engine.run()
+        current, rounds = engine.run()
         failures = tuple(
             (n, "-", "no type survives refinement")
-            for n in sorted(n for n, types in typing.items() if not types)
+            for n in itertools.compress(g.sorted_nodes(), map(not_, current))
         )
         return _report(
-            g, s, typing, algo, failures,
+            g, s, current, s.type_sets, algo, failures, sparse=False,
             iterations=rounds, local_tests=engine.local_tests,
         )
     if algo == "flood":
@@ -709,7 +811,8 @@ def validate_multi(
     if algo == "brute":
         found = brute_force_multi(g, s)
         failures = () if found is not None else (("-", "-", "no valid m-typing exists"),)
-        return _report(g, s, found or {}, "brute", failures)
+        masks = _by_position(g, s, found or {})
+        return _report(g, s, masks, s.type_sets, "brute", failures)
     raise ValueError(f"unknown algorithm {algo!r}")
 
 
@@ -732,7 +835,9 @@ def validate_single(
     if algo == "brute":
         found = brute_force_single(g, s)
         failures = () if found is not None else (("-", "-", "no valid s-typing exists"),)
-        return _report(g, s, found or {}, "brute-single", failures)
+        names = {bit: t for t, bit in s.bits.items()}
+        masks = _by_position(g, s, found or {})
+        return _report(g, s, masks, names, "brute-single", failures)
     raise ValueError(f"algorithm {algo} supports only --mode multi")
 
 
@@ -786,33 +891,37 @@ def _flood(
     if mode == "multi":
         if not s.class_flags.deterministic:
             raise ValueError("multi-mode flooding needs a deterministic schema")
-        flood = _flood_multi
+        flood, values = _flood_multi, s.type_sets
     elif mode == "single":
         if not s.class_flags.sorbe:
             raise ValueError(
                 "single-mode flooding needs a single-occurrence schema"
             )
-        flood = _flood_single
+        flood, values = _flood_single, {bit: t for t, bit in s.bits.items()}
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    # Each flood returns its typing, its failures, the obligations it
-    # processed and the edges it examined.
-    typing, failures, processed, examined = flood(g, s, pre_map)
+    # Each flood returns its typing as masks by node position, its
+    # failures, the obligations it processed and the edges it examined.
+    masks, failures, processed, examined = flood(g, s, pre_map)
     if reach_all and not failures:
         # A successful flood checked every edge of a node holding a
         # non-universal type, and an untyped successor of such a node was
         # sent to TOP, which accepts it.
-        universal = frozenset(t for t, rule in s.compiled.items() if rule.universal)
-        reached = set(typing)
-        for n, types in typing.items():
-            if not _types_of(types) <= universal:
-                reached.update(m for _, m in g.out_lab_node(n))
+        order = g.sorted_nodes()
+        _, targets, starts = g.successor_rows()[:3]
+        testable = _testable(s)
+        unreached = bytearray(b"\1") * len(order)
+        for i in itertools.compress(range(len(order)), masks):
+            unreached[i] = 0
+            if masks[i] & testable:
+                for m in targets[starts[i] : starts[i + 1]]:
+                    unreached[m] = 0
         failures = tuple(
             (n, "-", "not reached from the pre-typing")
-            for n in sorted(g.nodes - reached)
+            for n in itertools.compress(order, unreached)
         )
     return _report(
-        g, s, typing, algorithm, failures,
+        g, s, masks, values, algorithm, failures,
         iterations=processed, edges_examined=examined,
     )
 
@@ -823,7 +932,7 @@ def _flood_multi(g: Graph, s: Schema, pre: Mapping[str, frozenset[str]]) -> tupl
     # position, so that the flood's own work follows the nodes it reaches,
     # not the graph.  Each (node, type) is queued once, so the types
     # processed at a node are those queued there less those still waiting,
-    # and the typing is read off ``seen`` once, in node order.  A row
+    # and the typing is listed off ``seen`` once, by position.  A row
     # lists its edges by (label, target position), which is the order of
     # the sorted neighborhood, since positions follow the names.
     bits = s.bits
@@ -852,6 +961,7 @@ def _flood_multi(g: Graph, s: Schema, pre: Mapping[str, frozenset[str]]) -> tupl
             }
     examined = 0
     processed = 0
+    failure = ()
     while queue:
         i, t = queue.popleft()
         processed += 1
@@ -872,7 +982,7 @@ def _flood_multi(g: Graph, s: Schema, pre: Mapping[str, frozenset[str]]) -> tupl
                 queue.append((i, t))
                 for j, u in queue:
                     seen[j] &= ~bits[u]
-                return _named(s, order, seen), failure, processed, examined
+                break
             for k in range(begin, end):
                 u, u_bit = sends[labels[k]]
                 if u_bit:
@@ -881,17 +991,10 @@ def _flood_multi(g: Graph, s: Schema, pre: Mapping[str, frozenset[str]]) -> tupl
                     if not held & u_bit:
                         seen[m] = held | u_bit
                         queue.append((m, u))
-    return _named(s, order, seen), (), processed, examined
-
-
-def _named(
-    s: Schema, order: tuple[str, ...], typing: dict[int, int]
-) -> dict[str, frozenset[str]]:
-    """A typing of masks by node position as one of type names, in node
-    order, without the nodes that hold no type: each node gets the one
-    frozenset ``s.type_sets`` holds for its mask."""
-    sets = s.type_sets
-    return {order[i]: sets[typing[i]] for i in sorted(typing) if typing[i]}
+    typing = [0] * len(order)
+    for i, types in seen.items():
+        typing[i] = types
+    return typing, failure, processed, examined
 
 
 def _rejection(targets: Mapping[str, tuple[str, ...]], labels: Iterable[str]) -> str:
@@ -923,7 +1026,7 @@ def _flood_single(g: Graph, s: Schema, pre: Mapping[str, frozenset[str]]) -> tup
     while True:
         if point is None:
             if len(frames) == len(agenda):
-                return typing, (), processed, examined
+                return _by_position(g, s, typing), (), processed, examined
             n, t = agenda[len(frames)]
             processed += 1
             if n in typing:
@@ -963,7 +1066,7 @@ def _flood_single(g: Graph, s: Schema, pre: Mapping[str, frozenset[str]]) -> tup
                 s.compiled[t].targets, (a for a, _ in neighborhood)
             )
         if failure is None:
-            failure = dict(typing), ((n, t, reason),)
+            failure = _by_position(g, s, typing), ((n, t, reason),)
         # Undo back to the innermost choice point and resume it.
         point = None
         while frames and point is None:
@@ -1092,22 +1195,23 @@ def report_lines(report: ValidationReport) -> list[str]:
     FAILED line per recorded failure, one REMAINING line per untyped edge.
     Fields are tab-separated because node names may contain spaces.
 
-    Nodes come in sorted order, and each node's types too; typings built
-    in the graph's node order make the sort one pass, and each distinct
-    type set is sorted once."""
+    Nodes come in sorted order, each node's types too, and the remaining
+    edges in sorted order.  The reports of this module iterate in that
+    order, so each sort is one pass and the values are read in turn, and
+    each distinct type set is sorted once."""
     lines = []
     typing = report.typing
-    ordered: dict[frozenset[str], list[str]] = {}
-    for n in sorted(typing):
-        types = typing[n]
-        if isinstance(types, str):
-            lines.append(f"TYPED\t{n}\t{types}")
-            continue
-        if not isinstance(types, frozenset):
-            types = frozenset(types)
-        names = ordered.get(types)
-        if names is None:
-            names = ordered[types] = sorted(types)
+    given = list(typing)
+    nodes = sorted(given)
+    values = typing.values() if given == nodes else map(typing.__getitem__, nodes)
+    ordered: dict[object, list[str]] = {}
+    for n, types in zip(nodes, values):
+        try:
+            names = ordered[types]
+        except KeyError:
+            names = ordered[types] = sorted(_types_of(types))
+        except TypeError:  # a set or a list
+            names = sorted(_types_of(types))
         for t in names:
             lines.append(f"TYPED\t{n}\t{t}")
     for n, t, reason in report.failures:

@@ -1,7 +1,26 @@
 import pytest
 
 from shexval.graph import Graph
+from shexval.rbe import Isect, normalize_product
 from shexval.schema import parse_schema
+
+
+def m_typing_leq(first, second):
+    """Pointwise containment of set-valued typings (absent nodes are empty)."""
+    return all(set(ts) <= set(second.get(n, ())) for n, ts in first.items())
+
+
+def normal_form_isect(e1, e2):
+    """Per-symbol intervals of the intersection of two interval-product
+    languages; None when the intersection is empty.  A symbol missing on
+    one side is constrained to zero occurrences there."""
+    try:
+        return normalize_product(Isect(e1, e2))
+    except ValueError:
+        raise ValueError(
+            "operands are not built from interval symbols, unordered "
+            "concatenation, and intersection"
+        ) from None
 
 
 @pytest.fixture

@@ -18,8 +18,9 @@ from time import perf_counter
 import numpy as np
 import pytest
 
-from conftest import LAM0, LAM1, LAM2
+from conftest import LAM0, LAM1, LAM2, m_typing_leq, normal_form_isect
 from test_validate import reference_refinement
+from oracles import bag_key, enumerate_language
 from shexval.genbench import GenConfig, bench, generate_graph
 from shexval.graph import Graph
 from shexval.membership import sorbe_member
@@ -35,8 +36,6 @@ from shexval.rbe import (
     SOME,
     Star,
     Symbol,
-    bag_key,
-    enumerate_language,
     is_sorbe,
     normalize_product,
     parse_rbe,
@@ -49,7 +48,6 @@ from shexval.sat import (
     inter1,
     inter1_groups,
     is_unambiguous,
-    normal_form_isect,
 )
 from shexval.schema import (
     homomorphism_schema,
@@ -65,7 +63,6 @@ from shexval.validate import (
     check_s_typing,
     flood_extension,
     infer_types,
-    m_typing_leq,
     validate_multi,
 )
 

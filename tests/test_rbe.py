@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import EnumerationLimit, enumerate_language
 from shexval.membership import compile_rule
 from shexval.rbe import (
     ANY,
@@ -14,7 +15,6 @@ from shexval.rbe import (
     SOME,
     Concat,
     Disj,
-    EnumerationLimit,
     Interval,
     Isect,
     ParseError,
@@ -23,7 +23,6 @@ from shexval.rbe import (
     Symbol,
     alphabet,
     choice_groups,
-    enumerate_language,
     fold,
     format_rbe,
     interval_add,

@@ -1,3 +1,5 @@
+import dataclasses
+import importlib.util
 import json
 import subprocess
 import sys
@@ -55,3 +57,32 @@ def test_bench_pairs_refuses_a_claim_on_a_workload_it_does_not_run(tmp_path):
     assert done.returncode == 2
     assert "'nondet-ilp'" in done.stderr
     assert not (tmp_path / "bench.json").exists()
+
+
+def _same_answers():
+    spec = importlib.util.spec_from_file_location(
+        "same_answers", ROOT / "tools" / "same_answers.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@dataclasses.dataclass(frozen=True)
+class _Input:
+    schema_text: str
+    pre: dict
+
+
+def test_same_answers_pre_typings_change_only_the_first_root():
+    tool = _same_answers()
+    inp = _Input(
+        "t -> a::u\nu -> eps\n",
+        {"y": frozenset({"t"}), "x": frozenset({"u"}), "z": frozenset({"t", "u"})},
+    )
+    # The fragment keeps the first root of the pre-typing, in its order,
+    # with its types, and nothing else.
+    assert tool._fragment(inp) == _Input(inp.schema_text, {"y": frozenset({"t"})})
+    assert tool._failing(inp) == _Input(inp.schema_text, {**inp.pre, "y": {"u"}})
+    # A root that holds every type leaves no failing pre-typing.
+    assert tool._failing(_Input(inp.schema_text, {"z": frozenset({"t", "u"})})) is None

@@ -17,10 +17,12 @@ from conftest import (
     S_CYCLE_TEXT,
     S0_TEXT,
     S1_TEXT,
+    m_typing_leq,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import bag, bag_key, enumerate_language
 from shexval import graph as graph_module
 from shexval import schema as schema_module
 from shexval import validate as validate_module
@@ -36,11 +38,8 @@ from shexval.rbe import (
     SOME,
     Interval,
     Symbol,
-    bag,
-    bag_key,
     choice_groups,
     concat,
-    enumerate_language,
     format_rbe,
     parse_rbe,
     project_sigma,
@@ -69,7 +68,6 @@ from shexval.validate import (
     flatten,
     flood_extension,
     infer_types,
-    m_typing_leq,
     out_lab_type_m,
     out_lab_type_s,
     parse_pretyping,
@@ -1090,7 +1088,7 @@ def reference_flood_multi(g, schema, pre):
     while queue:
         n, t = queue.popleft()
         processed += 1
-        if t == TOP:
+        if schema.compiled[t].universal:
             typing.setdefault(n, set()).add(t)
             continue
         neighborhood = sorted(g.out_lab_node(n))
@@ -1193,7 +1191,7 @@ def reference_flood_single(g, schema, pre):
                     trail.append(None)
                     continue
                 fail(n, t, f"node already typed {lam[n]}", lam)
-            elif t == TOP:
+            elif schema.compiled[t].universal:
                 lam[n] = t
                 trail.append(n)
                 continue
@@ -1379,9 +1377,9 @@ def test_the_frontier_scans_forward_only_after_a_round_with_many_losses():
         [(f"x{i:02}", "a", f"x{i + 1:02}") for i in range(20)] + [("x20", "b", "y")]
     )
     engine = _RefineEngine(chain, parse_schema("t -> a::t?\n"), "refine")
-    typing, rounds = engine.run()
+    masks, rounds = engine.run()
     assert rounds == 22 and chain._inbound is not None
-    assert [n for n, types in typing.items() if types] == ["y"]
+    assert [n for n, types in zip(chain.sorted_nodes(), masks) if types] == ["y"]
 
 
 def test_s_refine_reuses_the_label_bag_verdicts_of_refine(monkeypatch):
@@ -2378,3 +2376,128 @@ def test_general_refinement_on_a_127_type_powerset(data):
     assert (report.typing, report.iterations) == reference_refinement(
         g, POWER7, "refine"
     )
+
+
+# Schemas for the report views: TOP and a universal type under another
+# name, so some nodes hold only universal types, a rule no node can keep
+# (empty sets), and a nondeterministic one, which floods reject.
+REPORT_SCHEMAS = (
+    CHAIN,
+    TOP_SCHEMA,
+    LOOP,
+    NONDET,
+    Schema({"t": UNIVERSAL, "u": parse_rbe("a::t , b::TOP?")}),
+)
+
+
+def reference_reach_failures(g, s, typing):
+    """The nodes a successful flood leaves unreached, by name: neither
+    typed nor a successor of a node holding a non-universal type."""
+    universal = {t for t, rule in s.compiled.items() if rule.universal}
+    reached = set(typing)
+    for n, value in typing.items():
+        if not types_of(value) <= universal:
+            reached.update(m for _, m in g.out_lab_node(n))
+    return tuple(
+        (n, "-", "not reached from the pre-typing") for n in sorted(g.nodes - reached)
+    )
+
+
+def reference_reports(g, s, pre):
+    """Per run, its report and the typing and failures that the name-based
+    references give for it."""
+    runs = []
+    for algo in admissible_algorithms(s):
+        typing, _ = reference_refinement(g, s, algo)
+        failures = tuple(
+            (n, "-", "no type survives refinement")
+            for n in sorted(n for n, types in typing.items() if not types)
+        )
+        runs.append((validate_multi(g, s, algo), typing, failures))
+    found = brute_force_multi(g, s)
+    runs.append((validate_multi(g, s, "brute"), found or {}, report_failures(found, "m")))
+    found = brute_force_single(g, s)
+    runs.append(
+        (validate_single(g, s, "brute"), found or {}, report_failures(found, "s"))
+    )
+    checked = {n: frozenset(ts) for n, ts in pre.items() if ts}
+    floods = []
+    if s.class_flags.deterministic:
+        floods.append((reference_flood_multi(g, s, checked), validate_multi, "multi"))
+    if s.class_flags.sorbe:
+        floods.append((reference_flood_single(g, s, checked), validate_single, "single"))
+    for expected, validate, mode in floods:
+        typing, failures = dict(expected.typing), expected.failures
+        runs.append((flood_extension(g, s, pre, mode), typing, failures))
+        if not failures:
+            failures = reference_reach_failures(g, s, typing)
+        runs.append((validate(g, s, "flood", pre), typing, failures))
+    return runs
+
+
+def report_failures(found, mode):
+    if found is not None:
+        return ()
+    return (("-", "-", f"no valid {mode}-typing exists"),)
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_reports_on_positions_match_the_name_based_references(data):
+    s = data.draw(st.sampled_from(REPORT_SCHEMAS))
+    labels = sorted(s.sigma) + ["z"]
+    nodes = [f"y{i}" for i in range(data.draw(st.integers(1, 4)))]
+    edges = data.draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(nodes), st.sampled_from(labels), st.sampled_from(nodes)
+            ),
+            max_size=8,
+        )
+    )
+    g = Graph(edges, nodes)
+    types = st.sampled_from(sorted(s.gamma))
+    # A fragment (one root), every node, or any pre-typing, which may fail.
+    pre = data.draw(
+        st.one_of(
+            st.builds(lambda t: {nodes[0]: {t}}, types),
+            st.fixed_dictionaries({n: st.sets(types, min_size=1, max_size=1) for n in nodes}),
+            st.dictionaries(st.sampled_from(nodes), st.sets(types, max_size=2), max_size=3),
+        )
+    )
+    for report, typing, failures in reference_reports(g, s, pre):
+        remaining = reference_remaining(g, s, typing)
+        expected = ValidationReport(
+            valid=not failures, typing=typing, failures=failures,
+            remaining_edges=remaining,
+        )
+        assert report.failures == failures
+        assert dict(report.typing) == typing
+        assert frozenset(report.remaining_edges) == remaining
+        assert report_lines(report) == reference_report_lines(expected)
+        assert_views_behave_as_their_values(g, s, report, typing, remaining)
+
+
+def assert_views_behave_as_their_values(g, s, report, typing, remaining):
+    view, edges = report.typing, report.remaining_edges
+    assert len(view) == len(typing) and len(edges) == len(remaining)
+    # Node order and sorted order, and the values in step with the keys.
+    assert list(view) == sorted(typing) and list(edges) == sorted(remaining)
+    assert list(view.values()) == [typing[n] for n in sorted(typing)]
+    assert list(view.items()) == sorted(typing.items())
+    for n in [*g.nodes, "ghost", "y 1", 7]:
+        assert (n in view) == (n in typing)
+        assert view.get(n) == typing.get(n)
+    for edge in [*g.edges, ("ghost", "a", "y0"), ("y0", "a", "ghost"), ("y0",), 7]:
+        assert (edge in edges) == (edge in remaining)
+    # Equal to the dict and frozenset they stand for, either way round.
+    assert view == typing and typing == view and not view != typing
+    assert edges == remaining and remaining == edges and not edges != remaining
+    assert view != {**typing, "ghost": frozenset()}
+    assert edges != remaining | {("ghost", "a", "y0")}
+    assert remaining_edges(g, s, report) == remaining
+    # The CLI drops the typing this way unless asked for it.
+    bare = replace(report, typing={})
+    assert report_lines(bare) == [
+        line for line in report_lines(report) if not line.startswith("TYPED\t")
+    ]

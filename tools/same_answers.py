@@ -16,7 +16,14 @@ pre-typing, in its order) given instead the least type of the schema
 that it does not hold.  On fig2 that is ``BugReport`` on an
 ``Employee`` root, which fails at the root's first label, in the middle
 of a large graph; the chain's one type leaves nothing to give, and its
-flood already fails at the tail.  Per run the output gives the
+flood already fails at the tail.  Three more floods of such an input
+run the same way: ``flood-fragment``, from the first root alone with
+its types, which on fig2 leaves most edges in the REMAINING section;
+``flood-reach``, ``validate_multi(g, s, "flood", pre)`` from the input's
+own pre-typing, which also checks that every node is reached; and
+``flood-reach-fragment``, the same from the first root alone, which on
+fig2 fails at every node the root does not reach.  Per run the output
+gives the
 verdict, the counters of the report, its algorithm, its failure count,
 the SHA-256 of its rendered ``report_lines`` and the entries of each
 refinement memo of the schema.  Two checkouts give the same answers
@@ -30,6 +37,7 @@ package is imported from the checkout's ``src/``.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import sys
@@ -53,17 +61,28 @@ def _answers(checkout: Path) -> dict:
         for seed in SEEDS:
             inputs = bench.build_inputs(workload, seed)
             graphs = bench.setup(inputs)
-            runs_of = [(op, op, inputs[name], graphs[name]) for op, name in spec.ops]
+            # Per run: its name, the call that validates, its input and graph.
+            runs_of = [
+                (op, functools.partial(bench._call, op), inputs[name], graphs[name])
+                for op, name in spec.ops
+            ]
+            flood = functools.partial(bench._call, "flood")
             for op, name in spec.ops:
-                failing = _failing(inputs[name]) if op == "flood" else None
+                if op != "flood":
+                    continue
+                inp, g = inputs[name], graphs[name]
+                failing = _failing(inp)
                 if failing is not None:
-                    runs_of.append(("flood-failing", op, failing, graphs[name]))
-            for run, op, inp, g in runs_of:
+                    runs_of.append(("flood-failing", flood, failing, g))
+                runs_of.append(("flood-fragment", flood, _fragment(inp), g))
+                runs_of.append(("flood-reach", _reach, inp, g))
+                runs_of.append(("flood-reach-fragment", _reach, _fragment(inp), g))
+            for run, call, inp, g in runs_of:
                 s = parse_schema(inp.schema_text)
                 runs = [(phase, g) for phase in bench.PHASES]
                 runs.append(("fresh-graph", parse_graph(inp.graph_text)))
                 for phase, graph in runs:
-                    report = bench._call(op, graph, s, inp)
+                    report = call(graph, s, inp)
                     lines = "\n".join(report_lines(report)).encode()
                     out[f"{workload}/{seed}/{run}/{phase}"] = {
                         "valid": report.valid,
@@ -80,6 +99,18 @@ def _answers(checkout: Path) -> dict:
                         },
                     }
     return out
+
+
+def _reach(g, s, inp):
+    from shexval.validate import validate_multi
+
+    return validate_multi(g, s, "flood", inp.pre)
+
+
+def _fragment(inp):
+    """The input with its first root alone as the pre-typing."""
+    root = next(iter(inp.pre))
+    return dataclasses.replace(inp, pre={root: inp.pre[root]})
 
 
 def _failing(inp):
